@@ -280,16 +280,6 @@ class AlgebraSpec:
             raise DimensionMismatchError(f"expected {self.dim} coordinates, got {x.dim}")
         return x
 
-    def norm_of(self, x: LatticeElement):
-        return norm(x, self.norm)
-
-    def is_commutative(self) -> bool:
-        return all(
-            self.basis_product(i, j) == self.basis_product(j, i)
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
-
 
 def find_identity(algebra: AlgebraSpec) -> Optional[IdentityResult]:
     """The two-sided identity with its (is_positive, norm_one) flags, or None.

@@ -32,7 +32,14 @@ from .inner import ENUM_CAP_DEFAULT, GammaSet, boolean_laws, enumerate_inner, is
 from .io import element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
 from .lattice import LatticeElement
 from .operators import diagonal_mask_operator
-from .projections import GridSpec, classify, enumerate_order_idempotents, search_band_projections
+from .projections import (
+    GridSpec,
+    classify,
+    enumerate_order_idempotents,
+    is_left_bp,
+    is_right_bp,
+    search_band_projections,
+)
 from .report import (
     build_report,
     fmt_element,
@@ -255,11 +262,7 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         payload["order_idempotents"] = None
         lines.append("order idempotents: not applicable (no identity)")
     certified = search_band_projections(algebra, grid)
-    core = [
-        p
-        for p in certified
-        if (c := classify(algebra, p)).is_left_bp and c.is_right_bp
-    ]
+    core = [p for p in certified if is_left_bp(algebra, p) and is_right_bp(algebra, p)]
     grid_str = "{" + ", ".join(fmt_scalar(v) for v in grid.values) + "}"
     payload["grid"] = [fmt_scalar(v) for v in grid.values]
     payload["band_projections_on_grid"] = [element_to_wire(p) for p in certified]

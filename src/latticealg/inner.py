@@ -42,9 +42,6 @@ class ProjectionFamily:
     def __getitem__(self, index: int) -> LatticeElement:
         return self.members[index]
 
-    def index_range(self) -> range:
-        return range(len(self.members))
-
 
 @dataclass(frozen=True)
 class GammaSet:

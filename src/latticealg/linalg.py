@@ -39,10 +39,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
-    return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
-
-
 def trace(a: Sequence[Sequence[Fraction]]) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

@@ -17,6 +17,7 @@ A_e makes the list provably complete.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -25,6 +26,7 @@ from .algebra import AlgebraSpec
 from .center import ck_representation, in_identity_ideal, norm_e
 from .errors import (
     CapExceededError,
+    DimensionMismatchError,
     InputError,
     MathViolationError,
     NoIdentityError,
@@ -32,14 +34,8 @@ from .errors import (
     NotOrderIdempotentError,
 )
 from .lattice import LatticeElement, as_scalar, norm
-from .operators import (
-    OperatorMatrix,
-    invert_element,
-    is_band_projection_op,
-    left_mult,
-    mult_op,
-    right_mult,
-)
+# mult_op stays in this namespace: code reaches it as projections.mult_op.
+from .operators import invert_element, mult_op  # noqa: F401
 
 GRID_POINT_CAP = 250_000
 
@@ -58,29 +54,131 @@ def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
     )
 
 
+class _IntegerTensor:
+    """The structure tensor over one common denominator D: c = C/D, C integer.
+
+    Band projection operators on the coordinatewise R^n are exactly the 0/1
+    diagonal masks (see operators.is_band_projection_op).  So each predicate
+    below checks the columns of its operator one at a time — column q must be 0 or the unit vector e_q — and stops at the
+    first that fails.  An element a enters as v/L with v an integer vector,
+    so the columns are integers scaled by a known power of L·D.
+
+    The compiled form is rebuilt per call (O(nnz)); nothing is cached on the
+    AlgebraSpec, whose tensor may still be edited.
+    """
+
+    def __init__(self, algebra: AlgebraSpec) -> None:
+        n = algebra.dim
+        den = math.lcm(*(c.denominator for c in algebra.tensor.values()))
+        self.dim = n
+        self.den = den
+        # q → [(j, k, C)] for the entries c[(q, j, k)], and [(i, k, C)] for c[(i, q, k)].
+        self.first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.second: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j, k), c in algebra.tensor.items():
+            big_c = c.numerator * (den // c.denominator)
+            self.first[i].append((j, k, big_c))
+            self.second[j].append((i, k, big_c))
+            pairs.setdefault((i, j), []).append((k, big_c))
+        self.pairs = list(pairs.items())
+
+    def left_column(self, v: Sequence[int], q: int) -> list[int]:
+        """D·(v ∗ b_q): column q of L_v."""
+        col = [0] * self.dim
+        for i, k, big_c in self.second[q]:
+            col[k] += v[i] * big_c
+        return col
+
+    def right_column(self, v: Sequence[int], q: int) -> list[int]:
+        """D·(b_q ∗ v): column q of R_v."""
+        col = [0] * self.dim
+        for j, k, big_c in self.first[q]:
+            col[k] += v[j] * big_c
+        return col
+
+    def product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """D·(x ∗ y) on integer vectors."""
+        out = [0] * self.dim
+        for (i, j), terms in self.pairs:
+            f = x[i] * y[j]
+            if f:
+                for k, big_c in terms:
+                    out[k] += f * big_c
+        return out
+
+    def is_bp(self, v: Sequence[int], scale: int) -> bool:
+        """M_{a,a} is a 0/1 mask, for a = v/scale; column q is a∗(b_q∗a).
+
+        R_a is applied before L_a, as in mult_op, so a non-associative
+        tensor gets the verdict of the matrix L_a·R_a.
+        """
+        unit = (scale * self.den) ** 2
+        return all(
+            _is_mask_column(self.product(v, self.right_column(v, q)), q, unit)
+            for q in range(self.dim)
+        )
+
+    def is_left_bp(self, v: Sequence[int], scale: int) -> bool:
+        """L_a is a 0/1 mask, for a = v/scale; column q is a∗b_q."""
+        unit = scale * self.den
+        return all(_is_mask_column(self.left_column(v, q), q, unit) for q in range(self.dim))
+
+    def is_right_bp(self, v: Sequence[int], scale: int) -> bool:
+        """R_a is a 0/1 mask, for a = v/scale; column q is b_q∗a."""
+        unit = scale * self.den
+        return all(_is_mask_column(self.right_column(v, q), q, unit) for q in range(self.dim))
+
+
+def _is_mask_column(col: list[int], q: int, unit: int) -> bool:
+    """col is 0 or unit·e_q (col is consumed)."""
+    if col[q] != 0 and col[q] != unit:
+        return False
+    col[q] = 0
+    return not any(col)
+
+
+def _integer_form(algebra: AlgebraSpec, a: LatticeElement) -> tuple[list[int], int]:
+    """(v, L) with a = v/L, L the lcm of the coordinate denominators."""
+    if a.dim != algebra.dim:
+        raise DimensionMismatchError("element dimension does not match algebra")
+    scale = math.lcm(*(c.denominator for c in a.coords))
+    return [c.numerator * (scale // c.denominator) for c in a.coords], scale
+
+
 def is_band_projection(algebra: AlgebraSpec, a: LatticeElement) -> bool:
     """a ≥ 0 and x ↦ a∗x∗a is a band projection operator (0 ≤ M ≤ I, M² = M).
 
-    Nonpositive input returns False: the class is defined inside the
-    positive cone, and a total predicate keeps grid searches simple.
+    Decided exactly as "M = L_a·R_a is a 0/1 diagonal mask": column q,
+    a∗(b_q∗a) with R_a applied first, must be 0 or e_q.  Nonpositive input
+    returns False: the class is defined inside the positive cone, and a
+    total predicate keeps grid searches simple.
     """
     if not a.is_positive():
         return False
-    return is_band_projection_op(mult_op(algebra, a, a))
+    return _IntegerTensor(algebra).is_bp(*_integer_form(algebra, a))
 
 
 def is_left_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
-    """a ≥ 0 and x ↦ a∗x is a band projection operator."""
+    """a ≥ 0 and x ↦ a∗x is a band projection operator.
+
+    Decided exactly as "L_a is a 0/1 diagonal mask": column q, a∗b_q, must
+    be 0 or e_q.
+    """
     if not a.is_positive():
         return False
-    return is_band_projection_op(left_mult(algebra, a))
+    return _IntegerTensor(algebra).is_left_bp(*_integer_form(algebra, a))
 
 
 def is_right_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
-    """a ≥ 0 and x ↦ x∗a is a band projection operator."""
+    """a ≥ 0 and x ↦ x∗a is a band projection operator.
+
+    Decided exactly as "R_a is a 0/1 diagonal mask": column q, b_q∗a, must
+    be 0 or e_q.
+    """
     if not a.is_positive():
         return False
-    return is_band_projection_op(right_mult(algebra, a))
+    return _IntegerTensor(algebra).is_right_bp(*_integer_form(algebra, a))
 
 
 @dataclass(frozen=True)
@@ -317,9 +415,14 @@ def search_band_projections(
         raise CapExceededError(
             f"grid has {total} points; cap is {point_cap} (raise point_cap to override)"
         )
+    # The tensor is compiled once; points with a negative coordinate are not
+    # positive, and dropping them keeps the rest in lexicographic order.
+    kernel = _IntegerTensor(algebra)
+    values = [v for v in grid.values if v >= 0]
+    scale = math.lcm(*(v.denominator for v in values))
+    by_int = {v.numerator * (scale // v.denominator): v for v in values}
     found = []
-    for coords in grid.points(algebra.dim):
-        candidate = LatticeElement(coords)
-        if is_band_projection(algebra, candidate):
-            found.append(candidate)
+    for point in itertools.product(by_int, repeat=algebra.dim):
+        if kernel.is_bp(point, scale):
+            found.append(LatticeElement(tuple(by_int[x] for x in point)))
     return found

@@ -4,18 +4,22 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import (
+    AlgebraSpec,
     CapExceededError,
     GridSpec,
+    LatticeElement,
     NoIdentityError,
     NotBandProjectionError,
     NotOrderIdempotentError,
+    OperatorMatrix,
     vec,
 )
+from latticealg.operators import is_band_projection_op, left_mult, mult_op, right_mult
 
 
 def test_upper2_order_idempotents_complete():
@@ -163,3 +167,89 @@ def test_grid_search_is_sorted_and_certified():
 def test_whole_e12_ray_is_bp(t):
     alg = la.builtin("upper2")
     assert la.is_band_projection(alg, vec([0, t, 0]))
+
+
+# -- the integer mask kernel against the Fraction reference -----------------
+
+
+def reference_bp_op(m: OperatorMatrix) -> bool:
+    """0 ≤ M ≤ I and M∘M == M, evaluated with Fraction matrix products."""
+    return m.is_nonnegative() and m.leq(OperatorMatrix.identity(m.dim)) and m.compose(m) == m
+
+
+def reference_predicates(alg: AlgebraSpec, a: LatticeElement) -> tuple[bool, bool, bool]:
+    """(BP, BP_l, BP_r) through mult_op / left_mult / right_mult."""
+    if not a.is_positive():
+        return (False, False, False)
+    return (
+        reference_bp_op(mult_op(alg, a, a)),
+        reference_bp_op(left_mult(alg, a)),
+        reference_bp_op(right_mult(alg, a)),
+    )
+
+
+_SCALES = [Fraction(v) for v in ("1", "2", "1/2", "3", "1/3", "2/3")]
+_NOISE = [Fraction(v) for v in ("1", "-1", "1/2", "-2/3", "2", "3/5")]
+_COORDS = [Fraction(v) for v in ("1/2", "1/3", "2", "3", "3/2", "-1", "2/5")]
+
+
+@st.composite
+def algebras_and_elements(draw):
+    """Tensors of dim 1–4: a rescaled ck-like diagonal (so that hits occur)
+    plus noise entries that may be negative or break associativity; and an
+    element whose coordinates mix 0/1 with other denominators and signs."""
+    n = draw(st.integers(1, 4))
+    tensor = {}
+    if draw(st.booleans()):
+        for i in range(n):
+            tensor[(i, i, i)] = draw(st.sampled_from(_SCALES))
+    keys = st.tuples(*(st.integers(0, n - 1) for _ in range(3)))
+    for key, c in draw(st.lists(st.tuples(keys, st.sampled_from(_NOISE)), max_size=2 * n)):
+        tensor[key] = c
+    alg = AlgebraSpec(dim=n, tensor=tensor)
+    coords = []
+    for i in range(n):
+        diag = tensor.get((i, i, i))
+        pool = [Fraction(0), Fraction(1)] + ([1 / diag] if diag else []) + _COORDS
+        coords.append(draw(st.sampled_from(pool)))
+    return alg, LatticeElement(tuple(coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_elements())
+def test_mask_kernel_matches_fraction_reference(case):
+    alg, a = case
+    got = (la.is_band_projection(alg, a), la.is_left_bp(alg, a), la.is_right_bp(alg, a))
+    assert got == reference_predicates(alg, a)
+    for m in (mult_op(alg, a, a), left_mult(alg, a), right_mult(alg, a)):
+        assert is_band_projection_op(m) == reference_bp_op(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([Fraction(0), Fraction(1)] + _NOISE), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_mask_test_on_matrices_matches_fraction_reference(rows):
+    m = OperatorMatrix.from_rows(rows)
+    assert is_band_projection_op(m) == reference_bp_op(m)
+    diag = OperatorMatrix.diagonal([row[i] for i, row in enumerate(rows)])
+    assert is_band_projection_op(diag) == reference_bp_op(diag)
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [(name, GridSpec.from_resolution(2)) for name in la.BUILTIN_NAMES]
+    + [("upper2", GridSpec.from_values([-1, 0, "1/3", "1/2", 1, "7/3"]))],
+)
+def test_grid_search_equals_reference_filtered_grid(name, grid):
+    alg = la.builtin(name)
+    expected = [
+        p for p in map(LatticeElement, grid.points(alg.dim)) if reference_predicates(alg, p)[0]
+    ]
+    assert la.search_band_projections(alg, grid) == expected
