@@ -78,6 +78,8 @@ class AlgebraSpec:
     identity: Optional[LatticeElement] = None
     name: str = ""
     elements: dict[str, LatticeElement] = field(default_factory=dict)
+    # Set when solve_identity finds no solution, so the solve runs once.
+    _no_identity: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -199,11 +201,16 @@ class AlgebraSpec:
     def solve_identity(self) -> IdentityResult:
         """Solve for a two-sided identity; raise NoIdentityError if none exists.
 
+        Both outcomes are remembered: a found identity in `identity`, a
+        failed solve in `_no_identity`.
+
         e is an identity iff Σ_j e_j·c[(j,i,k)] = δ_ik and Σ_j e_j·c[(i,j,k)] = δ_ik
         for all i, k — a linear system in the coordinates of e.
         """
         if self.identity is not None:
             e = self.identity
+        elif self._no_identity is not None:
+            raise NoIdentityError(self._no_identity)
         else:
             n = self.dim
             rows: list[list[Fraction]] = []
@@ -230,7 +237,8 @@ class AlgebraSpec:
                     rhs.append(Fraction(1 if i == k else 0))
             solution = linalg.solve(rows, rhs)
             if solution is None:
-                raise NoIdentityError(f"algebra {self.name or '<unnamed>'} has no identity")
+                self._no_identity = f"algebra {self.name or '<unnamed>'} has no identity"
+                raise NoIdentityError(self._no_identity)
             e = LatticeElement(tuple(solution))
         # Double-check by multiplication (guards a user-supplied identity too).
         for i in range(self.dim):

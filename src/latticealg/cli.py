@@ -9,13 +9,14 @@
 The positional target accepts either a path to an algebra JSON file or
 "builtin:NAME".  Exit codes are a stable contract: 0 success, 1 a
 mathematical law or verification failed, 2 bad input.  The environment
-variable LATTICEALG_CAP overrides the default inner-enumeration cap when
+variable LATTICEALG_CAP overrides the default inner cap on |Λ|² when
 --cap is not given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -69,7 +70,9 @@ class RunConfig:
     cap: int = ENUM_CAP_DEFAULT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="latticealg",
         description="Exact computations in finite-dimensional lattice algebras.",
@@ -114,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
             dest="out_format",
         )
-        p.add_argument("--cap", type=int, help="inner-enumeration cap on |Λ|² (default 16)")
+        p.add_argument("--cap", type=int, help="inner: largest family size |Λ|² accepted (default 16)")
     return parser
 
 

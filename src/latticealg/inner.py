@@ -7,10 +7,18 @@ p_α ∗ p_β = δ_αβ · p_α, every subset Γ ⊆ Λ×Λ induces the operator
 
 which is a band projection (in finite dimensions the defining supremum of
 the summands is attained and equals the sum, because the ranges of the
-distinct two-sided multiplications are pairwise disjoint bands).  The map
-Γ ↦ P_Γ is a Boolean-algebra homomorphism onto its image; the image can
-be smaller than 2^(Λ×Λ), and a band projection need not be of this form
-at all — the 3-dimensional identityless fixture carries a witness.
+distinct two-sided multiplications are pairwise disjoint bands).
+
+Each summand L_{p_α}R_{p_β} is a product of 0/1 diagonal masks, hence a
+mask, and the nonzero summand supports are pairwise disjoint.  So P_Γ is
+the mask of the union of Γ's supports, the image of Γ ↦ P_Γ is exactly
+the 2^k unions of the k nonzero supports, and "M is inner" is a subset
+test on supp(M).  summand_supports computes the supports once, with the
+integer column kernel of the projections module, and checks both facts;
+no walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a
+Boolean-algebra homomorphism onto its image; a band projection need not
+be of this form at all — the 3-dimensional identityless fixture carries
+a witness.
 """
 
 from __future__ import annotations
@@ -25,9 +33,9 @@ from .algebra import AlgebraSpec
 from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
 from .lattice import LatticeElement
 from .operators import OperatorMatrix, is_band_projection_op, mult_op
-from .projections import is_left_bp, is_right_bp
+from .projections import _integer_form, _IntegerTensor, _is_mask_column, is_left_bp, is_right_bp
 
-ENUM_CAP_DEFAULT = 16  # maximum |Λ|² for exhaustive Γ enumeration
+ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,69 @@ def validate_family(algebra: AlgebraSpec, members: Sequence[LatticeElement]) -> 
     return ProjectionFamily(members=members)
 
 
+def _check_cap(n_members: int, cap: int) -> None:
+    n_pairs = n_members * n_members
+    if n_pairs > cap:
+        raise CapExceededError(
+            f"family of size {n_members} needs 2^{n_pairs} subsets; cap is |Λ|² ≤ {cap}"
+        )
+
+
+def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
+    return sorted(itertools.product(range(n_members), repeat=2))
+
+
+def summand_supports(algebra: AlgebraSpec, family: ProjectionFamily) -> list[frozenset[int]]:
+    """supp(L_{p_α}R_{p_β}) for every (α, β) ∈ Λ×Λ, in sorted pair order.
+
+    Column q of the summand is p_α∗(b_q∗p_β), with R applied first as in
+    mult_op; it must be 0 or e_q, and q is in the support when it is e_q.
+    The nonzero supports must be pairwise disjoint.  Either failure raises
+    MathViolationError: the family or the algebra is invalid.
+    """
+    kernel = _IntegerTensor(algebra)
+    forms = [_integer_form(algebra, p) for p in family.members]
+    supports: list[frozenset[int]] = []
+    covered: set[int] = set()
+    for a, b in _sorted_pairs(len(family)):
+        (va, sa), (vb, sb) = forms[a], forms[b]
+        unit = sa * sb * kernel.den**2
+        support = set()
+        for q in range(algebra.dim):
+            col = kernel.product(va, kernel.right_column(vb, q))
+            if col[q] == unit:
+                support.add(q)
+            if not _is_mask_column(col, q, unit):
+                raise MathViolationError(
+                    f"summand ({a},{b}) is not a band projection operator (column {q})"
+                )
+        if covered & support:
+            raise MathViolationError(
+                f"summand ({a},{b}) overlaps another summand on coordinates "
+                f"{sorted(covered & support)}"
+            )
+        covered |= support
+        supports.append(frozenset(support))
+    return supports
+
+
+def _union_mask(n: int, support: frozenset[int]) -> OperatorMatrix:
+    return OperatorMatrix.diagonal([1 if i in support else 0 for i in range(n)])
+
+
+def _gamma_union(supports: list[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
+    """supp P_Γ; the pair (α, β) sits at α·|Λ| + β in the sorted pair order."""
+    n = gamma.n_members
+    return frozenset().union(*(supports[a * n + b] for a, b in gamma.pairs))
+
+
+def _require_family_size(family: ProjectionFamily, gamma: GammaSet) -> None:
+    if gamma.n_members != len(family):
+        raise FamilyError(
+            f"Γ indexes a family of size {gamma.n_members}, got one of size {len(family)}"
+        )
+
+
 def inner_bp(
     algebra: AlgebraSpec,
     family: ProjectionFamily,
@@ -132,25 +203,25 @@ def inner_bp(
 ) -> OperatorMatrix:
     """P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β) as a matrix, with its certificates.
 
-    Asserts that the sum is a band projection operator, and that on sample
-    positive vectors the coordinatewise supremum of the individual summand
-    values equals the sum — the finite-dimensional form of the defining
-    supremum.  A failed assertion raises; it would mean the family or the
-    algebra is invalid, and must never produce silent output.
+    P_Γ is the mask of the union of Γ's summand supports.  As an audit
+    independent of the integer kernel, the summands are also built as
+    rational matrices with mult_op: they must sum to that mask, and on
+    sample positive vectors the coordinatewise supremum of the summand
+    values must equal the sum — the finite-dimensional form of the
+    defining supremum.  A failed check raises; it would mean the family or
+    the algebra is invalid, and must never produce silent output.
     """
-    if gamma.n_members != len(family):
-        raise FamilyError(
-            f"Γ indexes a family of size {gamma.n_members}, got one of size {len(family)}"
-        )
+    _require_family_size(family, gamma)
     n = algebra.dim
+    total = _union_mask(n, _gamma_union(summand_supports(algebra, family), gamma))
     summands = [
         mult_op(algebra, family[a], family[b]) for a, b in gamma.sorted_pairs()
     ]
-    total = OperatorMatrix.zero(n)
+    matrix_sum = OperatorMatrix.zero(n)
     for s in summands:
-        total = total + s
-    if not is_band_projection_op(total):
-        raise MathViolationError("P_Γ is not a band projection operator")
+        matrix_sum = matrix_sum + s
+    if matrix_sum != total:
+        raise MathViolationError("the summand matrices do not sum to the mask of their supports")
     rng = random.Random(seed)
     for _ in range(samples):
         x = LatticeElement(
@@ -169,7 +240,7 @@ def inner_bp(
 
 @dataclass
 class BooleanLawsReport:
-    """The three Boolean identities for inner projections, checked exactly:
+    """The three Boolean identities for inner projections:
     P_Γ·P_Δ = P_{Γ∩Δ},  P_Γ + P_Δ − P_{Γ∩Δ} = P_{Γ∪Δ},  P_full − P_Γ = P_{Γ̄}."""
 
     meet_ok: bool
@@ -187,31 +258,32 @@ def boolean_laws(
     gamma: GammaSet,
     delta: GammaSet,
 ) -> BooleanLawsReport:
-    """Check the meet/join/complement laws for P_Γ and P_Δ over one family."""
-    p_gamma = inner_bp(algebra, family, gamma)
-    p_delta = inner_bp(algebra, family, delta)
-    p_meet = inner_bp(algebra, family, gamma.intersection(delta))
-    p_join = inner_bp(algebra, family, gamma.union(delta))
-    p_full = inner_bp(algebra, family, GammaSet.full(gamma.n_members))
-    p_comp = inner_bp(algebra, family, gamma.complement())
+    """Check the meet/join/complement laws for P_Γ and P_Δ over one family.
+
+    Each P is the mask of a union of summand supports, so the laws are the
+    set identities U∩V = supp P_{Γ∩Δ}, U∪V = supp P_{Γ∪Δ} and
+    supp P_full ∖ U = supp P_{Γ̄}, for U = supp P_Γ and V = supp P_Δ.
+    """
+    _require_family_size(family, gamma)
+    _require_family_size(family, delta)
+    supports = summand_supports(algebra, family)
+    u = _gamma_union(supports, gamma)
+    v = _gamma_union(supports, delta)
+    full = _gamma_union(supports, GammaSet.full(gamma.n_members))
     return BooleanLawsReport(
-        meet_ok=(p_gamma.compose(p_delta) == p_meet),
-        join_ok=(p_gamma + p_delta - p_meet == p_join),
-        complement_ok=(p_full - p_gamma == p_comp),
+        meet_ok=(u & v == _gamma_union(supports, gamma.intersection(delta))),
+        join_ok=(u | v == _gamma_union(supports, gamma.union(delta))),
+        complement_ok=(full - u == _gamma_union(supports, gamma.complement())),
     )
 
 
 def all_gamma_sets(n_members: int, cap: int = ENUM_CAP_DEFAULT) -> list[GammaSet]:
     """Every Γ ⊆ Λ×Λ in a fixed deterministic order (bit masks over the
     lexicographically sorted pair list).  Refuses when |Λ|² exceeds the cap."""
-    n_pairs = n_members * n_members
-    if n_pairs > cap:
-        raise CapExceededError(
-            f"family of size {n_members} needs 2^{n_pairs} subsets; cap is |Λ|² ≤ {cap}"
-        )
-    all_pairs = sorted(itertools.product(range(n_members), repeat=2))
+    _check_cap(n_members, cap)
+    all_pairs = _sorted_pairs(n_members)
     gammas = []
-    for bits in range(1 << n_pairs):
+    for bits in range(1 << len(all_pairs)):
         pairs = frozenset(p for t, p in enumerate(all_pairs) if bits >> t & 1)
         gammas.append(GammaSet(pairs=pairs, n_members=n_members))
     return gammas
@@ -220,54 +292,25 @@ def all_gamma_sets(n_members: int, cap: int = ENUM_CAP_DEFAULT) -> list[GammaSet
 def enumerate_inner(
     algebra: AlgebraSpec, family: ProjectionFamily, cap: int = ENUM_CAP_DEFAULT
 ) -> list[tuple[GammaSet, OperatorMatrix]]:
-    """All inner projections over the family, duplicates merged exactly.
+    """All distinct inner projections over the family, each with its witness Γ.
 
-    Enumerates every Γ ⊆ Λ×Λ (hence 2^(|Λ|²) candidates — capped), keeps
-    the first Γ producing each distinct matrix, and returns them in the
-    deterministic enumeration order.  The count may be smaller than the
-    subset count: distinct Γ often collapse when cross terms vanish.
-
-    Equal summand matrices are grouped first, so each Γ's sum is determined
-    by the count of members it takes from each group; only the first Γ per
-    distinct count profile computes a matrix, and the full inner_bp
-    certification runs once per distinct matrix, on its first witness Γ.
+    The nonzero summand supports are pairwise disjoint, so the image of
+    Γ ↦ P_Γ is exactly the 2^k masks of unions of the k nonzero supports.
+    The witness of a union is the set of its nonzero summands — the first
+    Γ in bit-mask order over the sorted pair list that produces it — and
+    the results come in the order of their witnesses.  No Γ walk runs; the
+    cap still refuses families with |Λ|² > cap, and so bounds k.
     """
-    gammas = all_gamma_sets(len(family), cap)
-    all_pairs = sorted(itertools.product(range(len(family)), repeat=2))
-    summands = [mult_op(algebra, family[a], family[b]) for a, b in all_pairs]
-    zero = OperatorMatrix.zero(algebra.dim)
-    group_bits: list[int] = []
-    group_matrices: list[OperatorMatrix] = []
-    group_of: dict[tuple[tuple[Fraction, ...], ...], int] = {}
-    for t, s in enumerate(summands):
-        if s == zero:
-            continue
-        g = group_of.get(s.entries)
-        if g is None:
-            g = len(group_matrices)
-            group_of[s.entries] = g
-            group_matrices.append(s)
-            group_bits.append(0)
-        group_bits[g] |= 1 << t
+    _check_cap(len(family), cap)
+    pairs = _sorted_pairs(len(family))
+    supports = summand_supports(algebra, family)
+    nonzero = [t for t, s in enumerate(supports) if s]
     out: list[tuple[GammaSet, OperatorMatrix]] = []
-    seen_counts: set[tuple[int, ...]] = set()
-    seen_entries: set[tuple[tuple[Fraction, ...], ...]] = set()
-    for bits, gamma in enumerate(gammas):
-        counts = tuple(bin(bits & mask).count("1") for mask in group_bits)
-        if counts in seen_counts:
-            continue
-        seen_counts.add(counts)
-        matrix = zero
-        for g, k in enumerate(counts):
-            if k:
-                matrix = matrix + (group_matrices[g] if k == 1 else group_matrices[g].scale(k))
-        if matrix.entries in seen_entries:
-            continue
-        seen_entries.add(matrix.entries)
-        certified = inner_bp(algebra, family, gamma)
-        if certified != matrix:
-            raise MathViolationError("grouped subset sum disagrees with direct sum")
-        out.append((gamma, certified))
+    for bits in range(1 << len(nonzero)):
+        chosen = [t for i, t in enumerate(nonzero) if bits >> i & 1]
+        gamma = GammaSet.of((pairs[t] for t in chosen), len(family))
+        union = frozenset().union(*(supports[t] for t in chosen))
+        out.append((gamma, _union_mask(algebra.dim, union)))
     return out
 
 
@@ -278,13 +321,24 @@ def is_inner(
     cap: int = ENUM_CAP_DEFAULT,
 ) -> Optional[GammaSet]:
     """A witness Γ with P_Γ = M, or None: M is certifiably not inner for
-    this family (the search over all Γ ⊆ Λ×Λ is exhaustive)."""
+    this family.
+
+    M is inner exactly when its support is a union of summand supports;
+    the witness is the set of nonzero summands inside supp(M), which is
+    the first such Γ in bit-mask order.
+    """
     if not is_band_projection_op(m):
         raise NotBandProjectionError("is_inner expects a band projection operator")
-    for gamma, matrix in enumerate_inner(algebra, family, cap=cap):
-        if matrix == m:
-            return gamma
-    return None
+    _check_cap(len(family), cap)
+    supports = summand_supports(algebra, family)
+    if m.dim != algebra.dim:
+        return None
+    target = frozenset(i for i in range(m.dim) if m.entries[i][i] == 1)
+    inside = [t for t, s in enumerate(supports) if s and s <= target]
+    if frozenset().union(*(supports[t] for t in inside)) != target:
+        return None
+    pairs = _sorted_pairs(len(family))
+    return GammaSet.of((pairs[t] for t in inside), len(family))
 
 
 def find_families(

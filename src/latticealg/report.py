@@ -19,8 +19,10 @@ from .lattice import LatticeElement
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GridSpec,
-    classify,
     enumerate_order_idempotents,
+    is_left_bp,
+    is_order_idempotent,
+    is_right_bp,
     search_band_projections,
 )
 from .spectra import SpectrumResult, spectrum
@@ -164,12 +166,12 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         f"{len(certified)} certified members (a search aid, not an enumeration —",
         "the class may contain whole rays):",
     ]
+    unital = algebra.has_identity()
     for p in certified:
         tags = []
-        c = classify(algebra, p)
-        if c.is_oi:
+        if unital and is_order_idempotent(algebra, p):
             tags.append("order idempotent")
-        if c.is_left_bp and c.is_right_bp:
+        if is_left_bp(algebra, p) and is_right_bp(algebra, p):
             tags.append("left+right")
         lines.append(f"- {fmt_element(p)}" + (f" — {', '.join(tags)}" if tags else ""))
     lines.append("")

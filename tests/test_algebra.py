@@ -131,3 +131,26 @@ def test_verify_cleans_zero_tensor_entries():
     alg = AlgebraSpec(dim=2, tensor={(0, 0, 0): Fraction(0), (1, 1, 1): Fraction(1)})
     assert (0, 0, 0) not in alg.tensor
     assert alg.basis_product(1, 1) == vec([0, 1])
+
+
+def test_failed_identity_solve_is_remembered(monkeypatch):
+    alg = la.builtin("noid3")
+    real_solve = la.linalg.solve
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(la.linalg, "solve", counting_solve)
+    for _ in range(3):
+        with pytest.raises(NoIdentityError):
+            alg.require_identity()
+        with pytest.raises(NoIdentityError):
+            alg.solve_identity()
+        assert not alg.has_identity()
+        assert la.find_identity(alg) is None
+    assert len(calls) == 1
+    # the remembered failure is not part of the value
+    assert alg == la.builtin("noid3")
+    assert repr(alg) == repr(la.builtin("noid3"))

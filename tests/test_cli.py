@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import latticealg as la
-from latticealg.cli import main
+from latticealg.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,3 +176,27 @@ def test_file_input_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--element", "p")
     assert code == 0
     assert "p = (0, 1, 0): OI no / BP yes" in out
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    assert _build_parser() is _build_parser()
+    for names in (["E12"], ["a23", "E11"], []):
+        argv = ["classify", "builtin:upper2", "--format", "json"]
+        for name in names:
+            argv += ["--element", name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert set(json.loads(out)["elements"]) == set(names or la.builtin("upper2").elements)
+    for family in (["p1", "p2"], ["p2"]):
+        argv = ["inner", "builtin:noid3", "--format", "json"]
+        for name in family:
+            argv += ["--family", name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert list(json.loads(out)["family"]) == family
+    for bad in (["classify", "builtin:upper2", "--grid", "x"], ["nosuchcommand"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    code, _, _ = run_cli(capsys, "verify", "builtin:upper2")
+    assert code == 0

@@ -1,20 +1,28 @@
 """Inner projections over orthogonal families of two-sided band projections."""
 
 import itertools
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import latticealg as la
 from latticealg import (
+    AlgebraSpec,
     CapExceededError,
     FamilyError,
     GammaSet,
+    MathViolationError,
     NotBandProjectionError,
     OperatorMatrix,
+    ProjectionFamily,
     vec,
 )
-from latticealg.inner import all_gamma_sets
+from latticealg.cli import main
+from latticealg.inner import all_gamma_sets, summand_supports
+from latticealg.operators import is_band_projection_op, mult_op
 
 
 def noid3_family():
@@ -152,3 +160,200 @@ def test_find_families_ignores_zero_and_duplicates():
     pool = [vec([0, 0, 0]), vec([1, 0, 0]), vec([1, 0, 0]), vec([0, 1, 0])]
     families = la.find_families(alg, pool)
     assert [len(f) for f in families] == [2]
+
+
+# -- the 2^(|Λ|²) walk as a Fraction reference ----------------------------
+
+
+def reference_inner(algebra, family):
+    """Every Γ ⊆ Λ×Λ summed from mult_op matrices, duplicates merged exactly,
+    each distinct sum kept with its first Γ in bit-mask order over the
+    sorted pair list; returned in the order of those witnesses.
+
+    The walk visits the subsets in Gray-code order, so each step adds or
+    subtracts one summand, and keeps the smallest bit mask per sum.
+    """
+    k, n = len(family), algebra.dim
+    pairs = sorted(itertools.product(range(k), repeat=2))
+    summands = [
+        [(r * n + c, v) for r, row in enumerate(mult_op(algebra, family[a], family[b]).entries)
+         for c, v in enumerate(row) if v]
+        for a, b in pairs
+    ]
+    # Only entries some summand touches can be nonzero; the key lists those.
+    touched = sorted({idx for summand in summands for idx, _ in summand})
+    slot = {idx: i for i, idx in enumerate(touched)}
+    total = [Fraction(0)] * len(touched)
+    first = {tuple(total): 0}
+    for g in range(1, 1 << len(pairs)):
+        t = (g & -g).bit_length() - 1
+        gray = g ^ (g >> 1)
+        sign = 1 if gray >> t & 1 else -1
+        for idx, v in summands[t]:
+            total[slot[idx]] += sign * v
+        key = tuple(total)
+        if gray < first.get(key, gray + 1):
+            first[key] = gray
+    out = []
+    for key, bits in sorted(first.items(), key=lambda item: item[1]):
+        dense = [Fraction(0)] * (n * n)
+        for idx, v in zip(touched, key):
+            dense[idx] = v
+        matrix = OperatorMatrix(tuple(tuple(dense[r * n:(r + 1) * n]) for r in range(n)))
+        assert is_band_projection_op(matrix)
+        gamma = GammaSet.of((p for t, p in enumerate(pairs) if bits >> t & 1), k)
+        out.append((gamma, matrix))
+    return out
+
+
+def builtin_family(name):
+    """The family the inner command uses: the default family, else the atoms of A_e."""
+    alg = la.builtin(name)
+    names = la.builtin_meta(name).default_family
+    members = [alg.elements[n] for n in names] or list(la.ck_representation(alg).atoms)
+    return alg, la.validate_family(alg, members)
+
+
+_BLOCKS = ("ck2", "ck3", "upper2", "m2-regular", "noid3", "m3-reflection")
+_SCALES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(2, 3))
+
+
+def permuted_lp_sum_family(seed):
+    """An lp_sum of one or two builtins in a permuted, rescaled basis, with a
+    family of 1-4 members, each a sum of block family members dealt out in
+    turn (members of distinct blocks multiply to zero)."""
+    rng = random.Random(seed)
+    names = rng.sample(_BLOCKS, rng.randint(1, 2))
+    algebra = la.lp_sum([la.builtin(n) for n in names])
+    pool, offset = [], 0
+    for name in names:
+        block, family = builtin_family(name)
+        for p in family.members:
+            pool.append([0] * offset + list(p.coords) + [0] * (algebra.dim - offset - block.dim))
+        offset += block.dim
+    rng.shuffle(pool)
+    size = rng.randint(1, min(4, len(pool)))
+    members = [[sum(col) for col in zip(*pool[g::size])] for g in range(size)]
+    n = algebra.dim
+    sigma = rng.sample(range(n), n)
+    s = [rng.choice(_SCALES) for _ in range(n)]
+    # b'_σ(i) = s_i·b_i, so c'[σi, σj, σk] = s_i·s_j·c[i, j, k]/s_k and x'_σ(i) = x_i/s_i.
+    tensor = {
+        (sigma[i], sigma[j], sigma[k]): s[i] * s[j] * c / s[k]
+        for (i, j, k), c in algebra.tensor.items()
+    }
+    permuted = AlgebraSpec(dim=n, tensor=tensor, norm=algebra.norm, name=f"perm{seed}")
+
+    def move(x):
+        out = [Fraction(0)] * n
+        for i, v in enumerate(x):
+            out[sigma[i]] = Fraction(v) / s[i]
+        return la.LatticeElement(tuple(out))
+
+    return permuted, la.validate_family(permuted, [move(p) for p in members])
+
+
+def _check_against_reference(alg, family):
+    want = reference_inner(alg, family)
+    assert la.enumerate_inner(alg, family) == want
+    witness = {m.entries: gamma for gamma, m in want}
+    for bits in itertools.product((0, 1), repeat=alg.dim):
+        mask = OperatorMatrix.diagonal(bits)
+        assert la.is_inner(alg, family, mask) == witness.get(mask.entries)
+
+
+@pytest.mark.parametrize("name", la.BUILTIN_NAMES)
+def test_enumerate_and_is_inner_match_reference_on_builtins(name):
+    _check_against_reference(*builtin_family(name))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumerate_and_is_inner_match_reference_on_permuted_sums(seed):
+    _check_against_reference(*permuted_lp_sum_family(seed))
+
+
+@pytest.mark.parametrize("name", ["noid3", "m2-regular", "upper2"])
+def test_boolean_laws_in_matrix_form(name):
+    alg, family = builtin_family(name)
+    gammas = all_gamma_sets(len(family))
+    p = {g: la.inner_bp(alg, family, g) for g in gammas}
+    full = p[GammaSet.full(len(family))]
+    for g, h in itertools.product(gammas, repeat=2):
+        meet = p[g.intersection(h)]
+        assert p[g].compose(p[h]) == meet
+        assert p[g] + p[h] - meet == p[g.union(h)]
+        assert full - p[g] == p[g.complement()]
+        assert la.boolean_laws(alg, family, g, h).ok
+
+
+def test_summand_supports_are_disjoint_masks():
+    alg, family = builtin_family("m2-regular")
+    assert summand_supports(alg, family) == [
+        frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})
+    ]
+    alg, family = noid3_family()
+    assert summand_supports(alg, family) == [
+        frozenset({0}), frozenset(), frozenset(), frozenset({1})
+    ]
+
+
+def _overlap_algebra():
+    """b0∗b2 = b1∗b2 = b2∗b0 = b2: the family {b0, b1} passes validation, but
+    the summands (0,0) and (1,0) both contain e_2.  Not associative:
+    (b0∗b1)∗b2 = 0 while b0∗(b1∗b2) = b2."""
+    return la.algebra_from_dict({
+        "dim": 3,
+        "tensor": [[0, 0, 0, 1], [1, 1, 1, 1], [0, 2, 2, 1], [1, 2, 2, 1], [2, 0, 2, 1]],
+        "elements": {"p0": [1, 0, 0], "p1": [0, 1, 0]},
+    })
+
+
+def test_overlapping_supports_raise(tmp_path, capsys):
+    alg = _overlap_algebra()
+    family = la.validate_family(alg, [alg.elements["p0"], alg.elements["p1"]])
+    with pytest.raises(MathViolationError, match="overlaps"):
+        summand_supports(alg, family)
+    with pytest.raises(MathViolationError):
+        la.enumerate_inner(alg, family)
+    with pytest.raises(MathViolationError):
+        la.is_inner(alg, family, OperatorMatrix.diagonal([1, 0, 1]))
+    path = tmp_path / "overlap.json"
+    la.save_algebra(alg, path)
+    assert main(["inner", str(path), "--family", "p0", "--family", "p1"]) == 1
+    assert "overlaps" in capsys.readouterr().err
+
+
+def test_non_mask_summand_raises(capsys, monkeypatch):
+    alg = la.builtin("ck2")
+    family = ProjectionFamily(members=(vec([2, 0]),))  # not validated: L_p = diag(2, 0)
+    with pytest.raises(MathViolationError, match="not a band projection"):
+        summand_supports(alg, family)
+    with pytest.raises(MathViolationError):
+        la.inner_bp(alg, family, GammaSet.full(1))
+    monkeypatch.setattr(
+        "latticealg.cli.validate_family",
+        lambda algebra, members: ProjectionFamily(members=(vec([2, 0]),)),
+    )
+    assert main(["inner", "builtin:ck2"]) == 1
+    assert "not a band projection" in capsys.readouterr().err
+
+
+def test_five_member_family_under_raised_cap(tmp_path, capsys):
+    ck2 = la.builtin("ck2")
+    alg = la.lp_sum([ck2, ck2, ck2], name="ck2x3")
+    members = {f"p{i}": [int(j == i) for j in range(6)] for i in range(4)}
+    members["p4"] = [0, 0, 0, 0, 1, 1]
+    alg.elements = {n: vec(v) for n, v in members.items()}
+    path = tmp_path / "ck2x3.json"
+    la.save_algebra(alg, path)
+    argv = ["inner", str(path), "--format", "json"]
+    for name in members:
+        argv += ["--family", name]
+    assert main(argv) == 2  # |Λ|² = 25 > 16
+    assert "cap" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(argv + ["--cap", "25"]) == 0
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["distinct_inner"]) == 2**5
+    assert payload["distinct_inner"][-1]["gamma"] == [[i, i] for i in range(5)]
