@@ -9,9 +9,12 @@ structure to the lattice structure throughout this package.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .errors import DimensionMismatchError, InputError, NoIdentityError
@@ -63,23 +66,79 @@ class IdentityResult:
     norm_one: Optional[bool] = None
 
 
-@dataclass
+class IntegerTensor:
+    """The structure tensor over one common denominator D: c = C/D, C integer.
+
+    Band projection operators on the coordinatewise R^n are exactly the 0/1
+    diagonal masks (see operators.is_band_projection_op), so the projection
+    predicates test operator columns one at a time (projections.mask_support).
+    An element a enters as v/L with v an integer vector, and the columns
+    below are integers scaled by a known power of L·D.
+    """
+
+    def __init__(self, algebra: "AlgebraSpec") -> None:
+        n = algebra.dim
+        den = math.lcm(*(c.denominator for c in algebra.tensor.values()))
+        self.dim = n
+        self.den = den
+        # q → [(j, k, C)] for the entries c[(q, j, k)], and [(i, k, C)] for c[(i, q, k)].
+        self.first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.second: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j, k), c in algebra.tensor.items():
+            big_c = c.numerator * (den // c.denominator)
+            self.first[i].append((j, k, big_c))
+            self.second[j].append((i, k, big_c))
+            pairs.setdefault((i, j), []).append((k, big_c))
+        self.pairs = list(pairs.items())
+
+    def left_column(self, v: Sequence[int], q: int) -> list[int]:
+        """D·(v ∗ b_q): column q of L_v."""
+        col = [0] * self.dim
+        for i, k, big_c in self.second[q]:
+            col[k] += v[i] * big_c
+        return col
+
+    def right_column(self, v: Sequence[int], q: int) -> list[int]:
+        """D·(b_q ∗ v): column q of R_v."""
+        col = [0] * self.dim
+        for j, k, big_c in self.first[q]:
+            col[k] += v[j] * big_c
+        return col
+
+    def product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """D·(x ∗ y) on integer vectors."""
+        out = [0] * self.dim
+        for (i, j), terms in self.pairs:
+            f = x[i] * y[j]
+            if f:
+                for k, big_c in terms:
+                    out[k] += f * big_c
+        return out
+
+
+@dataclass(frozen=True)
 class AlgebraSpec:
     """A finite-dimensional algebra on R^n with coordinatewise lattice order.
 
     `tensor` maps (i, j, k) → coefficient of b_k in b_i ∗ b_j.  Missing keys
     are zero.  Construction only checks shapes; run verify_axioms() (or
     validate()) to check nonnegativity and associativity.
+
+    A spec is immutable: its fields cannot be reassigned and `tensor` and
+    `elements` are read-only mappings (use dataclasses.replace for a
+    changed copy).  `identity` is the declared identity, if any;
+    solve_identity() finds the identity either way.  The data derived from
+    the tensor — the sparse product index, the integer kernel and the
+    identity solve — is computed on first use, once per spec.
     """
 
     dim: int
-    tensor: dict[TensorKey, Fraction]
+    tensor: Mapping[TensorKey, Fraction]
     norm: NormSpec = field(default_factory=NormSpec)
     identity: Optional[LatticeElement] = None
     name: str = ""
-    elements: dict[str, LatticeElement] = field(default_factory=dict)
-    # Set when solve_identity finds no solution, so the solve runs once.
-    _no_identity: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    elements: Mapping[str, LatticeElement] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -92,7 +151,8 @@ class AlgebraSpec:
             q = as_scalar(value)
             if q != 0:
                 clean[(i, j, k)] = q
-        self.tensor = clean
+        object.__setattr__(self, "tensor", MappingProxyType(clean))
+        object.__setattr__(self, "elements", MappingProxyType(dict(self.elements)))
         if self.norm.weights is not None and len(self.norm.weights) != self.dim:
             raise DimensionMismatchError(
                 f"norm weights have length {len(self.norm.weights)}, expected {self.dim}"
@@ -102,11 +162,19 @@ class AlgebraSpec:
         for label, elem in self.elements.items():
             if elem.dim != self.dim:
                 raise DimensionMismatchError(f"element {label!r} has wrong dimension")
-        # (i, j) → [(k, c)]: the sparse rows used by multiply().
+
+    @functools.cached_property
+    def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """(i, j) → [(k, c)]: the sparse rows used by multiply()."""
         pairs: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for (i, j, k), c in self.tensor.items():
             pairs.setdefault((i, j), []).append((k, c))
-        self._pairs = pairs
+        return pairs
+
+    @functools.cached_property
+    def integer_tensor(self) -> IntegerTensor:
+        """The tensor over one common denominator, for the mask predicates."""
+        return IntegerTensor(self)
 
     # -- ring structure ------------------------------------------------
 
@@ -198,54 +266,33 @@ class AlgebraSpec:
 
     # -- identity ----------------------------------------------------------
 
-    def solve_identity(self) -> IdentityResult:
-        """Solve for a two-sided identity; raise NoIdentityError if none exists.
-
-        Both outcomes are remembered: a found identity in `identity`, a
-        failed solve in `_no_identity`.
+    @functools.cached_property
+    def _identity(self) -> Union[IdentityResult, str]:
+        """The identity solve, run once: its result, or why there is none.
 
         e is an identity iff Σ_j e_j·c[(j,i,k)] = δ_ik and Σ_j e_j·c[(i,j,k)] = δ_ik
-        for all i, k — a linear system in the coordinates of e.
+        for all i, k — a linear system in the coordinates of e.  A declared
+        identity replaces the solve and gets the same check.
         """
         if self.identity is not None:
             e = self.identity
-        elif self._no_identity is not None:
-            raise NoIdentityError(self._no_identity)
         else:
             n = self.dim
-            rows: list[list[Fraction]] = []
-            rhs: list[Fraction] = []
-            # Left identity: e ∗ b_i = b_i; row per (i, k).
-            for i in range(n):
-                for k in range(n):
-                    row = [Fraction(0)] * n
-                    for j in range(n):
-                        c = self.tensor.get((j, i, k))
-                        if c is not None:
-                            row[j] = c
-                    rows.append(row)
-                    rhs.append(Fraction(1 if i == k else 0))
-            # Right identity: b_i ∗ e = b_i.
-            for i in range(n):
-                for k in range(n):
-                    row = [Fraction(0)] * n
-                    for j in range(n):
-                        c = self.tensor.get((i, j, k))
-                        if c is not None:
-                            row[j] = c
-                    rows.append(row)
-                    rhs.append(Fraction(1 if i == k else 0))
+            # Rows (i, k) for e ∗ b_i = b_i, then rows (i, k) for b_i ∗ e = b_i.
+            rows = [[Fraction(0)] * n for _ in range(2 * n * n)]
+            rhs = [Fraction(1 if i == k else 0) for _ in (0, 1) for i in range(n) for k in range(n)]
+            for (i, j, k), c in self.tensor.items():
+                rows[j * n + k][i] = c
+                rows[n * n + i * n + k][j] = c
             solution = linalg.solve(rows, rhs)
             if solution is None:
-                self._no_identity = f"algebra {self.name or '<unnamed>'} has no identity"
-                raise NoIdentityError(self._no_identity)
+                return f"algebra {self.name or '<unnamed>'} has no identity"
             e = LatticeElement(tuple(solution))
-        # Double-check by multiplication (guards a user-supplied identity too).
+        # Double-check by multiplication (guards a declared identity too).
         for i in range(self.dim):
             b = self.basis_element(i)
             if self.multiply(e, b) != b or self.multiply(b, e) != b:
-                raise NoIdentityError("candidate identity fails e∗b = b∗e = b on the basis")
-        self.identity = e
+                return "candidate identity fails e∗b = b∗e = b on the basis"
         norm_value = norm(e, self.norm)
         norm_one = (norm_value == 1) if isinstance(norm_value, Fraction) else None
         return IdentityResult(
@@ -255,20 +302,18 @@ class AlgebraSpec:
             norm_one=norm_one,
         )
 
+    def solve_identity(self) -> IdentityResult:
+        """The two-sided identity; raise NoIdentityError if none exists."""
+        result = self._identity
+        if isinstance(result, str):
+            raise NoIdentityError(result)
+        return result
+
     def require_identity(self) -> LatticeElement:
-        if self.identity is None:
-            self.solve_identity()
-        assert self.identity is not None
-        return self.identity
+        return self.solve_identity().element
 
     def has_identity(self) -> bool:
-        if self.identity is not None:
-            return True
-        try:
-            self.solve_identity()
-        except NoIdentityError:
-            return False
-        return True
+        return not isinstance(self._identity, str)
 
     # -- conveniences ----------------------------------------------------
 
@@ -374,12 +419,8 @@ def lp_sum(parts: list[AlgebraSpec], name: str = "") -> AlgebraSpec:
         for (i, j, k), c in part.tensor.items():
             tensor[(i + off, j + off, k + off)] = c
     identity = None
-    if kind == "sup" and all(p.identity is not None for p in parts):
-        coords: list[Fraction] = []
-        for part in parts:
-            assert part.identity is not None
-            coords.extend(part.identity.coords)
-        identity = LatticeElement(tuple(coords))
+    if kind == "sup" and all(p.has_identity() for p in parts):
+        identity = LatticeElement(tuple(c for p in parts for c in p.require_identity().coords))
     return AlgebraSpec(
         dim=total,
         tensor=tensor,

@@ -23,11 +23,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
-from .errors import InputError, MathViolationError, NoIdentityError
+from .errors import InputError, MathViolationError
 from .fixtures import BUILTIN_NAMES, BuiltinMeta, builtin, builtin_meta
 from .inner import ENUM_CAP_DEFAULT, GammaSet, boolean_laws, enumerate_inner, is_inner, validate_family
 from .io import element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
@@ -70,10 +70,17 @@ class RunConfig:
     cap: int = ENUM_CAP_DEFAULT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as InputError (exit 2, one line), not SystemExit."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticealg",
         description="Exact computations in finite-dimensional lattice algebras.",
     )
@@ -182,10 +189,17 @@ def _named_elements(
     return out
 
 
+_PAIR = r"\(\s*(\d{1,9})\s*,\s*(\d{1,9})\s*\)"
+_PAIRS = rf"(?:{_PAIR}(?:\s*(?:,\s*)?{_PAIR})*)?"
+# The whole text: pairs separated by commas or spaces, optionally in braces
+# as fmt_gamma prints them; "", "()" and "{}" are the empty set.
+_GAMMA_TEXT = re.compile(rf"\s*(?:{_PAIRS}|\{{\s*{_PAIRS}\s*\}}|\(\s*\))\s*")
+
+
 def _parse_gamma(text: str, n_members: int) -> GammaSet:
-    pairs = [(int(a), int(b)) for a, b in re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)]
-    if not pairs and text.strip() not in ("", "()", "{}"):
+    if not _GAMMA_TEXT.fullmatch(text):
         raise InputError(f'cannot parse gamma {text!r}; expected pairs like "(0,0),(1,1)"')
+    pairs = [(int(a), int(b)) for a, b in re.findall(_PAIR, text)]
     return GammaSet.of(pairs, n_members)
 
 
@@ -477,9 +491,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _config_from_args(sys.argv[1:] if argv is None else argv)
         code, output = run(config)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoIdentityError as exc:  # pragma: no cover — subclass of InputError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MathViolationError as exc:

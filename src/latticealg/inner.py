@@ -13,12 +13,11 @@ Each summand L_{p_α}R_{p_β} is a product of 0/1 diagonal masks, hence a
 mask, and the nonzero summand supports are pairwise disjoint.  So P_Γ is
 the mask of the union of Γ's supports, the image of Γ ↦ P_Γ is exactly
 the 2^k unions of the k nonzero supports, and "M is inner" is a subset
-test on supp(M).  summand_supports computes the supports once, with the
-integer column kernel of the projections module, and checks both facts;
-no walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a
-Boolean-algebra homomorphism onto its image; a band projection need not
-be of this form at all — the 3-dimensional identityless fixture carries
-a witness.
+test on supp(M).  summand_supports computes the supports once, with
+projections.mask_support, and checks both facts; no walk over the
+2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra
+homomorphism onto its image; a band projection need not be of this form
+at all — the 3-dimensional identityless fixture carries a witness.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .algebra import AlgebraSpec
 from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
 from .lattice import LatticeElement
 from .operators import OperatorMatrix, is_band_projection_op, mult_op
-from .projections import _integer_form, _IntegerTensor, _is_mask_column, is_left_bp, is_right_bp
+from .projections import integer_form, is_left_bp, is_right_bp, mask_support
 
 ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
 
@@ -146,34 +145,25 @@ def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
 def summand_supports(algebra: AlgebraSpec, family: ProjectionFamily) -> list[frozenset[int]]:
     """supp(L_{p_α}R_{p_β}) for every (α, β) ∈ Λ×Λ, in sorted pair order.
 
-    Column q of the summand is p_α∗(b_q∗p_β), with R applied first as in
-    mult_op; it must be 0 or e_q, and q is in the support when it is e_q.
-    The nonzero supports must be pairwise disjoint.  Either failure raises
-    MathViolationError: the family or the algebra is invalid.
+    Each summand must be a 0/1 mask (projections.mask_support, with R
+    applied first as in mult_op), and the nonzero supports must be
+    pairwise disjoint.  Either failure raises MathViolationError: the
+    family or the algebra is invalid.
     """
-    kernel = _IntegerTensor(algebra)
-    forms = [_integer_form(algebra, p) for p in family.members]
+    forms = [integer_form(algebra, p) for p in family.members]
     supports: list[frozenset[int]] = []
     covered: set[int] = set()
     for a, b in _sorted_pairs(len(family)):
-        (va, sa), (vb, sb) = forms[a], forms[b]
-        unit = sa * sb * kernel.den**2
-        support = set()
-        for q in range(algebra.dim):
-            col = kernel.product(va, kernel.right_column(vb, q))
-            if col[q] == unit:
-                support.add(q)
-            if not _is_mask_column(col, q, unit):
-                raise MathViolationError(
-                    f"summand ({a},{b}) is not a band projection operator (column {q})"
-                )
+        support = mask_support(algebra, forms[a], forms[b])
+        if support is None:
+            raise MathViolationError(f"summand ({a},{b}) is not a band projection operator")
         if covered & support:
             raise MathViolationError(
                 f"summand ({a},{b}) overlaps another summand on coordinates "
                 f"{sorted(covered & support)}"
             )
         covered |= support
-        supports.append(frozenset(support))
+        supports.append(support)
     return supports
 
 

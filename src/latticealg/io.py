@@ -15,6 +15,7 @@ scalars; operators are flat row-major arrays; an algebra file is
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -111,20 +112,26 @@ def algebra_to_dict(algebra: AlgebraSpec) -> dict[str, Any]:
     return out
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def algebra_from_dict(data: Any) -> AlgebraSpec:
     if not isinstance(data, dict):
         raise InputError("algebra file must contain a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("algebra file needs an integer 'dim' field") from None
+    dim = data.get("dim")
+    if not _is_int(dim):
+        raise InputError(f"algebra file needs an integer 'dim' field, got {dim!r}")
     tensor: dict[tuple[int, int, int], Fraction] = {}
     for entry in data.get("tensor", []):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError(f"tensor entry {entry!r} must be [i, j, k, coeff]")
         i, j, k, c = entry
-        if not all(isinstance(t, int) for t in (i, j, k)):
+        if not all(_is_int(t) for t in (i, j, k)):
             raise InputError(f"tensor indices in {entry!r} must be integers")
+        if (i, j, k) in tensor:
+            raise InputError(f"tensor entry {entry!r} repeats the indices ({i}, {j}, {k})")
         tensor[(i, j, k)] = scalar_from_wire(c)
     identity = None
     if data.get("identity") is not None:
@@ -153,9 +160,7 @@ def load_algebra(path: Union[str, Path]) -> AlgebraSpec:
     except json.JSONDecodeError as exc:
         raise InputError(f"{p} is not valid JSON: {exc}") from None
     algebra = algebra_from_dict(data)
-    if not algebra.name:
-        algebra.name = p.stem
-    return algebra
+    return algebra if algebra.name else dataclasses.replace(algebra, name=p.stem)
 
 
 def save_algebra(algebra: AlgebraSpec, path: Union[str, Path]) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import linalg
 from .algebra import AlgebraSpec
 from .errors import CapExceededError, DimensionMismatchError, InputError, UnsupportedNormError
 from .lattice import LatticeElement, NormSpec, as_scalar
@@ -76,16 +77,7 @@ class OperatorMatrix:
         """self ∘ other as matrices (apply other first)."""
         if other.dim != self.dim:
             raise DimensionMismatchError("operator dimension mismatch")
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), Fraction(0))
-                )
-            rows.append(tuple(row))
-        return OperatorMatrix(tuple(rows))
+        return OperatorMatrix(tuple(map(tuple, linalg.mat_mul(self.entries, other.entries))))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self.compose(other)

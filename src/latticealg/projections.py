@@ -54,91 +54,10 @@ def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
     )
 
 
-class _IntegerTensor:
-    """The structure tensor over one common denominator D: c = C/D, C integer.
-
-    Band projection operators on the coordinatewise R^n are exactly the 0/1
-    diagonal masks (see operators.is_band_projection_op).  So each predicate
-    below checks the columns of its operator one at a time — column q must be 0 or the unit vector e_q — and stops at the
-    first that fails.  An element a enters as v/L with v an integer vector,
-    so the columns are integers scaled by a known power of L·D.
-
-    The compiled form is rebuilt per call (O(nnz)); nothing is cached on the
-    AlgebraSpec, whose tensor may still be edited.
-    """
-
-    def __init__(self, algebra: AlgebraSpec) -> None:
-        n = algebra.dim
-        den = math.lcm(*(c.denominator for c in algebra.tensor.values()))
-        self.dim = n
-        self.den = den
-        # q → [(j, k, C)] for the entries c[(q, j, k)], and [(i, k, C)] for c[(i, q, k)].
-        self.first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        self.second: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (i, j, k), c in algebra.tensor.items():
-            big_c = c.numerator * (den // c.denominator)
-            self.first[i].append((j, k, big_c))
-            self.second[j].append((i, k, big_c))
-            pairs.setdefault((i, j), []).append((k, big_c))
-        self.pairs = list(pairs.items())
-
-    def left_column(self, v: Sequence[int], q: int) -> list[int]:
-        """D·(v ∗ b_q): column q of L_v."""
-        col = [0] * self.dim
-        for i, k, big_c in self.second[q]:
-            col[k] += v[i] * big_c
-        return col
-
-    def right_column(self, v: Sequence[int], q: int) -> list[int]:
-        """D·(b_q ∗ v): column q of R_v."""
-        col = [0] * self.dim
-        for j, k, big_c in self.first[q]:
-            col[k] += v[j] * big_c
-        return col
-
-    def product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """D·(x ∗ y) on integer vectors."""
-        out = [0] * self.dim
-        for (i, j), terms in self.pairs:
-            f = x[i] * y[j]
-            if f:
-                for k, big_c in terms:
-                    out[k] += f * big_c
-        return out
-
-    def is_bp(self, v: Sequence[int], scale: int) -> bool:
-        """M_{a,a} is a 0/1 mask, for a = v/scale; column q is a∗(b_q∗a).
-
-        R_a is applied before L_a, as in mult_op, so a non-associative
-        tensor gets the verdict of the matrix L_a·R_a.
-        """
-        unit = (scale * self.den) ** 2
-        return all(
-            _is_mask_column(self.product(v, self.right_column(v, q)), q, unit)
-            for q in range(self.dim)
-        )
-
-    def is_left_bp(self, v: Sequence[int], scale: int) -> bool:
-        """L_a is a 0/1 mask, for a = v/scale; column q is a∗b_q."""
-        unit = scale * self.den
-        return all(_is_mask_column(self.left_column(v, q), q, unit) for q in range(self.dim))
-
-    def is_right_bp(self, v: Sequence[int], scale: int) -> bool:
-        """R_a is a 0/1 mask, for a = v/scale; column q is b_q∗a."""
-        unit = scale * self.den
-        return all(_is_mask_column(self.right_column(v, q), q, unit) for q in range(self.dim))
+IntegerForm = tuple[Sequence[int], int]  # (v, L) stands for the element v/L
 
 
-def _is_mask_column(col: list[int], q: int, unit: int) -> bool:
-    """col is 0 or unit·e_q (col is consumed)."""
-    if col[q] != 0 and col[q] != unit:
-        return False
-    col[q] = 0
-    return not any(col)
-
-
-def _integer_form(algebra: AlgebraSpec, a: LatticeElement) -> tuple[list[int], int]:
+def integer_form(algebra: AlgebraSpec, a: LatticeElement) -> IntegerForm:
     """(v, L) with a = v/L, L the lcm of the coordinate denominators."""
     if a.dim != algebra.dim:
         raise DimensionMismatchError("element dimension does not match algebra")
@@ -146,39 +65,75 @@ def _integer_form(algebra: AlgebraSpec, a: LatticeElement) -> tuple[list[int], i
     return [c.numerator * (scale // c.denominator) for c in a.coords], scale
 
 
+def mask_support(
+    algebra: AlgebraSpec, left: Optional[IntegerForm], right: Optional[IntegerForm]
+) -> Optional[frozenset[int]]:
+    """supp(M) when M is a 0/1 diagonal mask, else None.
+
+    M is x ↦ l∗x∗r, or x ↦ l∗x when right is None, or x ↦ x∗r when left
+    is None; l and r enter in integer form.  Band projection operators on
+    the coordinatewise R^n are exactly the 0/1 masks, so this decides
+    whether M is one.  Column q of M is l∗(b_q∗r) — R_r applied before
+    L_l, as in mult_op, so a non-associative tensor gets the verdict of the
+    matrix L_l·R_r — and must be 0 or e_q; q is in the support when it is
+    e_q.  The columns are tested in order and the first failing one
+    returns None.
+    """
+    kernel = algebra.integer_tensor
+    unit = 1
+    if left is not None:
+        unit *= left[1] * kernel.den
+    if right is not None:
+        unit *= right[1] * kernel.den
+    support = []
+    for q in range(algebra.dim):
+        if left is None:
+            col = kernel.right_column(right[0], q)
+        elif right is None:
+            col = kernel.left_column(left[0], q)
+        else:
+            col = kernel.product(left[0], kernel.right_column(right[0], q))
+        if col[q] == unit:
+            support.append(q)
+        elif col[q] != 0:
+            return None
+        col[q] = 0
+        if any(col):
+            return None
+    return frozenset(support)
+
+
 def is_band_projection(algebra: AlgebraSpec, a: LatticeElement) -> bool:
     """a ≥ 0 and x ↦ a∗x∗a is a band projection operator (0 ≤ M ≤ I, M² = M).
 
-    Decided exactly as "M = L_a·R_a is a 0/1 diagonal mask": column q,
-    a∗(b_q∗a) with R_a applied first, must be 0 or e_q.  Nonpositive input
-    returns False: the class is defined inside the positive cone, and a
-    total predicate keeps grid searches simple.
+    Decided exactly as "M = L_a·R_a is a 0/1 diagonal mask" (mask_support).
+    Nonpositive input returns False: the class is defined inside the
+    positive cone, and a total predicate keeps grid searches simple.
     """
     if not a.is_positive():
         return False
-    return _IntegerTensor(algebra).is_bp(*_integer_form(algebra, a))
+    form = integer_form(algebra, a)
+    return mask_support(algebra, form, form) is not None
 
 
 def is_left_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
     """a ≥ 0 and x ↦ a∗x is a band projection operator.
 
-    Decided exactly as "L_a is a 0/1 diagonal mask": column q, a∗b_q, must
-    be 0 or e_q.
+    Decided exactly as "L_a is a 0/1 diagonal mask" (mask_support).
     """
     if not a.is_positive():
         return False
-    return _IntegerTensor(algebra).is_left_bp(*_integer_form(algebra, a))
+    return mask_support(algebra, integer_form(algebra, a), None) is not None
 
 
 def is_right_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
     """a ≥ 0 and x ↦ x∗a is a band projection operator.
 
-    Decided exactly as "R_a is a 0/1 diagonal mask": column q, b_q∗a, must
-    be 0 or e_q.
+    Decided exactly as "R_a is a 0/1 diagonal mask" (mask_support).
     """
     if not a.is_positive():
         return False
-    return _IntegerTensor(algebra).is_right_bp(*_integer_form(algebra, a))
+    return mask_support(algebra, None, integer_form(algebra, a)) is not None
 
 
 @dataclass(frozen=True)
@@ -415,14 +370,14 @@ def search_band_projections(
         raise CapExceededError(
             f"grid has {total} points; cap is {point_cap} (raise point_cap to override)"
         )
-    # The tensor is compiled once; points with a negative coordinate are not
-    # positive, and dropping them keeps the rest in lexicographic order.
-    kernel = _IntegerTensor(algebra)
+    # Points with a negative coordinate are not positive, and dropping them
+    # keeps the rest in lexicographic order.
     values = [v for v in grid.values if v >= 0]
     scale = math.lcm(*(v.denominator for v in values))
     by_int = {v.numerator * (scale // v.denominator): v for v in values}
     found = []
     for point in itertools.product(by_int, repeat=algebra.dim):
-        if kernel.is_bp(point, scale):
+        form = (point, scale)
+        if mask_support(algebra, form, form) is not None:
             found.append(LatticeElement(tuple(by_int[x] for x in point)))
     return found

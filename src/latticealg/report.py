@@ -124,7 +124,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         norm_desc += f", p = {fmt_scalar(algebra.norm.p)}"
     lines.append(f"- norm: {norm_desc}")
     lines.append("- nonzero basis products:")
-    for (i, j) in sorted(algebra._pairs):
+    for (i, j) in sorted({(i, j) for i, j, _k in algebra.tensor}):
         product = algebra.basis_product(i, j)
         lines.append(f"  - {labels[i]} ∗ {labels[j]} = {fmt_combo(product, labels)}")
     lines.append("")

@@ -1,5 +1,6 @@
 """Structure tensors, axioms, identities, direct sums."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import AlgebraSpec, InputError, NoIdentityError, vec
+from latticealg import algebra as algebra_module
+from latticealg.inner import summand_supports
 
 positives = st.fractions(min_value=0, max_value=8, max_denominator=8)
 
@@ -154,3 +157,68 @@ def test_failed_identity_solve_is_remembered(monkeypatch):
     # the remembered failure is not part of the value
     assert alg == la.builtin("noid3")
     assert repr(alg) == repr(la.builtin("noid3"))
+
+
+def test_spec_is_immutable():
+    tensor = {(0, 0, 0): Fraction(1)}
+    elements = {"e": vec([1])}
+    alg = AlgebraSpec(dim=1, tensor=tensor, elements=elements)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.name = "renamed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.identity = vec([1])
+    with pytest.raises(TypeError):
+        alg.tensor[(0, 0, 0)] = Fraction(5)
+    with pytest.raises(TypeError):
+        alg.elements["x"] = vec([2])
+    # the spec holds its own copies of the mappings it was built from
+    tensor[(0, 0, 0)] = Fraction(5)
+    elements["x"] = vec([2])
+    assert alg.multiply(vec([1]), vec([1])) == vec([1])
+    assert la.is_band_projection(alg, vec([1]))
+    assert set(alg.elements) == {"e"}
+    # a changed copy is a new spec
+    assert dataclasses.replace(alg, name="renamed").name == "renamed"
+    assert alg.name == ""
+
+
+def test_identity_reads_leave_the_spec_unchanged():
+    data = la.builtin_dict("upper2")
+    del data["identity"]
+    alg = la.algebra_from_dict(data)
+    twin = la.algebra_from_dict(data)
+    before = (repr(alg), la.algebra_to_dict(alg))
+    assert alg.has_identity()
+    assert alg.verify_axioms().identity == vec([1, 0, 1])
+    assert la.classify(alg, alg.elements["E11"]).is_oi is True
+    assert alg == twin
+    assert (repr(alg), la.algebra_to_dict(alg)) == before
+    assert "identity" not in la.algebra_to_dict(alg)
+    assert alg.identity is None  # the declared identity only
+    assert alg.require_identity() == vec([1, 0, 1])
+    # direct sums take the solved identities of their factors
+    assert la.lp_sum([alg, alg]).identity == vec([1, 0, 1, 1, 0, 1])
+
+
+def test_integer_tensor_is_built_once(monkeypatch):
+    builds = []
+
+    class CountingTensor(algebra_module.IntegerTensor):
+        def __init__(self, algebra):
+            builds.append(algebra)
+            super().__init__(algebra)
+
+    monkeypatch.setattr(algebra_module, "IntegerTensor", CountingTensor)
+    alg = la.builtin("noid3")
+    family = la.validate_family(alg, [alg.elements["p1"], alg.elements["p2"]])
+    for _ in range(3):
+        for x in alg.elements.values():
+            la.is_band_projection(alg, x)
+            la.is_left_bp(alg, x)
+            la.is_right_bp(alg, x)
+        summand_supports(alg, family)
+        la.search_band_projections(alg, la.GridSpec.from_resolution(2))
+    assert builds == [alg]
+    # another spec compiles its own
+    la.is_band_projection(la.builtin("noid3"), alg.elements["p1"])
+    assert len(builds) == 2

@@ -113,10 +113,34 @@ def test_inner_bad_family(capsys):
 
 
 def test_inner_bad_gamma_text(capsys):
-    code, _, err = run_cli(
-        capsys, "inner", "builtin:noid3", "--family", "p1", "--gamma", "garbage"
-    )
-    assert code == 2
+    for text in ("garbage", "(0,0) junk (-1,1)", "(0,0),(1", "(0," + "9" * 5000 + ")"):
+        code, out, err = run_cli(
+            capsys, "inner", "builtin:noid3", "--family", "p1", "--gamma", text
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse gamma") and err.count("\n") == 1
+
+
+def test_gamma_text_forms(capsys):
+    base = ["inner", "builtin:noid3", "--family", "p1", "--family", "p2", "--format", "json"]
+    for text, pairs in (
+        ("(0,0),(1,1)", [[0, 0], [1, 1]]),
+        ("{(0,0), (1,1)}", [[0, 0], [1, 1]]),
+        (" (1,0) (0,1) ", [[0, 1], [1, 0]]),
+        ("{}", []),
+        ("()", []),
+    ):
+        code, out, _ = run_cli(capsys, *base, "--gamma", text)
+        assert code == 0
+        assert json.loads(out)["gamma"] == pairs
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):
@@ -195,8 +219,9 @@ def test_parser_reuse_keeps_calls_independent(capsys):
         assert code == 0
         assert list(json.loads(out)["family"]) == family
     for bad in (["classify", "builtin:upper2", "--grid", "x"], ["nosuchcommand"]):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, *bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     code, _, _ = run_cli(capsys, "verify", "builtin:upper2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Inner projections over orthogonal families of two-sided band projections."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -343,7 +344,7 @@ def test_five_member_family_under_raised_cap(tmp_path, capsys):
     alg = la.lp_sum([ck2, ck2, ck2], name="ck2x3")
     members = {f"p{i}": [int(j == i) for j in range(6)] for i in range(4)}
     members["p4"] = [0, 0, 0, 0, 1, 1]
-    alg.elements = {n: vec(v) for n, v in members.items()}
+    alg = dataclasses.replace(alg, elements={n: vec(v) for n, v in members.items()})
     path = tmp_path / "ck2x3.json"
     la.save_algebra(alg, path)
     argv = ["inner", str(path), "--format", "json"]

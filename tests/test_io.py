@@ -7,6 +7,7 @@ import pytest
 
 import latticealg as la
 from latticealg import InputError, OperatorMatrix, vec
+from latticealg.cli import main
 from latticealg.io import (
     gamma_from_wire,
     norm_from_wire,
@@ -97,6 +98,27 @@ def test_tensor_entry_validation():
         la.algebra_from_dict({"dim": 2, "tensor": [[0, 0, 5, 1]]})
     with pytest.raises(InputError):
         la.algebra_from_dict({"dim": 2, "tensor": [[0, 0, 1]]})  # short row
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 1e400, "tensor": []}',
+        '{"dim": 3.7, "tensor": []}',
+        '{"dim": true, "tensor": []}',
+        '{"dim": 2, "tensor": [[true, 0, 0, 1]]}',
+        '{"dim": 2, "tensor": [[0, 0, 0, 1], [0, 0, 0, 2]]}',
+    ],
+)
+def test_strict_algebra_files(text, tmp_path, capsys):
+    with pytest.raises(InputError):
+        la.algebra_from_dict(json.loads(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_gamma_wire():

@@ -1,0 +1,21 @@
+"""Module boundaries of the package."""
+
+import ast
+from pathlib import Path
+
+import latticealg as la
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("latticealg")
+            ):
+                offenders += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert offenders == []
