@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -71,9 +72,11 @@ class IntegerTensor:
 
     Band projection operators on the coordinatewise R^n are exactly the 0/1
     diagonal masks (see operators.is_band_projection_op), so the projection
-    predicates test operator columns one at a time (projections.mask_support).
-    An element a enters as v/L with v an integer vector, and the columns
-    below are integers scaled by a known power of L·D.
+    predicates test operator columns one at a time (projections.mask_support),
+    and so does the identity check.  An element a enters as v/L with v an
+    integer vector (integer_form), and the columns below are integers scaled
+    by a known power of L·D.  Associativity is checked on the same integers
+    by contracting the tensor with itself.
     """
 
     def __init__(self, algebra: "AlgebraSpec") -> None:
@@ -115,6 +118,43 @@ class IntegerTensor:
                 for k, big_c in terms:
                     out[k] += f * big_c
         return out
+
+    def associativity_failures(self) -> list[TensorKey]:
+        """The basis triples (i, j, k) with (b_i b_j) b_k ≠ b_i (b_j b_k), sorted.
+
+        D²·(b_i b_j) b_k = Σ_r C_ijr Σ_s C_rks b_s and
+        D²·b_i (b_j b_k) = Σ_r C_jkr Σ_s C_irs b_s.  Each entry C_pqr meets
+        the entries that start at r (the left side, with (i, j) = (p, q)) and
+        those whose middle index is r (the right side, with (j, k) = (p, q)),
+        so the cost is Σ_r (entries ending in r)·(entries starting at r or
+        with middle index r), not n³ products.  Both sides are sparse dicts
+        over (i, j, k, s); associativity extends bilinearly from the basis, so
+        the list is empty exactly when the product is associative.
+        """
+        lhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+        rhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+        for (p, q), terms in self.pairs:
+            for r, c_pqr in terms:
+                for k, s, c_rks in self.first[r]:
+                    lhs[p, q, k, s] += c_pqr * c_rks
+                for i, s, c_irs in self.second[r]:
+                    rhs[i, p, q, s] += c_pqr * c_irs
+        # Terms of opposite sign can cancel to an explicit zero; drop them.
+        left = {key: c for key, c in lhs.items() if c}
+        right = {key: c for key, c in rhs.items() if c}
+        differ = {key[:3] for key in left.keys() | right.keys() if left.get(key) != right.get(key)}
+        return sorted(differ)
+
+
+IntegerForm = tuple[Sequence[int], int]  # (v, L) stands for the element v/L
+
+
+def integer_form(algebra: "AlgebraSpec", a: LatticeElement) -> IntegerForm:
+    """(v, L) with a = v/L, L the lcm of the coordinate denominators."""
+    if a.dim != algebra.dim:
+        raise DimensionMismatchError("element dimension does not match algebra")
+    scale = math.lcm(*(c.denominator for c in a.coords))
+    return [c.numerator * (scale // c.denominator) for c in a.coords], scale
 
 
 @dataclass(frozen=True)
@@ -213,23 +253,15 @@ class AlgebraSpec:
 
         Tensor nonnegativity and associativity on all basis triples are
         exact and complete (associativity extends bilinearly from the
-        basis).  Identity laws and the (is_positive, ‖e‖ = 1) flags are
-        evaluated when an identity exists; absence of an identity is noted,
-        not an error.  Norm submultiplicativity gets a {proved, unknown}
-        verdict from check_submultiplicativity.
+        basis); associativity is decided by IntegerTensor's contraction.
+        The identity laws e∗b = b∗e = b were checked on the basis when the
+        identity was found, so an identity here has identity_laws_ok True,
+        and the (is_positive, ‖e‖ = 1) flags come with it; absence of an
+        identity is noted, not an error.  Norm submultiplicativity gets a
+        {proved, unknown} verdict from check_submultiplicativity.
         """
         negative = sorted(key for key, c in self.tensor.items() if c < 0)
-        failures: list[TensorKey] = []
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        products = [[self.basis_product(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                left = products[i][j]
-                for k in range(self.dim):
-                    lhs = self.multiply(left, basis[k])
-                    rhs = self.multiply(basis[i], products[j][k])
-                    if lhs != rhs:
-                        failures.append((i, j, k))
+        failures = self.integer_tensor.associativity_failures()
         report = AxiomReport(
             nonnegative=not negative,
             associative=not failures,
@@ -238,12 +270,9 @@ class AlgebraSpec:
         )
         identity = find_identity(self)
         if identity is not None:
-            e = identity.element
             report.has_identity = True
-            report.identity = e
-            report.identity_laws_ok = all(
-                self.multiply(e, b) == b and self.multiply(b, e) == b for b in basis
-            )
+            report.identity = identity.element
+            report.identity_laws_ok = True
             report.identity_positive = identity.is_positive
             report.identity_norm_one = identity.norm_one
         verdict, detail = check_submultiplicativity(self)
@@ -288,10 +317,14 @@ class AlgebraSpec:
             if solution is None:
                 return f"algebra {self.name or '<unnamed>'} has no identity"
             e = LatticeElement(tuple(solution))
-        # Double-check by multiplication (guards a declared identity too).
-        for i in range(self.dim):
-            b = self.basis_element(i)
-            if self.multiply(e, b) != b or self.multiply(b, e) != b:
+        # Check e∗b_q = b_q∗e = b_q column by column (guards a declared
+        # identity too): with e = v/L both columns must be L·D·e_q.
+        kernel = self.integer_tensor
+        v, scale = integer_form(self, e)
+        for q in range(self.dim):
+            unit = [0] * self.dim
+            unit[q] = scale * kernel.den
+            if kernel.left_column(v, q) != unit or kernel.right_column(v, q) != unit:
                 return "candidate identity fails e∗b = b∗e = b on the basis"
         norm_value = norm(e, self.norm)
         norm_one = (norm_value == 1) if isinstance(norm_value, Fraction) else None

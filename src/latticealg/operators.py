@@ -12,6 +12,7 @@ rk_oracle so the two can be checked against each other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -153,8 +154,15 @@ def rk_oracle(s: OperatorMatrix, t: OperatorMatrix, x: LatticeElement) -> Lattic
     Evaluates sup{S·u + T·(x − u) : 0 ≤ u ≤ x} by enumerating the 2^n
     vertices u_i ∈ {0, x_i} of the splitting box.  Per coordinate the
     objective is linear in u, so the supremum over the box is attained at
-    a vertex and the enumeration is exact.  Intentionally independent of
-    op_sup: no entrywise shortcut is taken.
+    a vertex and the enumeration is exact.
+
+    The vertices are walked in Gray-code order.  The objective is
+    T·x + (S − T)·u, and consecutive vertices differ in one coordinate i,
+    so each step adds or subtracts the column (S − T)[:, i]·x_i and updates
+    the coordinatewise maximum in O(n); the walk starts at u = 0, i.e. at
+    T·x, and runs on integers over one common denominator.  Every vertex
+    is still visited and no entrywise maximum of S and T is taken, so the
+    result stays independent of op_sup.
     """
     if s.dim != t.dim or s.dim != x.dim:
         raise DimensionMismatchError("operator/vector dimension mismatch")
@@ -163,19 +171,29 @@ def rk_oracle(s: OperatorMatrix, t: OperatorMatrix, x: LatticeElement) -> Lattic
     n = x.dim
     if n > RK_DIM_CAP:
         raise CapExceededError(f"rk_oracle enumerates 2^{n} vertices; cap is dim <= {RK_DIM_CAP}")
-    best: list[Fraction] | None = None
-    for mask in itertools.product((False, True), repeat=n):
-        u = LatticeElement(
-            tuple(ci if keep else Fraction(0) for ci, keep in zip(x.coords, mask))
-        )
-        v = x - u
-        candidate = s.apply(u) + t.apply(v)
-        if best is None:
-            best = list(candidate.coords)
-        else:
-            best = [max(a, b) for a, b in zip(best, candidate.coords)]
-    assert best is not None
-    return LatticeElement(tuple(best))
+    start = [sum((a * b for a, b in zip(row, x.coords)), Fraction(0)) for row in t.entries]
+    steps = [
+        [(s_row[i] - t_row[i]) * x_i for s_row, t_row in zip(s.entries, t.entries)]
+        for i, x_i in enumerate(x.coords)
+    ]
+    den = math.lcm(*(q.denominator for q in itertools.chain(start, *steps)))
+
+    def scaled(values: list[Fraction]) -> list[int]:
+        return [q.numerator * (den // q.denominator) for q in values]
+
+    current = scaled(start)
+    best = list(current)
+    columns = [scaled(step) for step in steps]
+    u = 0  # bit i set: u_i = x_i
+    for g in range(1, 1 << n):
+        bit = g & -g  # the Gray code flips the lowest set bit of the step count
+        u ^= bit
+        sign = 1 if u & bit else -1
+        for k, c in enumerate(columns[bit.bit_length() - 1]):
+            current[k] += sign * c
+            if current[k] > best[k]:
+                best[k] = current[k]
+    return LatticeElement(tuple(Fraction(b, den) for b in best))
 
 
 def is_band_projection_op(m: OperatorMatrix) -> bool:

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, IntegerForm, integer_form
 from .center import ck_representation, in_identity_ideal, norm_e
 from .errors import (
     CapExceededError,
-    DimensionMismatchError,
     InputError,
     MathViolationError,
     NoIdentityError,
@@ -52,17 +51,6 @@ def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
         and (e - p).is_positive()
         and algebra.multiply(p, p) == p
     )
-
-
-IntegerForm = tuple[Sequence[int], int]  # (v, L) stands for the element v/L
-
-
-def integer_form(algebra: AlgebraSpec, a: LatticeElement) -> IntegerForm:
-    """(v, L) with a = v/L, L the lcm of the coordinate denominators."""
-    if a.dim != algebra.dim:
-        raise DimensionMismatchError("element dimension does not match algebra")
-    scale = math.lcm(*(c.denominator for c in a.coords))
-    return [c.numerator * (scale // c.denominator) for c in a.coords], scale
 
 
 def mask_support(

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
@@ -13,6 +13,10 @@ from latticealg import algebra as algebra_module
 from latticealg.inner import summand_supports
 
 positives = st.fractions(min_value=0, max_value=8, max_denominator=8)
+# Small integers make cancellation between tensor terms likely.
+coefficients = st.one_of(
+    st.integers(-2, 2).map(Fraction), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
 
 
 def positive_elements(dim):
@@ -222,3 +226,164 @@ def test_integer_tensor_is_built_once(monkeypatch):
     # another spec compiles its own
     la.is_band_projection(la.builtin("noid3"), alg.elements["p1"])
     assert len(builds) == 2
+
+
+# -- the Fraction reference for verify_axioms -------------------------------
+#
+# verify_axioms decides associativity by contracting the integer tensor and
+# checks the identity laws on integer kernel columns.  The reference below is
+# the dense route it replaced: n³ pairs of Fraction products of basis
+# elements, and an identity solved from 2n² rows of tensor lookups and then
+# multiplied against every basis element.
+
+
+def reference_identity(alg):
+    """The identity (declared, else solved) if e∗b = b∗e = b on the basis, else None."""
+    n = alg.dim
+    basis = [alg.basis_element(i) for i in range(n)]
+    e = alg.identity
+    if e is None:
+        # Row (i, k) of e ∗ b_i = b_i is Σ_j e_j c[(j, i, k)] = δ_ik, and of
+        # b_i ∗ e = b_i it is Σ_j e_j c[(i, j, k)] = δ_ik.
+        pairs = [(i, k) for i in range(n) for k in range(n)]
+        rows = [[alg.tensor.get((j, i, k), Fraction(0)) for j in range(n)] for i, k in pairs]
+        rows += [[alg.tensor.get((i, j, k), Fraction(0)) for j in range(n)] for i, k in pairs]
+        rhs = [Fraction(int(i == k)) for i, k in pairs] * 2
+        solution = la.linalg.solve(rows, rhs)
+        if solution is None:
+            return None
+        e = vec(solution)
+    if any(alg.multiply(e, b) != b or alg.multiply(b, e) != b for b in basis):
+        return None
+    return e
+
+
+def reference_axioms(alg):
+    """(negative entries, associativity failures, has identity, identity, laws ok)."""
+    n = alg.dim
+    negative = sorted(key for key, c in alg.tensor.items() if c < 0)
+    basis = [alg.basis_element(i) for i in range(n)]
+    products = [[alg.basis_product(i, j) for j in range(n)] for i in range(n)]
+    failures = [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if alg.multiply(products[i][j], basis[k]) != alg.multiply(basis[i], products[j][k])
+    ]
+    e = reference_identity(alg)
+    laws = None if e is None else all(
+        alg.multiply(e, b) == b and alg.multiply(b, e) == b for b in basis
+    )
+    return negative, failures, e is not None, e, laws
+
+
+def rescaled_builtin(name, order, scales):
+    """A builtin relabelled b'_j = d_j·b_σ(j): c'_ijk = c_σ(i)σ(j)σ(k)·d_i·d_j/d_k."""
+    alg = la.builtin(name)
+    where = {old: new for new, old in enumerate(order)}
+    tensor = {
+        (where[i], where[j], where[k]): c * scales[where[i]] * scales[where[j]] / scales[where[k]]
+        for (i, j, k), c in alg.tensor.items()
+    }
+    return AlgebraSpec(dim=alg.dim, tensor=tensor)
+
+
+def sheared(alg, a, b, t):
+    """The same algebra in the basis b'_a = b_a + t·b_b (a ≠ b), b'_j = b_j
+    otherwise.  It stays associative, and its negative entries make terms
+    of the contraction cancel."""
+    n = alg.dim
+    new_basis = [
+        vec([int(r == j) + (t if (j, r) == (a, b) else 0) for r in range(n)]) for j in range(n)
+    ]
+    tensor = {}
+    for i in range(n):
+        for j in range(n):
+            x = list(alg.multiply(new_basis[i], new_basis[j]).coords)
+            x[b] -= t * x[a]  # back to the new basis
+            tensor.update({(i, j, k): c for k, c in enumerate(x) if c})
+    return AlgebraSpec(dim=n, tensor=tensor)
+
+
+SMALL_BUILTINS = [n for n in la.BUILTIN_NAMES if la.builtin(n).dim <= 5]
+
+
+@st.composite
+def axiom_cases(draw):
+    """Random tensors of dims 1–5: sparse with negative and mixed-denominator
+    entries, with a planted two-sided, left or right unit, or a relabelled
+    (and perhaps sheared) builtin, each perturbed or not; sometimes with a
+    declared identity, the planted unit or a wrong one."""
+    shape = draw(st.sampled_from(["random", "unit", "builtin"]))
+    candidates = [st.none(), st.lists(st.integers(0, 2), min_size=1, max_size=5)]
+    if shape == "builtin":
+        name = draw(st.sampled_from(SMALL_BUILTINS))
+        n = la.builtin(name).dim
+        order = draw(st.permutations(range(n)))
+        scales = draw(st.lists(st.fractions(1, 4, max_denominator=4), min_size=n, max_size=n))
+        alg = rescaled_builtin(name, order, scales)
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            alg = sheared(alg, a, b, draw(st.sampled_from([-1, 1, 2])))
+        tensor = dict(alg.tensor)
+    else:
+        n = draw(st.integers(1, 5))
+        index = st.integers(0, n - 1)
+        tensor = draw(st.dictionaries(st.tuples(index, index, index), coefficients, max_size=3 * n))
+        if shape == "unit":
+            u = draw(index)
+            sides = draw(st.sampled_from([(0, 1), (0,), (1,)]))  # u∗b_j = b_j, b_j∗u = b_j
+            tensor = {key: c for key, c in tensor.items() if all(key[side] != u for side in sides)}
+            for j in range(n):
+                for side in sides:
+                    tensor[(u, j, j) if side == 0 else (j, u, j)] = Fraction(1)
+            candidates.append(st.just([int(i == u) for i in range(n)]))
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        tensor[draw(st.tuples(index, index, index))] = draw(coefficients)
+    declared = draw(st.one_of(*candidates))
+    if declared is not None:
+        declared = vec((declared * n)[:n])
+    return AlgebraSpec(dim=n, tensor=tensor, identity=declared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axiom_cases())
+def test_verify_axioms_matches_fraction_reference(alg):
+    negative, failures, has_identity, identity, laws = reference_axioms(alg)
+    report = alg.verify_axioms()
+    assert report.negative_entries == negative
+    assert report.associativity_failures == failures
+    assert report.has_identity is has_identity
+    assert report.identity == identity
+    assert report.identity_laws_ok == laws
+
+
+def test_associativity_through_cancellation():
+    # b0∗b0 = 2b0 − b1, b0∗b2 = b1, b1∗b2 = 2b1: (b0 b0) b2 = 2b1 − 2b1 = 0 =
+    # b0 (b0 b2), so (0, 0, 2) holds only because two terms cancel
+    alg = AlgebraSpec(
+        dim=3,
+        tensor={
+            (0, 0, 0): Fraction(2),
+            (0, 0, 1): Fraction(-1),
+            (0, 2, 1): Fraction(1),
+            (1, 2, 1): Fraction(2),
+        },
+    )
+    assert alg.verify_axioms().associativity_failures == [(0, 2, 2), (1, 2, 2)]
+    assert reference_axioms(alg)[1] == [(0, 2, 2), (1, 2, 2)]
+
+
+def test_identity_and_associativity_use_no_fraction_products(monkeypatch):
+    alg = la.builtin("m2-regular")
+
+    def refuse(*args):
+        raise AssertionError("multiply called")
+
+    monkeypatch.setattr(AlgebraSpec, "multiply", refuse)
+    monkeypatch.setattr(AlgebraSpec, "basis_product", refuse)
+    assert alg.has_identity()
+    assert alg.require_identity() == vec([1, 0, 0, 1])
+    assert alg.integer_tensor.associativity_failures() == []

@@ -108,6 +108,10 @@ def test_tensor_entry_validation():
         '{"dim": true, "tensor": []}',
         '{"dim": 2, "tensor": [[true, 0, 0, 1]]}',
         '{"dim": 2, "tensor": [[0, 0, 0, 1], [0, 0, 0, 2]]}',
+        '{"dim": 2, "tensor": 5}',
+        '{"dim": 2, "tensor": [], "elements": [1]}',
+        '{"dim": 2, "tensor": [], "norm": {"kind": "sup", "weights": 3}}',
+        '{"dim": %d, "tensor": []}' % (la.MAX_DIM + 1),
     ],
 )
 def test_strict_algebra_files(text, tmp_path, capsys):
@@ -127,3 +131,20 @@ def test_gamma_wire():
         gamma_from_wire([[0]])
     with pytest.raises(InputError):
         gamma_from_wire("nope")
+
+
+def test_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.loads refuses a decimal integer of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 2, "tensor": [[0, 0, 0, ' + "7" * 4301 + "]]}")
+    with pytest.raises(InputError):
+        la.load_algebra(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_largest_dim_is_accepted():
+    alg = la.algebra_from_dict({"dim": la.MAX_DIM, "tensor": [[0, 0, 0, 1]]})
+    assert alg.dim == la.MAX_DIM

@@ -1,5 +1,6 @@
 """Operator matrices, Riesz–Kantorovich suprema, multiplication operators."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,33 @@ def test_rk_oracle_dimension_cap():
 def test_rk_oracle_matches_entrywise_sup(s, t, x):
     # dual routes: the 2^n vertex enumeration against the closed form
     assert la.rk_oracle(s, t, x) == la.op_sup(s, t).apply(x)
+
+
+def reference_rk_oracle(s, t, x):
+    """The vertex enumeration before the Gray-code walk: S·u + T·(x − u)
+    by two Fraction mat-vecs at each of the 2^n vertices."""
+    best = None
+    for mask in itertools.product((False, True), repeat=x.dim):
+        u = vec([c if keep else 0 for c, keep in zip(x.coords, mask)])
+        candidate = (s.apply(u) + t.apply(x - u)).coords
+        best = candidate if best is None else tuple(map(max, best, candidate))
+    return vec(best)
+
+
+def sparse_positive_vectors(dim):
+    coords = st.one_of(st.just(Fraction(0)), nonnegatives)
+    return st.lists(coords, min_size=dim, max_size=dim).map(vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(matrices(n), matrices(n), sparse_positive_vectors(n))
+    )
+)
+def test_rk_oracle_matches_vertex_reference(case):
+    s, t, x = case
+    assert la.rk_oracle(s, t, x) == reference_rk_oracle(s, t, x)
 
 
 @settings(max_examples=30, deadline=None)
