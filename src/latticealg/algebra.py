@@ -76,7 +76,8 @@ class IntegerTensor:
     and so does the identity check.  An element a enters as v/L with v an
     integer vector (integer_form), and the columns below are integers scaled
     by a known power of L·D.  Associativity is checked on the same integers
-    by contracting the tensor with itself.
+    by contracting the tensor with itself, and AlgebraSpec.multiply and
+    basis_product read `pairs`, the one product index of the tensor.
     """
 
     def __init__(self, algebra: "AlgebraSpec") -> None:
@@ -87,13 +88,13 @@ class IntegerTensor:
         # q → [(j, k, C)] for the entries c[(q, j, k)], and [(i, k, C)] for c[(i, q, k)].
         self.first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.second: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # (i, j) → [(k, C)]: b_i ∗ b_j = Σ_k (C/D)·b_k, for the pairs with entries.
+        self.pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (i, j, k), c in algebra.tensor.items():
             big_c = c.numerator * (den // c.denominator)
             self.first[i].append((j, k, big_c))
             self.second[j].append((i, k, big_c))
-            pairs.setdefault((i, j), []).append((k, big_c))
-        self.pairs = list(pairs.items())
+            self.pairs.setdefault((i, j), []).append((k, big_c))
 
     def left_column(self, v: Sequence[int], q: int) -> list[int]:
         """D·(v ∗ b_q): column q of L_v."""
@@ -112,7 +113,7 @@ class IntegerTensor:
     def product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """D·(x ∗ y) on integer vectors."""
         out = [0] * self.dim
-        for (i, j), terms in self.pairs:
+        for (i, j), terms in self.pairs.items():
             f = x[i] * y[j]
             if f:
                 for k, big_c in terms:
@@ -133,7 +134,7 @@ class IntegerTensor:
         """
         lhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
         rhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
-        for (p, q), terms in self.pairs:
+        for (p, q), terms in self.pairs.items():
             for r, c_pqr in terms:
                 for k, s, c_rks in self.first[r]:
                     lhs[p, q, k, s] += c_pqr * c_rks
@@ -169,8 +170,8 @@ class AlgebraSpec:
     `elements` are read-only mappings (use dataclasses.replace for a
     changed copy).  `identity` is the declared identity, if any;
     solve_identity() finds the identity either way.  The data derived from
-    the tensor — the sparse product index, the integer kernel and the
-    identity solve — is computed on first use, once per spec.
+    the tensor — the integer kernel and the identity solve — is computed on
+    first use, once per spec.
     """
 
     dim: int
@@ -204,38 +205,27 @@ class AlgebraSpec:
                 raise DimensionMismatchError(f"element {label!r} has wrong dimension")
 
     @functools.cached_property
-    def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-        """(i, j) → [(k, c)]: the sparse rows used by multiply()."""
-        pairs: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j, k), c in self.tensor.items():
-            pairs.setdefault((i, j), []).append((k, c))
-        return pairs
-
-    @functools.cached_property
     def integer_tensor(self) -> IntegerTensor:
-        """The tensor over one common denominator, for the mask predicates."""
+        """The tensor over one common denominator: the product and mask kernel."""
         return IntegerTensor(self)
 
     # -- ring structure ------------------------------------------------
 
     def multiply(self, x: LatticeElement, y: LatticeElement) -> LatticeElement:
-        """x ∗ y via the structure tensor."""
-        if x.dim != self.dim or y.dim != self.dim:
-            raise DimensionMismatchError("element dimension does not match algebra")
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self._pairs.items():
-            f = x.coords[i] * y.coords[j]
-            if f == 0:
-                continue
-            for k, c in terms:
-                out[k] += f * c
-        return LatticeElement(tuple(out))
+        """x ∗ y on the integer kernel: with x = v/L_x and y = w/L_y,
+        x ∗ y = D·(v ∗ w) / (L_x·L_y·D)."""
+        kernel = self.integer_tensor
+        v, x_scale = integer_form(self, x)
+        w, y_scale = integer_form(self, y)
+        scale = x_scale * y_scale * kernel.den
+        return LatticeElement(tuple(Fraction(c, scale) for c in kernel.product(v, w)))
 
     def basis_product(self, i: int, j: int) -> LatticeElement:
         """b_i ∗ b_j directly from the tensor."""
+        kernel = self.integer_tensor
         out = [Fraction(0)] * self.dim
-        for k, c in self._pairs.get((i, j), ()):
-            out[k] = c
+        for k, big_c in kernel.pairs.get((i, j), ()):
+            out[k] = Fraction(big_c, kernel.den)
         return LatticeElement(tuple(out))
 
     def power(self, x: LatticeElement, n: int) -> LatticeElement:
@@ -299,23 +289,26 @@ class AlgebraSpec:
     def _identity(self) -> Union[IdentityResult, str]:
         """The identity solve, run once: its result, or why there is none.
 
-        e is an identity iff Σ_j e_j·c[(j,i,k)] = δ_ik and Σ_j e_j·c[(i,j,k)] = δ_ik
-        for all i, k — a linear system in the coordinates of e.  A declared
-        identity replaces the solve and gets the same check.
+        e is a left identity iff Σ_j e_j·c[(j,i,k)] = δ_ik for all i, k — a
+        linear system in the coordinates of e.  A two-sided identity is the
+        only left identity (f = f∗e = e), so when one exists the system has
+        exactly that solution; the column check below decides two-sidedness.
+        A declared identity replaces the solve and gets the same check.
         """
         if self.identity is not None:
             e = self.identity
+            failure = "candidate identity fails e∗b = b∗e = b on the basis"
         else:
             n = self.dim
-            # Rows (i, k) for e ∗ b_i = b_i, then rows (i, k) for b_i ∗ e = b_i.
-            rows = [[Fraction(0)] * n for _ in range(2 * n * n)]
-            rhs = [Fraction(1 if i == k else 0) for _ in (0, 1) for i in range(n) for k in range(n)]
-            for (i, j, k), c in self.tensor.items():
-                rows[j * n + k][i] = c
-                rows[n * n + i * n + k][j] = c
-            solution = linalg.solve(rows, rhs)
+            failure = f"algebra {self.name or '<unnamed>'} has no identity"
+            # Row (i, k) of e ∗ b_i = b_i, only where some entry c[(j,i,k)]
+            # touches it, and always (i, i): untouched, it reads 0 = 1.
+            rows = {(i, i): [Fraction(0)] * n for i in range(n)}
+            for (j, i, k), c in self.tensor.items():
+                rows.setdefault((i, k), [Fraction(0)] * n)[j] = c
+            solution = linalg.solve(list(rows.values()), [Fraction(int(i == k)) for i, k in rows])
             if solution is None:
-                return f"algebra {self.name or '<unnamed>'} has no identity"
+                return failure
             e = LatticeElement(tuple(solution))
         # Check e∗b_q = b_q∗e = b_q column by column (guards a declared
         # identity too): with e = v/L both columns must be L·D·e_q.
@@ -325,7 +318,7 @@ class AlgebraSpec:
             unit = [0] * self.dim
             unit[q] = scale * kernel.den
             if kernel.left_column(v, q) != unit or kernel.right_column(v, q) != unit:
-                return "candidate identity fails e∗b = b∗e = b on the basis"
+                return failure
         norm_value = norm(e, self.norm)
         norm_one = (norm_value == 1) if isinstance(norm_value, Fraction) else None
         return IdentityResult(
@@ -408,18 +401,16 @@ def check_submultiplicativity(algebra: AlgebraSpec) -> tuple[str, str]:
             f"(u∗u)_{bad} = {uu.coords[bad]} > u_{bad} = {u.coords[bad]}",
         )
     if spec.kind == "one":
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                prod = norm(algebra.basis_product(i, j), spec)
-                bound = norm(algebra.basis_element(i), spec) * norm(
-                    algebra.basis_element(j), spec
+        # A pair without entries has b_i ∗ b_j = 0, which cannot fail.
+        for i, j in sorted(algebra.integer_tensor.pairs):
+            prod = norm(algebra.basis_product(i, j), spec)
+            bound = norm(algebra.basis_element(i), spec) * norm(algebra.basis_element(j), spec)
+            if prod > bound:
+                return (
+                    "unknown",
+                    f"sufficient condition fails at basis pair ({i}, {j}): "
+                    f"‖b_{i}∗b_{j}‖ = {prod} > {bound}",
                 )
-                if prod > bound:
-                    return (
-                        "unknown",
-                        f"sufficient condition fails at basis pair ({i}, {j}): "
-                        f"‖b_{i}∗b_{j}‖ = {prod} > {bound}",
-                    )
         return "proved", "‖b_i∗b_j‖ ≤ ‖b_i‖·‖b_j‖ on all basis pairs"
     return "unknown", f"no exact certificate for norm kind {spec.kind!r}"
 

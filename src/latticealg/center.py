@@ -41,25 +41,18 @@ def principal_ideal(algebra: AlgebraSpec, a: LatticeElement) -> IdealBasis:
     """The smallest order ideal containing a that is a two-sided ring ideal.
 
     Computed as a support-closure fixpoint: start from supp(|a|) and, while
-    anything changes, add the supports of b_i ∗ b_j and b_j ∗ b_i for every
-    j already in the support and every basis index i.  With an identity
-    present this is {x : |x| ≤ r∗|a|∗r′ for some r, r′ ≥ 0}.
+    anything changes, add every k with a tensor entry c[(i, j, k)] whose i
+    or j is already in the support — the supports of b_i ∗ b_j and b_j ∗ b_i.
+    With an identity present this is {x : |x| ≤ r∗|a|∗r′ for some r, r′ ≥ 0}.
     """
     if a.dim != algebra.dim:
         raise InputError("element dimension does not match algebra")
     support = set(abs(a).support())
-    changed = True
-    while changed:
-        changed = False
-        for j in list(support):
-            for i in range(algebra.dim):
-                for grown in (
-                    algebra.basis_product(i, j).support(),
-                    algebra.basis_product(j, i).support(),
-                ):
-                    if not grown <= support:
-                        support.update(grown)
-                        changed = True
+    while True:
+        grown = {k for i, j, k in algebra.tensor if i in support or j in support}
+        if grown <= support:
+            break
+        support |= grown
     return IdealBasis(support=frozenset(support), generator=a)
 
 

@@ -134,7 +134,7 @@ def _check_cap(n_members: int, cap: int) -> None:
     n_pairs = n_members * n_members
     if n_pairs > cap:
         raise CapExceededError(
-            f"family of size {n_members} needs 2^{n_pairs} subsets; cap is |Λ|² ≤ {cap}"
+            f"family of size {n_members} has |Λ|² = {n_pairs} pairs; cap is |Λ|² ≤ {cap}"
         )
 
 

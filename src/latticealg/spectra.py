@@ -156,7 +156,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
 
     Divisor search on the integer-cleared polynomial (candidates p/q with
     p | constant term, q | leading coefficient), with repeated synthetic
-    division to count multiplicities.
+    division to count multiplicities.  One pass suffices: a rational root of
+    a cofactor is a root of the polynomial the candidates came from, and each
+    candidate is divided out as often as it divides when it is tested.
     """
     poly = linalg.poly_trim(coeffs)
     if len(poly) <= 1:
@@ -166,9 +168,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     while len(poly) > 1 and poly[0] == 0:
         found[Fraction(0)] = found.get(Fraction(0), 0) + 1
         poly = poly[1:]
-    changed = True
-    while changed and len(poly) > 1:
-        changed = False
+    if len(poly) > 1:
         ints = _integer_clear(poly)
         for p, q in itertools.product(_divisors(ints[0]), _divisors(ints[-1])):
             if gcd(p, q) != 1:
@@ -177,7 +177,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
                 while len(poly) > 1 and linalg.poly_eval(poly, candidate) == 0:
                     found[candidate] = found.get(candidate, 0) + 1
                     poly = linalg.poly_divmod_linear(poly, candidate)
-                    changed = True
             if len(poly) <= 1:
                 break
     ordered = sorted(found.items(), key=lambda kv: kv[0])

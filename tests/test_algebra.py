@@ -1,6 +1,7 @@
 """Structure tensors, axioms, identities, direct sums."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import latticealg as la
 from latticealg import AlgebraSpec, InputError, NoIdentityError, vec
 from latticealg import algebra as algebra_module
+from latticealg.cli import main
 from latticealg.inner import summand_supports
 
 positives = st.fractions(min_value=0, max_value=8, max_denominator=8)
@@ -107,6 +109,21 @@ def test_submultiplicativity_verdicts():
     verdict, detail = la.check_submultiplicativity(la.builtin("upper2"))
     assert verdict == "unknown"
     assert "coordinate 1" in detail
+
+
+def test_one_norm_submultiplicativity_names_the_first_failing_pair():
+    one = la.NormSpec(kind="one")
+    # b0∗b1 = b1 and b1∗b1 = b0 + b1: only ‖b1∗b1‖ = 2 > 1 fails
+    tensor = {(0, 1, 1): Fraction(1), (1, 1, 0): Fraction(1), (1, 1, 1): Fraction(1)}
+    verdict, detail = la.check_submultiplicativity(AlgebraSpec(dim=2, tensor=tensor, norm=one))
+    assert verdict == "unknown"
+    assert detail == "sufficient condition fails at basis pair (1, 1): ‖b_1∗b_1‖ = 2 > 1"
+    tensor[(1, 0, 0)] = Fraction(3)
+    _, detail = la.check_submultiplicativity(AlgebraSpec(dim=2, tensor=tensor, norm=one))
+    assert "basis pair (1, 0)" in detail
+    del tensor[(1, 1, 0)], tensor[(1, 0, 0)]
+    verdict, _ = la.check_submultiplicativity(AlgebraSpec(dim=2, tensor=tensor, norm=one))
+    assert verdict == "proved"
 
 
 def test_lp_sum_blocks():
@@ -228,13 +245,22 @@ def test_integer_tensor_is_built_once(monkeypatch):
     assert len(builds) == 2
 
 
-# -- the Fraction reference for verify_axioms -------------------------------
+# -- the Fraction reference for multiply and verify_axioms -------------------
 #
-# verify_axioms decides associativity by contracting the integer tensor and
-# checks the identity laws on integer kernel columns.  The reference below is
-# the dense route it replaced: n³ pairs of Fraction products of basis
-# elements, and an identity solved from 2n² rows of tensor lookups and then
-# multiplied against every basis element.
+# multiply runs on the integer kernel, verify_axioms decides associativity by
+# contracting that kernel and solves the identity from the left-identity rows
+# the tensor touches.  The reference below reads `alg.tensor` alone: a
+# Fraction product, n³ pairs of basis products, and an identity solved from
+# all 2n² rows of the two-sided system and then multiplied against every
+# basis element.
+
+
+def fraction_product(alg, x, y):
+    """x ∗ y = Σ c[(i,j,k)]·x_i·y_j·b_k, in Fractions straight from the tensor."""
+    out = [Fraction(0)] * alg.dim
+    for (i, j, k), c in alg.tensor.items():
+        out[k] += x.coords[i] * y.coords[j] * c
+    return vec(out)
 
 
 def reference_identity(alg):
@@ -253,7 +279,7 @@ def reference_identity(alg):
         if solution is None:
             return None
         e = vec(solution)
-    if any(alg.multiply(e, b) != b or alg.multiply(b, e) != b for b in basis):
+    if any(fraction_product(alg, e, b) != b or fraction_product(alg, b, e) != b for b in basis):
         return None
     return e
 
@@ -263,17 +289,18 @@ def reference_axioms(alg):
     n = alg.dim
     negative = sorted(key for key, c in alg.tensor.items() if c < 0)
     basis = [alg.basis_element(i) for i in range(n)]
-    products = [[alg.basis_product(i, j) for j in range(n)] for i in range(n)]
+    products = [[fraction_product(alg, basis[i], basis[j]) for j in range(n)] for i in range(n)]
     failures = [
         (i, j, k)
         for i in range(n)
         for j in range(n)
         for k in range(n)
-        if alg.multiply(products[i][j], basis[k]) != alg.multiply(basis[i], products[j][k])
+        if fraction_product(alg, products[i][j], basis[k])
+        != fraction_product(alg, basis[i], products[j][k])
     ]
     e = reference_identity(alg)
     laws = None if e is None else all(
-        alg.multiply(e, b) == b and alg.multiply(b, e) == b for b in basis
+        fraction_product(alg, e, b) == b and fraction_product(alg, b, e) == b for b in basis
     )
     return negative, failures, e is not None, e, laws
 
@@ -300,7 +327,7 @@ def sheared(alg, a, b, t):
     tensor = {}
     for i in range(n):
         for j in range(n):
-            x = list(alg.multiply(new_basis[i], new_basis[j]).coords)
+            x = list(fraction_product(alg, new_basis[i], new_basis[j]).coords)
             x[b] -= t * x[a]  # back to the new basis
             tensor.update({(i, j, k): c for k, c in enumerate(x) if c})
     return AlgebraSpec(dim=n, tensor=tensor)
@@ -360,6 +387,19 @@ def test_verify_axioms_matches_fraction_reference(alg):
     assert report.identity_laws_ok == laws
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multiply_matches_fraction_reference(data):
+    alg = data.draw(axiom_cases())
+    elements = st.lists(coefficients, min_size=alg.dim, max_size=alg.dim).map(vec)
+    x, y = data.draw(elements), data.draw(elements)
+    assert alg.multiply(x, y) == fraction_product(alg, x, y)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            b_i, b_j = alg.basis_element(i), alg.basis_element(j)
+            assert alg.basis_product(i, j) == fraction_product(alg, b_i, b_j)
+
+
 def test_associativity_through_cancellation():
     # b0∗b0 = 2b0 − b1, b0∗b2 = b1, b1∗b2 = 2b1: (b0 b0) b2 = 2b1 − 2b1 = 0 =
     # b0 (b0 b2), so (0, 0, 2) holds only because two terms cancel
@@ -387,3 +427,62 @@ def test_identity_and_associativity_use_no_fraction_products(monkeypatch):
     assert alg.has_identity()
     assert alg.require_identity() == vec([1, 0, 0, 1])
     assert alg.integer_tensor.associativity_failures() == []
+
+
+# -- algebras without an identity ----------------------------------------------
+
+NO_IDENTITY = {
+    "left-units": {"dim": 3, "tensor": [[i, j, j, 1] for i in range(3) for j in range(3)]},
+    "right-units": {"dim": 3, "tensor": [[i, j, i, 1] for i in range(3) for j in range(3)]},
+    "noid3": {key: value for key, value in la.builtin_dict("noid3").items() if key != "name"},
+    "empty": {"dim": 3, "tensor": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_IDENTITY))
+def test_no_identity_is_reported_as_such(name, tmp_path, capsys):
+    # Left units alone solve e ∗ b = b (every e with Σ e_j = 1 does), and
+    # the solved candidate then fails b ∗ e = b: still "no identity".
+    data = dict(NO_IDENTITY[name], elements={"x": [1, 2, 3]})
+    assert not la.algebra_from_dict(data).has_identity()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    for fmt in ("text", "json"):
+        assert main(["spectrum", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: algebra {name} has no identity\n"
+
+
+def test_wrong_declared_identity_is_named():
+    data = dict(NO_IDENTITY["left-units"], identity=[1, 0, 0])
+    with pytest.raises(NoIdentityError, match="candidate identity fails"):
+        la.algebra_from_dict(data).solve_identity()
+
+
+@pytest.mark.parametrize(
+    "alg",
+    # the builtins without their declared identities, so that the solve runs
+    [
+        AlgebraSpec(dim=b.dim, tensor=b.tensor, name=b.name)
+        for b in map(la.builtin, la.BUILTIN_NAMES)
+    ]
+    + [la.algebra_from_dict(data) for data in NO_IDENTITY.values()]
+    + [AlgebraSpec(dim=64, tensor={})],
+    ids=lambda alg: f"{alg.name or 'unnamed'}-{alg.dim}",
+)
+def test_identity_solve_uses_only_touched_rows(alg, monkeypatch):
+    real_solve = la.linalg.solve
+    row_counts = []
+
+    def recording_solve(rows, rhs):
+        row_counts.append(len(rows))
+        return real_solve(rows, rhs)
+
+    monkeypatch.setattr(la.linalg, "solve", recording_solve)
+    alg.has_identity()
+    # Row (i, k) of e ∗ b_i = b_i is touched by the entries c[(j, i, k)].
+    touched = {(i, k) for _j, i, k in alg.tensor}
+    assert row_counts and row_counts[0] <= alg.dim + len(touched)
+    if not alg.tensor:
+        assert row_counts == [alg.dim]

@@ -24,6 +24,15 @@ def test_principal_ideal_differs_from_identity_ideal_on_upper2():
     assert basis.sorted_support() == [0, 2]
 
 
+def test_principal_ideal_grows_from_both_sides():
+    # upper2: E11∗E12 = E12 reaches E12 from the left factor, E12∗E22 = E12
+    # from the right one
+    alg = la.builtin("upper2")
+    assert la.principal_ideal(alg, alg.elements["E11"]).sorted_support() == [0, 1]
+    assert la.principal_ideal(alg, alg.elements["E22"]).sorted_support() == [1, 2]
+    assert la.principal_ideal(alg, alg.elements["E12"]).sorted_support() == [1]
+
+
 def test_identity_ideal_support_and_projection(unital_algebra):
     basis, projection = la.identity_ideal(unital_algebra)
     e = unital_algebra.require_identity()

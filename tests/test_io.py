@@ -9,7 +9,6 @@ import latticealg as la
 from latticealg import InputError, OperatorMatrix, vec
 from latticealg.cli import main
 from latticealg.io import (
-    gamma_from_wire,
     norm_from_wire,
     norm_to_wire,
     scalar_from_wire,
@@ -123,14 +122,6 @@ def test_strict_algebra_files(text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_gamma_wire():
-    assert gamma_from_wire([[0, 0], [1, 1]]) == [(0, 0), (1, 1)]
-    with pytest.raises(InputError):
-        gamma_from_wire([[0]])
-    with pytest.raises(InputError):
-        gamma_from_wire("nope")
 
 
 def test_integer_past_the_digit_limit(tmp_path, capsys):
