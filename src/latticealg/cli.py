@@ -8,7 +8,8 @@
 
 The positional target accepts either a path to an algebra JSON file or
 "builtin:NAME".  Exit codes are a stable contract: 0 success, 1 a
-mathematical law or verification failed, 2 bad input.  The environment
+mathematical law or verification failed, 2 bad input, 3 an internal
+error (a bug in latticealg, reported on one stderr line).  The environment
 variable LATTICEALG_CAP overrides the default inner cap on |Λ|² when
 --cap is not given.
 """
@@ -29,7 +30,15 @@ from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
 from .errors import InputError, MathViolationError
 from .fixtures import BUILTIN_NAMES, BuiltinMeta, builtin, builtin_meta
-from .inner import ENUM_CAP_DEFAULT, GammaSet, boolean_laws, enumerate_inner, is_inner, validate_family
+from .inner import (
+    ENUM_CAP_DEFAULT,
+    GammaSet,
+    boolean_laws,
+    enumerate_inner,
+    inner_bp,
+    is_inner,
+    validate_family,
+)
 from .io import element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
 from .lattice import LatticeElement
 from .operators import diagonal_mask_operator
@@ -424,8 +433,6 @@ def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     ]
     if config.gamma is not None:
         gamma = _parse_gamma(config.gamma, len(family))
-        from .inner import inner_bp
-
         matrix = inner_bp(algebra, family, gamma)
         payload["gamma"] = gamma.sorted_pairs()
         payload["gamma_projection"] = operator_to_wire(matrix)
@@ -496,6 +503,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MathViolationError as exc:
         print(f"mathematical violation: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, never bad input: exit 3, not 2
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     sys.stdout.write(output)
     return code
 

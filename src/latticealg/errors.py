@@ -7,6 +7,9 @@ Two top-level families matter for the CLI exit-code contract:
   exceeded).  CLI exit code 2.
 * ``MathViolationError`` — the computation ran fine but a mathematical law
   that must hold for a valid lattice algebra failed.  CLI exit code 1.
+
+Any other exception escaping a command is a bug in latticealg, never bad
+input: the CLI reports it on one stderr line and exits with code 3.
 """
 
 from __future__ import annotations

@@ -23,9 +23,7 @@ at all — the 3-dimensional identityless fixture carries a witness.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraSpec
@@ -184,48 +182,37 @@ def _require_family_size(family: ProjectionFamily, gamma: GammaSet) -> None:
         )
 
 
-def inner_bp(
-    algebra: AlgebraSpec,
-    family: ProjectionFamily,
-    gamma: GammaSet,
-    samples: int = 3,
-    seed: int = 7,
-) -> OperatorMatrix:
-    """P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β) as a matrix, with its certificates.
+def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) -> OperatorMatrix:
+    """P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β) as a matrix, with its certificate.
 
     P_Γ is the mask of the union of Γ's summand supports.  As an audit
-    independent of the integer kernel, the summands are also built as
-    rational matrices with mult_op: they must sum to that mask, and on
-    sample positive vectors the coordinatewise supremum of the summand
-    values must equal the sum — the finite-dimensional form of the
-    defining supremum.  A failed check raises; it would mean the family or
-    the algebra is invalid, and must never produce silent output.
+    independent of the integer kernel, each summand is also built as a
+    rational matrix with mult_op, and must be a 0/1 mask; the masks must
+    have pairwise disjoint supports whose union is the kernel's.  Disjoint
+    masks take at most one nonzero value per coordinate, so their
+    coordinatewise supremum equals their sum on every x ≥ 0 — the exact
+    finite-dimensional form of the defining supremum.  A failed check
+    raises; it would mean the family or the algebra is invalid, and must
+    never produce silent output.
     """
     _require_family_size(family, gamma)
     n = algebra.dim
-    total = _union_mask(n, _gamma_union(summand_supports(algebra, family), gamma))
-    summands = [
-        mult_op(algebra, family[a], family[b]) for a, b in gamma.sorted_pairs()
-    ]
-    matrix_sum = OperatorMatrix.zero(n)
-    for s in summands:
-        matrix_sum = matrix_sum + s
-    if matrix_sum != total:
-        raise MathViolationError("the summand matrices do not sum to the mask of their supports")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = LatticeElement(
-            tuple(Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n))
-        )
-        pieces = [s.apply(x) for s in summands]
-        sup = algebra.zero()
-        for piece in pieces:
-            sup = sup.sup(piece)
-        if sup != total.apply(x):
+    union = _gamma_union(summand_supports(algebra, family), gamma)
+    covered: set[int] = set()
+    for a, b in gamma.sorted_pairs():
+        summand = mult_op(algebra, family[a], family[b])
+        if not is_band_projection_op(summand):
+            raise MathViolationError(f"summand matrix ({a},{b}) is not a 0/1 mask")
+        support = {i for i in range(n) if summand.entries[i][i] == 1}
+        if covered & support:
             raise MathViolationError(
-                "supremum of the summands differs from their sum on a positive vector"
+                f"summand matrix ({a},{b}) overlaps another summand on coordinates "
+                f"{sorted(covered & support)}"
             )
-    return total
+        covered |= support
+    if covered != union:
+        raise MathViolationError("the summand matrices' supports differ from the kernel's union")
+    return _union_mask(n, union)
 
 
 @dataclass
@@ -265,18 +252,6 @@ def boolean_laws(
         join_ok=(u | v == _gamma_union(supports, gamma.union(delta))),
         complement_ok=(full - u == _gamma_union(supports, gamma.complement())),
     )
-
-
-def all_gamma_sets(n_members: int, cap: int = ENUM_CAP_DEFAULT) -> list[GammaSet]:
-    """Every Γ ⊆ Λ×Λ in a fixed deterministic order (bit masks over the
-    lexicographically sorted pair list).  Refuses when |Λ|² exceeds the cap."""
-    _check_cap(n_members, cap)
-    all_pairs = _sorted_pairs(n_members)
-    gammas = []
-    for bits in range(1 << len(all_pairs)):
-        pairs = frozenset(p for t, p in enumerate(all_pairs) if bits >> t & 1)
-        gammas.append(GammaSet(pairs=pairs, n_members=n_members))
-    return gammas
 
 
 def enumerate_inner(

@@ -183,6 +183,17 @@ def test_markdown_format(capsys):
     assert out.startswith("# latticealg verify")
 
 
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken_loader(path):
+        raise RuntimeError("a\nb")
+
+    monkeypatch.setattr("latticealg.cli.load_algebra", broken_loader)
+    code, out, err = run_cli(capsys, "verify", "some-file.json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: a b\n"
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "latticealg.cli", "verify", "builtin:upper2"],

@@ -22,13 +22,22 @@ from latticealg import (
     vec,
 )
 from latticealg.cli import main
-from latticealg.inner import all_gamma_sets, summand_supports
+from latticealg.inner import summand_supports
 from latticealg.operators import is_band_projection_op, mult_op
 
 
 def noid3_family():
     alg = la.builtin("noid3")
     return alg, la.validate_family(alg, [alg.elements["p1"], alg.elements["p2"]])
+
+
+def every_gamma(n_members):
+    """Every Γ ⊆ Λ×Λ for a family of n_members members: 2^(n_members²) sets."""
+    pairs = sorted(itertools.product(range(n_members), repeat=2))
+    return [
+        GammaSet.of(itertools.compress(pairs, bits), n_members)
+        for bits in itertools.product((0, 1), repeat=len(pairs))
+    ]
 
 
 def test_gamma_set_algebra():
@@ -82,8 +91,8 @@ def test_inner_bp_matrices():
 
 def test_boolean_laws_all_pairs_noid3():
     alg, family = noid3_family()
-    gammas = all_gamma_sets(2)
-    assert len(gammas) == 16
+    gammas = every_gamma(2)
+    assert len(set(gammas)) == 16
     for g, h in itertools.product(gammas, repeat=2):
         assert la.boolean_laws(alg, family, g, h).ok
 
@@ -276,7 +285,7 @@ def test_enumerate_and_is_inner_match_reference_on_permuted_sums(seed):
 @pytest.mark.parametrize("name", ["noid3", "m2-regular", "upper2"])
 def test_boolean_laws_in_matrix_form(name):
     alg, family = builtin_family(name)
-    gammas = all_gamma_sets(len(family))
+    gammas = every_gamma(len(family))
     p = {g: la.inner_bp(alg, family, g) for g in gammas}
     full = p[GammaSet.full(len(family))]
     for g, h in itertools.product(gammas, repeat=2):
@@ -337,6 +346,38 @@ def test_non_mask_summand_raises(capsys, monkeypatch):
     )
     assert main(["inner", "builtin:ck2"]) == 1
     assert "not a band projection" in capsys.readouterr().err
+
+
+def _mult_op_off_diagonal(algebra, a, b):
+    rows = [list(row) for row in mult_op(algebra, a, b).entries]
+    rows[0][1] = Fraction(1, 2)
+    return OperatorMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    [
+        # the true mask plus one off-diagonal entry: diagonal supports unchanged
+        (lambda expected: _mult_op_off_diagonal, "not a 0/1 mask"),
+        # every summand is the whole of P_Γ: masks with the right union, overlapping
+        (lambda expected: lambda algebra, a, b: expected, "overlaps"),
+        # every summand is zero: disjoint masks whose union misses supp P_Γ
+        (lambda expected: lambda algebra, a, b: OperatorMatrix.zero(algebra.dim), "differ"),
+    ],
+    ids=["non-mask", "overlap", "short-union"],
+)
+def test_inner_bp_audit_rejects_bad_summand_matrices(fake, message, capsys, monkeypatch):
+    alg = la.builtin("m2-regular")
+    family = la.validate_family(alg, [alg.elements["E11"], alg.elements["E22"]])
+    gamma = GammaSet.of([(0, 0), (1, 1)], 2)
+    expected = la.inner_bp(alg, family, gamma)
+    assert expected == OperatorMatrix.diagonal([1, 0, 0, 1])
+    monkeypatch.setattr("latticealg.inner.mult_op", fake(expected))
+    with pytest.raises(MathViolationError, match=message):
+        la.inner_bp(alg, family, gamma)
+    argv = ["inner", "builtin:m2-regular", "--family", "E11", "--family", "E22"]
+    assert main(argv + ["--gamma", "(0,0),(1,1)"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_five_member_family_under_raised_cap(tmp_path, capsys):

@@ -19,3 +19,18 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert offenders == []
+
+
+def test_no_module_imports_random():
+    """Every verdict is exact: the library draws no random samples."""
+    offenders = []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "random"]
+    assert offenders == []
