@@ -16,6 +16,7 @@ import argparse
 
 import latticealg as la
 from latticealg import GridSpec
+from latticealg.projections import GRID_POINT_CAP
 
 
 def survey(name: str, max_resolution: int) -> None:
@@ -29,7 +30,7 @@ def survey(name: str, max_resolution: int) -> None:
     previous: set = set()
     for n in range(1, max_resolution + 1):
         grid = GridSpec.from_resolution(n)
-        if grid.size(alg.dim) > 250_000:
+        if grid.size(alg.dim) > GRID_POINT_CAP:
             print(f"  N={n}: grid too large ({grid.size(alg.dim)} points), stopping")
             break
         found = la.search_band_projections(alg, grid)

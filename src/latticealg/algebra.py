@@ -18,10 +18,25 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
-from .errors import DimensionMismatchError, InputError, NoIdentityError
+from .errors import CapExceededError, DimensionMismatchError, InputError, NoIdentityError
 from .lattice import LatticeElement, NormSpec, as_scalar, norm, vec, zero
 
 TensorKey = tuple[int, int, int]
+
+# The largest `dim` an algebra file may declare (io.algebra_from_dict).  It
+# bounds the work verify does for any tensor: the n forced rows of the
+# identity solve (n + 1 exact columns each), the n identity-check columns of
+# n coordinates and the per-coordinate output.  At 64 an empty tensor
+# verifies in about 0.02 s in-process and 0.15–0.26 s as a CLI subprocess on
+# a shared 2-core Xeon; the limit is four times the largest dimension the
+# benchmark generates (16) and ten times the largest builtin (6).
+MAX_DIM = 64
+# The most integer products IntegerTensor.associativity_failures may make,
+# counted before it makes any.  A dense tensor of dim n needs 2n⁵: in-process
+# on the same machine, dim 16 (2.1M products) loads and verifies in about
+# 1 s, dim 20 (6.4M) in 2.3 s and dim 24 (15.9M) in 5.2 s; dim 25 (19.5M) is
+# refused in 0.3 s, most of it reading the file.
+MAX_ASSOCIATIVITY_PRODUCTS = 1 << 24
 
 
 @dataclass
@@ -130,8 +145,19 @@ class IntegerTensor:
         so the cost is Σ_r (entries ending in r)·(entries starting at r or
         with middle index r), not n³ products.  Both sides are sparse dicts
         over (i, j, k, s); associativity extends bilinearly from the basis, so
-        the list is empty exactly when the product is associative.
+        the list is empty exactly when the product is associative.  Past
+        MAX_ASSOCIATIVITY_PRODUCTS products the check is refused before it starts.
         """
+        work = sum(
+            len(self.first[r]) + len(self.second[r])
+            for terms in self.pairs.values()
+            for r, _ in terms
+        )
+        if work > MAX_ASSOCIATIVITY_PRODUCTS:
+            raise CapExceededError(
+                f"the associativity check needs {work} tensor products; "
+                f"the limit is {MAX_ASSOCIATIVITY_PRODUCTS}"
+            )
         lhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
         rhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
         for (p, q), terms in self.pairs.items():

@@ -56,6 +56,7 @@ from .report import (
     fmt_gamma,
     fmt_poly,
     fmt_projection_matrix,
+    fmt_radius,
     fmt_scalar,
     fmt_spectrum,
 )
@@ -392,16 +393,11 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         else:
             entry["spectral_radius"] = {"value": repr(radius.value), "error": repr(radius.error)}
         payload["elements"][name] = entry
-        radius_str = (
-            fmt_scalar(radius)
-            if isinstance(radius, Fraction)
-            else f"{radius.value:.12g} ± {radius.error:.3g}"
-        )
         lines += [
             f"{name} = {fmt_element(x)}:",
             f"  char poly: {fmt_poly(result.char_poly)}",
             f"  spectrum: {fmt_spectrum(result)}",
-            f"  spectral radius: {radius_str}",
+            f"  spectral radius: {fmt_radius(radius)}",
         ]
     return 0, payload, lines
 

@@ -21,21 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .algebra import AlgebraSpec
+from .algebra import MAX_DIM, AlgebraSpec
 from .errors import InputError
 from .lattice import LatticeElement, NormSpec, as_scalar, format_scalar
 from .operators import OperatorMatrix
 
 Wire = Union[int, str]
-
-# The largest `dim` an algebra file may declare.  It bounds the work verify
-# does for any tensor: the n forced rows of the identity solve (n + 1 exact
-# columns each), the n identity-check columns of n coordinates and the
-# per-coordinate output.  At 64 an empty tensor verifies in about 0.02 s
-# in-process and 0.15–0.26 s as a CLI subprocess on a shared 2-core Xeon;
-# the limit is four times the largest dimension the benchmark generates (16)
-# and ten times the largest builtin (6).
-MAX_DIM = 64
 
 
 def scalar_to_wire(q: Fraction) -> Wire:

@@ -6,16 +6,15 @@ and for all: elements are vectors of ``fractions.Fraction``, the lattice
 operations are coordinatewise, and norms are weighted sup / one / p norms of
 the coordinates.  All downstream predicates (idempotence, order bounds) are
 equality-sensitive, hence everything here is exact; floats appear only in the
-general-p norm, which returns an explicit error bound.
+general-p norm, which returns a float with a proved error bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-import mpmath
 
 from .errors import DimensionMismatchError, InputError
 
@@ -158,6 +157,14 @@ def _check_dims(x: LatticeElement, y: LatticeElement) -> None:
 # -- norms -------------------------------------------------------------------------
 
 
+# The largest numerator or denominator of a p-norm exponent p = a/b.  The
+# exact bracket raises each coordinate to the a-th power and takes b-th and
+# a-th integer roots of numbers about 64·max(a, b) bits long, by Newton steps
+# whose count grows with the root's degree: at 101/100 a norm of 64
+# coordinates takes about 0.03 s, at 1001/1000 about 10 s.
+MAX_P_TERM = 100
+
+
 class ApproxReal(NamedTuple):
     """A real number known only up to an explicit absolute error bound."""
 
@@ -165,13 +172,47 @@ class ApproxReal(NamedTuple):
     error: float
 
 
+def to_float(x: Fraction) -> float:
+    """The double nearest x, or ±inf outside the range of doubles."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def float_above(x: Fraction) -> float:
+    """The least double ≥ x for x ≥ 0 (float() rounds to nearest, so at most
+    one step up), or inf outside the range of doubles."""
+    f = to_float(x)
+    return f if f == math.inf or Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def _iroot(n: int, k: int) -> int:
+    """⌊n^(1/k)⌋ for n ≥ 0 by Newton's method on integers, which decreases
+    to the floor of the root from any start above it."""
+    r = 1 << -(-n.bit_length() // k)  # ≥ the root
+    while n:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+    return 0
+
+
+def _root_bracket(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo ≤ x^(1/k) < hi = lo + 2^-bits for x ≥ 0."""
+    r = _iroot((x.numerator << (bits * k)) // x.denominator, k)
+    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """A lattice norm on the coordinates.
 
     kind "sup": ‖x‖ = max_i w_i·|x_i| (exact); kind "one": ‖x‖ = Σ_i w_i·|x_i|
-    (exact); kind "p": ‖x‖ = (Σ_i w_i·|x_i|^p)^(1/p) for rational p ≥ 1
-    (numeric, with stated error bound).  Missing weights mean unit weights.
+    (exact); kind "p": ‖x‖ = (Σ_i w_i·|x_i|^p)^(1/p) for rational p ≥ 1 whose
+    numerator and denominator are at most MAX_P_TERM (a float with a proved
+    error bound).  Missing weights mean unit weights.
     """
 
     kind: str = "sup"
@@ -184,6 +225,10 @@ class NormSpec:
         if self.kind == "p":
             if self.p is None or self.p < 1:
                 raise InputError("p-norm requires rational p >= 1")
+            if max(self.p.numerator, self.p.denominator) > MAX_P_TERM:
+                raise InputError(
+                    f"p-norm exponent {self.p} has a numerator or denominator above {MAX_P_TERM}"
+                )
         elif self.p is not None:
             raise InputError(f"norm kind {self.kind!r} does not take a p value")
         if self.weights is not None:
@@ -212,15 +257,22 @@ def norm(x: LatticeElement, spec: NormSpec) -> Union[Fraction, ApproxReal]:
         return max(wi * abs(a) for wi, a in zip(w, x.coords))
     if spec.kind == "one":
         return sum((wi * abs(a) for wi, a in zip(w, x.coords)), Fraction(0))
-    # general p: evaluate with mpmath at high working precision and report a
-    # conservative error bound derived from the working precision.
-    with mpmath.workdps(40):
-        p = mpmath.mpf(spec.p.numerator) / spec.p.denominator
-        total = mpmath.mpf(0)
-        for wi, a in zip(w, x.coords):
-            term = mpmath.mpf(wi.numerator) / wi.denominator
-            base = abs(mpmath.mpf(a.numerator) / a.denominator)
-            total += term * base ** p
-        value = total ** (1 / p)
-        err = abs(value) * mpmath.mpf(10) ** (-30)
-        return ApproxReal(float(value), float(err))
+    # General p = a/b: ‖x‖ = (Σ_i w_i·(|x_i|^a)^(1/b))^(b/a), bracketed between
+    # rationals with integer k-th roots; the bits double until the bracket is
+    # narrow relative to its lower end.
+    a, b = spec.p.numerator, spec.p.denominator
+    if x.is_zero():
+        return ApproxReal(0.0, 0.0)
+    bits = 64
+    while True:
+        terms = [_root_bracket(abs(c) ** a, b, bits) for c in x.coords]
+        lo = _root_bracket(sum(wi * t[0] for wi, t in zip(w, terms)) ** b, a, bits)[0]
+        hi = _root_bracket(sum(wi * t[1] for wi, t in zip(w, terms)) ** b, a, bits)[1]
+        if lo > 0 and hi - lo <= lo / (1 << 60):
+            break
+        bits *= 2
+    value = to_float((lo + hi) / 2)
+    if value == math.inf:
+        return ApproxReal(value, value)
+    exact = Fraction(value)
+    return ApproxReal(value, float_above(max(hi - exact, exact - lo)))

@@ -6,6 +6,7 @@ dimensions this package meets (n ≤ 12 or so); clarity over asymptotics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -163,12 +164,45 @@ def poly_div_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fractio
     return q
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content, signed to make the last one positive."""
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // content for c in ints]
+
+
+def integer_poly(coeffs: Sequence[Fraction]) -> list[int]:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of coeffs (trimmed, nonzero)."""
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (denom // c.denominator) for c in coeffs])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, trimmed."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and r:
+        shift, top = len(r) - 1 - db, r[-1]
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q by the Euclidean algorithm."""
+    """Monic gcd over Q by the primitive Euclidean algorithm: each remainder is
+    taken on integer multiples and reduced to its primitive part, so the
+    coefficients stay near the size of the gcd's instead of growing with
+    every step as they do over Fraction."""
     fa, fb = poly_trim(a), poly_trim(b)
-    while fb:
-        fa, fb = fb, poly_divmod(fa, fb)[1]
-    if not fa:
-        return []
-    lead = fa[-1]
-    return [c / lead for c in fa]
+    if not fa or not fb:
+        rest = fa or fb
+        return [c / rest[-1] for c in rest] if rest else []
+    ia, ib = integer_poly(fa), integer_poly(fb)
+    while ib:
+        ia, ib = ib, _pseudo_remainder(ia, ib)
+        if ib:
+            ib = _primitive(ib)
+    return [Fraction(c, ia[-1]) for c in ia]

@@ -288,11 +288,9 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
     L_y·L_a = I for square matrices, and x ↦ L_x is injective when an
     identity exists); both sides are still verified by multiplication.
     """
-    from .linalg import solve
-
     e = algebra.require_identity()
     la = left_mult(algebra, a)
-    y = solve(la.rows_list(), list(e.coords))
+    y = linalg.solve(la.rows_list(), list(e.coords))
     if y is None:
         return None
     inv = LatticeElement(tuple(y))

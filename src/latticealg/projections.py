@@ -344,9 +344,7 @@ class GridSpec:
         return len(self.values) ** dim
 
 
-def search_band_projections(
-    algebra: AlgebraSpec, grid: GridSpec, point_cap: int = GRID_POINT_CAP
-) -> list[LatticeElement]:
+def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[LatticeElement]:
     """Exhaustively certify band projections on a rational grid.
 
     Returns exactly the grid points passing is_band_projection, in
@@ -354,10 +352,8 @@ def search_band_projections(
     BP(A): the class may contain whole rays that no finite grid exhausts.
     """
     total = grid.size(algebra.dim)
-    if total > point_cap:
-        raise CapExceededError(
-            f"grid has {total} points; cap is {point_cap} (raise point_cap to override)"
-        )
+    if total > GRID_POINT_CAP:
+        raise CapExceededError(f"grid has {total} points; the limit is {GRID_POINT_CAP}")
     # Points with a negative coordinate are not positive, and dropping them
     # keeps the rest in lexicographic order.
     values = [v for v in grid.values if v >= 0]

@@ -8,14 +8,14 @@ byte-identical documents.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
 from .fixtures import BuiltinMeta
 from .inner import GammaSet, enumerate_inner, is_inner, validate_family
 from .io import scalar_to_wire
-from .lattice import LatticeElement
+from .lattice import ApproxReal, LatticeElement
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GridSpec,
@@ -79,10 +79,17 @@ def fmt_spectrum(result: SpectrumResult) -> str:
     ]
     for root in result.other_roots:
         z = root.value
-        label = f"{z.real:.12g}" if abs(z.imag) <= root.radius else f"{z.real:.12g}{z.imag:+.12g}i"
+        label = f"{z.real:.12g}" if root.certified_real() else f"{z.real:.12g}{z.imag:+.12g}i"
         suffix = f" ± {root.radius:.3g}"
         parts.append(label + suffix + (f" (×{root.multiplicity})" if root.multiplicity > 1 else ""))
     return "{" + ", ".join(parts) + "}"
+
+
+def fmt_radius(radius: Union[Fraction, ApproxReal]) -> str:
+    """A spectral radius: exact, or its value ± error."""
+    if isinstance(radius, Fraction):
+        return fmt_scalar(radius)
+    return f"{radius.value:.12g} ± {radius.error:.3g}"
 
 
 def fmt_projection_matrix(m: OperatorMatrix) -> str:
@@ -199,16 +206,12 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         for name in named:
             x = algebra.elements[name]
             result = spectrum(algebra, x)
-            radius = result.spectral_radius()
-            radius_str = fmt_scalar(radius) if isinstance(radius, Fraction) else (
-                f"{radius.value:.12g} ± {radius.error:.3g}"
-            )
             lines += [
                 f"### {name} = {fmt_element(x)}",
                 "",
                 f"- char poly of the left-multiplication matrix: {fmt_poly(result.char_poly)}",
                 f"- spectrum: {fmt_spectrum(result)}",
-                f"- spectral radius: {radius_str}",
+                f"- spectral radius: {fmt_radius(result.spectral_radius())}",
                 "",
             ]
 

@@ -10,53 +10,89 @@ solving the linear system is automatically two-sided (see
 operators.invert_element).  Hence σ(a) = σ(L_a), the root set of the
 characteristic polynomial.
 
-Characteristic polynomials are exact; rational roots are extracted exactly
-by divisor search; whatever remains is factored square-free (exact gcd)
-and its roots found numerically with a posteriori Weierstrass error radii.
-The fixtures keep every classification-relevant root rational, so the
-numeric tolerances never decide a theorem.
+Characteristic polynomials are exact, and every root comes from one exact
+routine, _isolate.  It runs Durand–Kerner on Gaussian integers in units of
+2^-p and certifies the result: for a square-free q of degree d the disk
+|z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
+bounded above by a rational) holds a root, and pairwise disjoint disks hold
+exactly one each.  A disk centred on the real axis is its own mirror image,
+so its root is real; no tolerance decides realness.  Rational roots are read
+off the real disks: once a disk's radius is below 1/(2·lead²), the fraction
+of denominator ≤ lead nearest its centre is the only rational it can hold,
+and it is tested exactly.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
-
-import mpmath
 
 from . import linalg
 from .algebra import AlgebraSpec
 from .center import in_identity_ideal, norm_e
-from .errors import InputError, MathViolationError, NotBandProjectionError
-from .lattice import ApproxReal, LatticeElement, as_scalar
+from .errors import CapExceededError, InputError, MathViolationError, NotBandProjectionError
+from .lattice import ApproxReal, LatticeElement, as_scalar, float_above, to_float
 from .operators import invert_element, left_mult
 from .projections import is_band_projection, is_order_idempotent
 
-REAL_TOL = 1e-12
+# Durand–Kerner finds the roots at FIRST_BITS of precision below their size
+# bound, where its numbers are short, and doubles the precision until the
+# disks certify, trying from CERTIFY_BITS of absolute precision on.  Past
+# MAX_BITS a polynomial is refused: its roots are too close together, or its
+# leading coefficient too large, to isolate in bounded time.  SWEEPS bounds
+# the iterations at one precision.
+FIRST_BITS = 16
+CERTIFY_BITS = 128
+MAX_BITS = 1 << 12
+SWEEPS = 200
 
 
 @dataclass(frozen=True)
 class NumericRoot:
-    """A root known only numerically: a disk |z − value| ≤ radius."""
+    """A root in the disk |z − (re + i·im)| ≤ bound that holds no other root
+    of its square-free factor.
 
-    value: complex
-    radius: float
+    re and im are the exact dyadic centre and bound is an exact rational;
+    value is the centre rounded to doubles and radius the bound rounded up.
+    The predicates decide on the exact centre.  A disk centred on the real
+    axis holds a real root, because the conjugate of its root lies in the
+    mirror disk, which is the same disk.
+    """
+
+    re: Fraction
+    im: Fraction
+    bound: Fraction
     multiplicity: int
 
-    def certified_real(self, tol: float = REAL_TOL) -> bool:
-        return abs(self.value.imag) <= self.radius and 2 * self.radius < tol
+    @property
+    def value(self) -> complex:
+        return complex(to_float(self.re), to_float(self.im))
+
+    @property
+    def radius(self) -> float:
+        return float_above(self.bound)
+
+    def certified_real(self) -> bool:
+        return self.im == 0
 
     def certified_nonreal(self) -> bool:
-        return abs(self.value.imag) > self.radius
+        return abs(self.im) > self.bound
 
-    def certified_nonnegative(self, tol: float = REAL_TOL) -> bool:
-        return self.value.real - self.radius > -tol
+    def certified_nonnegative(self) -> bool:
+        return self.re - self.bound >= 0
 
     def certified_negative_real_part(self) -> bool:
-        return self.value.real + self.radius < 0
+        return self.re + self.bound < 0
+
+    def modulus_bounds(self) -> tuple[Fraction, Fraction]:
+        """Rationals lo ≤ |λ| ≤ hi for the root λ in the disk."""
+        square = self.re**2 + self.im**2  # |centre| = √(num·den)/den
+        den = square.denominator
+        root = math.isqrt(square.numerator * den)
+        low = max(Fraction(root, den) - self.bound, Fraction(0))
+        return low, Fraction(root + 1, den) + self.bound
 
 
 @dataclass(frozen=True)
@@ -66,7 +102,7 @@ class SpectrumResult:
     char_poly lists ascending coefficients of det(L_a − λI), so for the
     3-dimensional reflection fixture's p it reads [0, 1, 0, -1] = −λ³ + λ.
     rational_roots carries exact (root, multiplicity) pairs; other_roots
-    covers the rest with certified error disks.
+    covers the rest with certified disjoint disks.
     """
 
     element: LatticeElement
@@ -110,7 +146,8 @@ class SpectrumResult:
         return None
 
     def spectral_radius(self):
-        """max |λ| over σ(a): a Fraction when exact, else an ApproxReal."""
+        """max |λ| over σ(a): a Fraction when exact, else an ApproxReal whose
+        error bounds the distance from its value to the true radius."""
         rational_max = max(
             (abs(root) for root, _ in self.rational_roots), default=None
         )
@@ -118,12 +155,17 @@ class SpectrumResult:
             if rational_max is None:
                 raise MathViolationError("characteristic polynomial with no roots")
             return rational_max
-        best = max(self.other_roots, key=lambda r: abs(r.value))
-        numeric_best = abs(best.value)
-        if rational_max is not None and float(rational_max) >= numeric_best + best.radius:
+        floor = rational_max if rational_max is not None else Fraction(0)
+        lows, highs = zip(*(root.modulus_bounds() for root in self.other_roots))
+        lower, upper = max(floor, *lows), max(floor, *highs)
+        if rational_max is not None and rational_max >= upper:
             return rational_max
-        value = max(numeric_best, float(rational_max) if rational_max is not None else 0.0)
-        return ApproxReal(value=value, error=best.radius)
+        moduli = [math.hypot(root.value.real, root.value.imag) for root in self.other_roots]
+        value = max(*moduli, to_float(floor))
+        if value == math.inf:
+            return ApproxReal(value=value, error=value)
+        exact = Fraction(value)
+        return ApproxReal(value=value, error=float_above(max(upper - exact, exact - lower)))
 
     def multiplicity_total(self) -> int:
         return sum(m for _, m in self.rational_roots) + sum(
@@ -131,56 +173,30 @@ class SpectrumResult:
         )
 
 
-def _integer_clear(coeffs: Sequence[Fraction]) -> list[int]:
-    """Scale a rational polynomial to integer coefficients (content kept)."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(c * denom) for c in coeffs]
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
     """Exact rational roots with multiplicities; also returns the root-free cofactor.
 
-    Divisor search on the integer-cleared polynomial (candidates p/q with
-    p | constant term, q | leading coefficient), with repeated synthetic
-    division to count multiplicities.  One pass suffices: a rational root of
-    a cofactor is a root of the polynomial the candidates came from, and each
-    candidate is divided out as often as it divides when it is tested.
+    The real disks of the square-free part q give the candidates: a rational
+    root of q in lowest terms has a denominator dividing lead, the leading
+    coefficient of q's primitive integer form, and _isolate makes every real
+    disk narrower than 1/(2·lead²), so only the fraction nearest its centre
+    can be a root.  Each candidate is tested once and divided out as often
+    as it divides.
     """
     poly = linalg.poly_trim(coeffs)
     if len(poly) <= 1:
         raise InputError("constant polynomial has no meaningful root set")
+    square_free = linalg.poly_div_exact(poly, linalg.poly_gcd(poly, linalg.poly_derivative(poly)))
+    lead = linalg.integer_poly(square_free)[-1]
+    candidates = {
+        root.re.limit_denominator(lead) for root in _isolate(square_free) if root.certified_real()
+    }
     found: dict[Fraction, int] = {}
-    # Roots at zero first.
-    while len(poly) > 1 and poly[0] == 0:
-        found[Fraction(0)] = found.get(Fraction(0), 0) + 1
-        poly = poly[1:]
-    if len(poly) > 1:
-        ints = _integer_clear(poly)
-        for p, q in itertools.product(_divisors(ints[0]), _divisors(ints[-1])):
-            if gcd(p, q) != 1:
-                continue
-            for candidate in (Fraction(p, q), Fraction(-p, q)):
-                while len(poly) > 1 and linalg.poly_eval(poly, candidate) == 0:
-                    found[candidate] = found.get(candidate, 0) + 1
-                    poly = linalg.poly_divmod_linear(poly, candidate)
-            if len(poly) <= 1:
-                break
-    ordered = sorted(found.items(), key=lambda kv: kv[0])
-    return ordered, poly
+    for candidate in sorted(candidates):
+        while len(poly) > 1 and linalg.poly_eval(poly, candidate) == 0:
+            found[candidate] = found.get(candidate, 0) + 1
+            poly = linalg.poly_divmod_linear(poly, candidate)
+    return sorted(found.items()), poly
 
 
 def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -206,40 +222,150 @@ def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction]
     return out
 
 
-def _numeric_roots(factor: list[Fraction], multiplicity: int) -> list[NumericRoot]:
-    """Roots of a square-free rational polynomial with Weierstrass radii.
+# Gaussian integers (x, y) stand for (x + iy)/2^p below.
+Gaussian = tuple[int, int]
 
-    For monic square-free q of degree d and approximations z_i, each disk
-    |z − z_i| ≤ d·|q(z_i)| / ∏_{j≠i} |z_i − z_j| contains a true root.
+
+def _scaled_value(q: Sequence[int], z: Gaussian, p: int) -> Gaussian:
+    """2^(p·d)·q(z) for the integer polynomial q of degree d, by Horner."""
+    x, y = z
+    d = len(q) - 1
+    re, im = q[-1], 0
+    for k in range(d - 1, -1, -1):
+        re, im = re * x - im * y + (q[k] << (p * (d - k))), re * y + im * x
+    return re, im
+
+
+def _scaled_product(zs: Sequence[Gaussian], i: int) -> Gaussian:
+    """2^(p·(d−1))·∏_{j≠i}(z_i − z_j)."""
+    x, y = zs[i]
+    re, im = 1, 0
+    for j, (u, v) in enumerate(zs):
+        if j != i:
+            dx, dy = x - u, y - v
+            re, im = re * dx - im * dy, re * dy + im * dx
+    return re, im
+
+
+def _start(q: Sequence[int]) -> tuple[int, list[Gaussian]]:
+    """The first precision and d points on a circle whose radius is the
+    Fujiwara bound 2·max_k |a_k/a_d|^(1/(d−k)) (with a_0/2 for a_0), at angles
+    (k + 1/4)·2π/d: not symmetric about the real axis, so the iteration can
+    leave it.  The precision is FIRST_BITS finer than the bound, so that small
+    roots are not all rounded to 0."""
+    d = len(q) - 1
+    top = math.log2(q[-1])
+    exponent = 1 + max(
+        (
+            (math.log2(abs(c)) - top - (k == 0)) / (d - k)
+            for k, c in enumerate(q[:-1])
+            if c
+        ),
+        default=0.0,
+    )
+    p = FIRST_BITS + max(0, -math.floor(exponent))
+    scale = exponent + p
+    shift = max(math.floor(scale) - 60, 0)
+
+    def scaled(t: float) -> int:
+        return round(t * 2.0 ** (scale - shift)) << shift
+
+    angles = [(k + 0.25) * 2 * math.pi / d for k in range(d)]
+    return p, [(scaled(math.cos(a)), scaled(math.sin(a))) for a in angles]
+
+
+def _durand_kerner(q: Sequence[int], zs: list[Gaussian], p: int) -> None:
+    """Iterate z_i ← z_i − q(z_i)/(lead·∏_{j≠i}(z_i − z_j)), rounded to the
+    grid 2^-p, until no step moves a point by more than one unit."""
+    lead = q[-1]
+    for _ in range(SWEEPS):
+        moved = False
+        for i, (x, y) in enumerate(zs):
+            qr, qi = _scaled_value(q, (x, y), p)
+            pr, pi = _scaled_product(zs, i)
+            den = 2 * lead * (pr * pr + pi * pi)
+            if den == 0:  # two points coincide on the grid: separate them
+                zs[i] = (x, y + 1)
+                moved = True
+                continue
+            step_x = (2 * (qr * pr + qi * pi) + den // 2) // den
+            step_y = (2 * (qi * pr - qr * pi) + den // 2) // den
+            zs[i] = (x - step_x, y - step_y)
+            moved = moved or abs(step_x) > 1 or abs(step_y) > 1
+        if not moved:
+            return
+
+
+def _radii(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[int]]:
+    """Upper bounds, in units of 2^-2p, on the Weierstrass radii
+    d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)|; None if two points coincide."""
+    d, lead = len(q) - 1, q[-1]
+    out = []
+    for i in range(d):
+        qr, qi = _scaled_value(q, zs[i], p)
+        pr, pi = _scaled_product(zs, i)
+        den = lead * lead * (pr * pr + pi * pi)
+        if den == 0:
+            return None
+        # radius·2^(2p) = d·|Q|·2^p / (lead·|P|) for Q, P as scaled above.
+        square = -(-(d * d * (qr * qr + qi * qi) << (2 * p)) // den)
+        root = math.isqrt(square)
+        out.append(root if root * root == square else root + 1)
+    return out
+
+
+def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p: int) -> bool:
+    """Disks pairwise disjoint, each centred on the real axis or missing it,
+    and the real ones narrower than 1/(2·lead²)."""
+    unit = 1 << p
+    for i, ((x, y), r) in enumerate(zip(zs, radii)):
+        if y == 0:
+            if 2 * q[-1] ** 2 * r >= unit * unit:
+                return False
+        elif abs(y) * unit <= r:
+            return False
+        for (u, v), s in zip(zs[i + 1 :], radii[i + 1 :]):
+            if ((x - u) ** 2 + (y - v) ** 2) * unit * unit <= (r + s) ** 2:
+                return False
+    return True
+
+
+def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
+    """Certified disjoint disks, one per root of a square-free rational polynomial.
+
+    Durand–Kerner runs on Gaussian integers at precision p.  At its fixed
+    point the centres whose disks meet the real axis are snapped onto it and
+    the disks are certified (_certified); if they fail, p doubles and the
+    iteration continues from the current points.
     """
-    degree = len(factor) - 1
-    with mpmath.workdps(60):
-        coeffs_desc = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(factor)
-        ]
-        zs = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=120)
-
-        def q_at(z):
-            acc = mpmath.mpc(0)
-            for c in coeffs_desc:
-                acc = acc * z + c
-            return acc
-
-        out = []
-        for i, z in enumerate(zs):
-            prod = mpmath.mpf(1)
-            for j, w in enumerate(zs):
-                if j != i:
-                    prod *= abs(z - w)
-            radius = degree * abs(q_at(z)) / prod if prod != 0 else mpmath.inf
-            out.append(
-                NumericRoot(
-                    value=complex(z),
-                    radius=float(radius),
-                    multiplicity=multiplicity,
-                )
+    q = linalg.integer_poly(factor)
+    p, zs = _start(q)
+    while True:
+        _durand_kerner(q, zs, p)
+        radii = _radii(q, zs, p) if p >= CERTIFY_BITS else None
+        if radii is not None:
+            unit = 1 << p
+            snapped = [(x, 0) if abs(y) * unit <= r else (x, y) for (x, y), r in zip(zs, radii)]
+            if snapped != zs:
+                radii = _radii(q, snapped, p)
+            if radii is not None and _certified(q, snapped, radii, p):
+                roots = [
+                    NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
+                    for (x, y), r in zip(snapped, radii)
+                ]
+                return sorted(roots, key=lambda r: (r.re, r.im))
+        if 2 * p > MAX_BITS:
+            raise CapExceededError(
+                f"isolating the roots of a degree-{len(q) - 1} factor "
+                f"needs more than {MAX_BITS} bits"
             )
-    return sorted(out, key=lambda r: (r.value.real, r.value.imag))
+        zs = [(x << p, y << p) for x, y in zs]
+        p *= 2
+
+
+def _numeric_roots(factor: list[Fraction], multiplicity: int) -> list[NumericRoot]:
+    """The roots of a square-free factor, each with the factor's multiplicity."""
+    return [replace(root, multiplicity=multiplicity) for root in _isolate(factor)]
 
 
 def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
@@ -256,7 +382,7 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     numeric: list[NumericRoot] = []
     for factor, mult in square_free_factors(cofactor):
         numeric.extend(_numeric_roots(factor, mult))
-    numeric.sort(key=lambda r: (r.value.real, r.value.imag))
+    numeric.sort(key=lambda r: (r.re, r.im))
     result = SpectrumResult(
         element=a,
         char_poly=char,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,3 +237,45 @@ def test_parser_reuse_keeps_calls_independent(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     code, _, _ = run_cli(capsys, "verify", "builtin:upper2")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "tensor, element",
+    [
+        # diag(10¹²+39, 10¹²+61): a divisor search would trial-divide up to 10¹²
+        ([[0, 0, 0, 1], [1, 1, 1, 1]], [1000000000039, 1000000000061]),
+        # an m2-regular element with 40-digit entries and irrational eigenvalues
+        (
+            [list(key) + [1] for key in la.builtin("m2-regular").tensor],
+            [
+                "1234567890123456789012345678901234567891/987654321098765432109876543210987654321",
+                "3141592653589793238462643383279502884197",
+                "2718281828459045235360287471352662497757/7",
+                "1",
+            ],
+        ),
+    ],
+)
+def test_spectrum_of_large_entries_is_fast(tmp_path, capsys, tensor, element):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": len(element), "tensor": tensor, "elements": {"a": element}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", str(path), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    entry = json.loads(out)["elements"]["a"]
+    roots = entry["rational_roots"] + entry["numeric_roots"]
+    assert sum(root["multiplicity"] for root in roots) == len(element)
+
+
+def test_dense_tensor_past_the_product_limit_exits_2(tmp_path, capsys):
+    n = 25  # a dense tensor needs 2n⁵ = 19,531,250 products, past 2²⁴
+    rows = [[i, j, k, 1] for i in range(n) for j in range(n) for k in range(n)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"dim": n, "tensor": rows}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the associativity check needs 19531250 tensor products; the limit is 16777216\n"
+    )

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticealg import (
@@ -122,6 +122,33 @@ def test_p_norm_is_approximate():
     assert abs(value.value - 5.0) <= max(value.error, 1e-12)
     assert NormSpec(kind="sup").is_exact()
     assert not spec.is_exact()
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)]),
+    roots=st.lists(rationals, min_size=1, max_size=4),
+    weights=st.lists(st.fractions(min_value="1/9", max_value=9, max_denominator=9), min_size=4, max_size=4),
+)
+def test_p_norm_encloses_the_norm(p, roots, weights):
+    # x_i = s_i², so |x_i|^p = |s_i|^(2p) and ‖x‖^(2p) = (Σ w_i·|s_i|^(2p))² are
+    # rational for p ∈ {3/2, 2, 3}: the enclosure is checked exactly
+    x = vec([s * s for s in roots])
+    w = tuple(weights[: x.dim])
+    total = sum(wi * abs(s) ** int(2 * p) for wi, s in zip(w, roots))
+    value = norm(x, NormSpec(kind="p", p=p, weights=w))
+    assert isinstance(value, ApproxReal)
+    low = max(Fraction(value.value) - Fraction(value.error), Fraction(0))
+    high = Fraction(value.value) + Fraction(value.error)
+    power = int(2 * p)  # ‖x‖^power = total²
+    assert low**power <= total**2 <= high**power
+    assert value.error <= 1e-15 * max(value.value, 1e-300) or value.value == 0
+
+
+def test_p_norm_exponent_size_is_limited():
+    NormSpec(kind="p", p=Fraction(100, 99))
+    with pytest.raises(InputError, match="above 100$"):
+        NormSpec(kind="p", p=Fraction(101, 100))
 
 
 @given(elements(), elements())

@@ -21,9 +21,8 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
-def test_no_module_imports_random():
-    """Every verdict is exact: the library draws no random samples."""
-    offenders = []
+def imported_top_level_names():
+    """(module file, top-level package) for every absolute import in the package."""
     for path in sorted(Path(la.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -32,5 +31,14 @@ def test_no_module_imports_random():
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "random"]
-    assert offenders == []
+            yield from ((path.name, n.split(".")[0]) for n in names)
+
+
+def test_no_module_imports_random():
+    """Every verdict is exact: the library draws no random samples."""
+    assert [f"{f}: {n}" for f, n in imported_top_level_names() if n == "random"] == []
+
+
+def test_no_module_imports_mpmath():
+    """Roots and p-norms are bracketed with integers; nothing needs mpmath."""
+    assert [f"{f}: {n}" for f, n in imported_top_level_names() if n == "mpmath"] == []

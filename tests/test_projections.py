@@ -150,7 +150,7 @@ def test_grid_spec():
 
 def test_grid_search_cap():
     alg = la.builtin("upper2-pair")  # dim 6
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^grid has \d+ points; the limit is 250000$"):
         la.search_band_projections(alg, GridSpec.from_resolution(50))
 
 

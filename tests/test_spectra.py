@@ -1,13 +1,17 @@
 """Characteristic polynomials, exact and numeric roots, spectral theorems."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg import ApproxReal, GridSpec, InputError, vec
+from latticealg import ApproxReal, GridSpec, InputError, linalg, vec
 from latticealg.spectra import (
     evaluate_char_poly_at_element,
     rational_roots,
@@ -194,3 +198,41 @@ def test_shifted_idempotent_cases():
     assert "σ(a)" in res.failed_hypothesis
     res = la.shifted_idempotent_check(u, vec([2, 0, 3]), "-1")
     assert not res.applicable and res.failed_hypothesis == "λ is negative"
+
+
+def test_only_real_disks_give_candidates(monkeypatch):
+    # (λ² + 1)(λ² − 2λ + 5): no real root, so no candidate is evaluated,
+    # although 0 and 1, the real parts of ±i and 1 ± 2i, are rational
+    evaluations = []
+    poly_eval = linalg.poly_eval
+    monkeypatch.setattr(linalg, "poly_eval", lambda p, x: evaluations.append(x) or poly_eval(p, x))
+    coeffs = [F(5), F(-2), F(6), F(-2), F(1)]
+    assert rational_roots(coeffs) == ([], coeffs)
+    assert evaluations == []
+
+
+def test_spectrum_needs_no_mpmath():
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import latticealg as la\n"
+        "from fractions import Fraction\n"
+        "from latticealg.lattice import norm\n"
+        "for name in la.BUILTIN_NAMES:\n"
+        "    alg = la.builtin(name)\n"
+        "    if alg.has_identity():\n"
+        "        for x in [alg.require_identity(), *alg.elements.values()]:\n"
+        "            la.spectrum(alg, x).spectral_radius()\n"
+        "norm(la.vec([3, 4]), la.NormSpec(kind='p', p=Fraction(3, 2)))\n"
+        "print('ok')\n"
+    )
+    src = str(Path(la.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
