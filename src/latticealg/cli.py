@@ -44,6 +44,7 @@ from .lattice import LatticeElement
 from .operators import diagonal_mask_operator
 from .projections import (
     GridSpec,
+    check_grid_size,
     classify,
     enumerate_order_idempotents,
     is_left_bp,
@@ -276,11 +277,15 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
 
 def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     algebra, _meta = _resolve_algebra(config)
+    check_grid_size(config.grid + 1, algebra.dim)
     grid = GridSpec.from_resolution(config.grid)
+    # The grid search runs first: 2^m ≤ (N+1)^dim for the m atoms of A_e,
+    # so its cap also bounds the enumeration of the 2^m order idempotents.
+    certified = search_band_projections(algebra, grid)
+    core = [p for p in certified if is_left_bp(algebra, p) and is_right_bp(algebra, p)]
     payload: dict[str, Any] = {"name": algebra.name, "dim": algebra.dim}
     lines = [f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"]
-    unital = algebra.has_identity()
-    if unital:
+    if algebra.has_identity():
         oi = enumerate_order_idempotents(algebra)
         payload["order_idempotents"] = [element_to_wire(p) for p in oi]
         lines.append(f"order idempotents ({len(oi)}, complete):")
@@ -288,8 +293,6 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     else:
         payload["order_idempotents"] = None
         lines.append("order idempotents: not applicable (no identity)")
-    certified = search_band_projections(algebra, grid)
-    core = [p for p in certified if is_left_bp(algebra, p) and is_right_bp(algebra, p)]
     grid_str = "{" + ", ".join(fmt_scalar(v) for v in grid.values) + "}"
     payload["grid"] = [fmt_scalar(v) for v in grid.values]
     payload["band_projections_on_grid"] = [element_to_wire(p) for p in certified]

@@ -1,13 +1,16 @@
-"""Small exact linear algebra over Fraction: solving, rref, char poly helpers.
+"""Small exact linear algebra: solving and rref over Fraction, and the
+characteristic polynomial and its factors over the integers.
 
-Everything operates on lists of lists of Fraction and is written for the tiny
-dimensions this package meets (n ≤ 12 or so); clarity over asymptotics.
+Matrices are lists of lists of Fraction; polynomials are ascending
+coefficient lists.  Everything is written for the small dimensions this
+package meets (an algebra file's dim is at most 64); clarity over asymptotics.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 Matrix = list[list[Fraction]]
@@ -16,10 +19,6 @@ Vector = list[Fraction]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -38,10 +37,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
                 if bt[j] != 0:
                     oi[j] += c * bt[j]
     return out
-
-
-def trace(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def rref(aug: Matrix) -> tuple[Matrix, list[int]]:
@@ -88,22 +83,29 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[Ve
 
 
 def char_poly_monic(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Coefficients (ascending) of det(λI − A), computed exactly.
+    """Coefficients (ascending) of det(λI − A), computed exactly over ℤ.
 
-    Faddeev–LeVerrier recursion: M_1 = A, c_{n-k} = −tr(A·M_k)/k with
-    M_{k+1} = A·M_k + c_{n-k}·I.  Division only by integers, so exact over Q.
+    A is cleared to the integer matrix B = D·A, D the lcm of its
+    denominators, and the Faddeev–LeVerrier recursion runs on B: M_1 = I,
+    b_{n−k} = −tr(B·M_k)/k and M_{k+1} = B·M_k + b_{n−k}·I.  The b_k are the
+    coefficients of det(λI − B), integers, so each division by k is exact.
+    det(λI − A) = D^(−n)·det(DλI − B), so c_k = b_k / D^(n−k).
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    am = [list(row) for row in a]
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    coeffs = [0] * n + [1]
+    product = [list(row) for row in b]  # B·M_1
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / k
+        c = -sum(product[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+        if k == n:
+            break
+        for i in range(n):
+            product[i][i] += c
+        columns = list(zip(*product))
+        product = [[sum(map(mul, row, col)) for col in columns] for row in b]
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -114,21 +116,8 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_divmod_linear(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division of p by (x − root); requires p(root) = 0."""
-    quotient: list[Fraction] = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        quotient.append(acc)
-    remainder = quotient.pop()
-    assert remainder == 0, "division by (x - root) with nonzero remainder"
-    quotient.reverse()
-    return quotient
-
-
-def poly_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
+def poly_derivative(coeffs: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(coeffs)][1:] or [0]
 
 
 def poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
@@ -138,29 +127,22 @@ def poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
     return q
 
 
-def poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact polynomial long division: a = q·b + r with deg r < deg b."""
-    r = poly_trim(a)
-    d = poly_trim(b)
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lead = len(d) - 1, d[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i, c in enumerate(d):
-            r[shift + i] -= factor * c
-        r = poly_trim(r)
-    return poly_trim(q), r
+def poly_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials, b primitive and dividing a over Q.
 
-
-def poly_div_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    q, r = poly_divmod(a, b)
-    assert not r, "polynomial division left a remainder"
+    By Gauss's lemma the quotient then has integer coefficients, so every
+    step of the long division divides exactly.
+    """
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        top, rest = divmod(r[shift + db], lead)
+        assert rest == 0, "polynomial division left a fraction"
+        q[shift] = top
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+    assert not any(r), "polynomial division left a remainder"
     return q
 
 
@@ -191,18 +173,15 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q by the primitive Euclidean algorithm: each remainder is
-    taken on integer multiples and reduced to its primitive part, so the
-    coefficients stay near the size of the gcd's instead of growing with
-    every step as they do over Fraction."""
-    fa, fb = poly_trim(a), poly_trim(b)
-    if not fa or not fb:
-        rest = fa or fb
-        return [c / rest[-1] for c in rest] if rest else []
-    ia, ib = integer_poly(fa), integer_poly(fb)
-    while ib:
-        ia, ib = ib, _pseudo_remainder(ia, ib)
-        if ib:
-            ib = _primitive(ib)
-    return [Fraction(c, ia[-1]) for c in ia]
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd, with positive leading coefficient, of two nonzero
+    integer polynomials, by the primitive Euclidean algorithm: each
+    remainder is taken on integer multiples and reduced to its primitive
+    part, so the coefficients stay near the size of the gcd's instead of
+    growing with every step."""
+    a, b = _primitive(poly_trim(a)), _primitive(poly_trim(b))
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    return a

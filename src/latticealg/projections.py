@@ -39,6 +39,15 @@ from .operators import invert_element, mult_op  # noqa: F401
 GRID_POINT_CAP = 250_000
 
 
+def check_grid_size(values: int, dim: int) -> None:
+    """Refuse a grid of values^dim points past GRID_POINT_CAP, so that a
+    caller can refuse before it builds the values."""
+    if values > GRID_POINT_CAP:  # values^dim may be too long to print
+        raise CapExceededError(f"grid has {values}^{dim} points; the limit is {GRID_POINT_CAP}")
+    if values**dim > GRID_POINT_CAP:
+        raise CapExceededError(f"grid has {values**dim} points; the limit is {GRID_POINT_CAP}")
+
+
 def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
     """p² = p and 0 ≤ p ≤ e, all tested exactly.
 
@@ -351,9 +360,7 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[Lattic
     lexicographic grid order.  This is a search aid, not an enumeration of
     BP(A): the class may contain whole rays that no finite grid exhausts.
     """
-    total = grid.size(algebra.dim)
-    if total > GRID_POINT_CAP:
-        raise CapExceededError(f"grid has {total} points; the limit is {GRID_POINT_CAP}")
+    check_grid_size(len(grid.values), algebra.dim)
     # Points with a negative coordinate are not positive, and dropping them
     # keeps the rest in lexicographic order.
     values = [v for v in grid.values if v >= 0]

@@ -10,16 +10,18 @@ solving the linear system is automatically two-sided (see
 operators.invert_element).  Hence σ(a) = σ(L_a), the root set of the
 characteristic polynomial.
 
-Characteristic polynomials are exact, and every root comes from one exact
-routine, _isolate.  It runs Durand–Kerner on Gaussian integers in units of
-2^-p and certifies the result: for a square-free q of degree d the disk
+The characteristic polynomial is computed over ℤ (linalg.char_poly_monic),
+its primitive integer form is split by one pass of Yun's square-free
+factorization, and each factor goes once through one exact routine,
+_isolate.  It runs Durand–Kerner on Gaussian integers in units of 2^-p and
+certifies the result: for a square-free q of degree d the disk
 |z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
 so its root is real; no tolerance decides realness.  Rational roots are read
 off the real disks: once a disk's radius is below 1/(2·lead²), the fraction
 of denominator ≤ lead nearest its centre is the only rational it can hold,
-and it is tested exactly.
+and it is a root when it lies in the disk and q vanishes on it exactly.
 """
 
 from __future__ import annotations
@@ -173,49 +175,50 @@ class SpectrumResult:
         )
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
-    """Exact rational roots with multiplicities; also returns the root-free cofactor.
+def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[NumericRoot]]:
+    """All roots with multiplicities: the rational ones exactly, the others
+    as certified disks.
 
-    The real disks of the square-free part q give the candidates: a rational
-    root of q in lowest terms has a denominator dividing lead, the leading
-    coefficient of q's primitive integer form, and _isolate makes every real
-    disk narrower than 1/(2·lead²), so only the fraction nearest its centre
-    can be a root.  Each candidate is tested once and divided out as often
-    as it divides.
+    Each Yun factor q is isolated once.  A rational root of q in lowest
+    terms has a denominator dividing lead, q's leading coefficient, and
+    _isolate makes every real disk narrower than 1/(2·lead²), so the
+    fraction of denominator ≤ lead nearest a real disk's centre is the only
+    rational the disk can hold.  It is a root when it lies in the disk and
+    q vanishes on it; a disk that holds no rational root is kept.
     """
-    poly = linalg.poly_trim(coeffs)
-    if len(poly) <= 1:
+    if len(linalg.poly_trim(coeffs)) <= 1:
         raise InputError("constant polynomial has no meaningful root set")
-    square_free = linalg.poly_div_exact(poly, linalg.poly_gcd(poly, linalg.poly_derivative(poly)))
-    lead = linalg.integer_poly(square_free)[-1]
-    candidates = {
-        root.re.limit_denominator(lead) for root in _isolate(square_free) if root.certified_real()
-    }
-    found: dict[Fraction, int] = {}
-    for candidate in sorted(candidates):
-        while len(poly) > 1 and linalg.poly_eval(poly, candidate) == 0:
-            found[candidate] = found.get(candidate, 0) + 1
-            poly = linalg.poly_divmod_linear(poly, candidate)
-    return sorted(found.items()), poly
+    found: list[tuple[Fraction, int]] = []
+    disks: list[NumericRoot] = []
+    for factor, multiplicity in square_free_factors(coeffs):
+        lead = factor[-1]
+        for disk in _isolate(factor):
+            if disk.certified_real():
+                candidate = disk.re.limit_denominator(lead)
+                if abs(candidate - disk.re) <= disk.bound and linalg.poly_eval(factor, candidate) == 0:
+                    found.append((candidate, multiplicity))
+                    continue
+            disks.append(replace(disk, multiplicity=multiplicity))
+    return sorted(found), sorted(disks, key=lambda r: (r.re, r.im))
 
 
-def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's square-free factorization over Q: [(factor, multiplicity)]."""
+def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[int], int]]:
+    """Yun's square-free factorization of the primitive integer form of
+    coeffs: [(factor, multiplicity)], each factor primitive with a positive
+    leading coefficient."""
     poly = linalg.poly_trim(coeffs)
     if len(poly) <= 1:
         return []
-    monic = [c / poly[-1] for c in poly]
-    g = linalg.poly_gcd(monic, linalg.poly_derivative(monic))
-    if len(g) <= 1:
-        return [(monic, 1)]
-    out: list[tuple[list[Fraction], int]] = []
-    w = linalg.poly_div_exact(monic, g)
+    f = linalg.integer_poly(poly)
+    g = linalg.poly_gcd(f, linalg.poly_derivative(f))
+    w = linalg.poly_div_exact(f, g)
+    out: list[tuple[list[int], int]] = []
     i = 1
     while len(w) > 1:
         y = linalg.poly_gcd(w, g)
-        f = linalg.poly_div_exact(w, y)
-        if len(f) > 1:
-            out.append((f, i))
+        factor = linalg.poly_div_exact(w, y)
+        if len(factor) > 1:
+            out.append((factor, i))
         w = y
         g = linalg.poly_div_exact(g, y)
         i += 1
@@ -331,7 +334,8 @@ def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p
 
 
 def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
-    """Certified disjoint disks, one per root of a square-free rational polynomial.
+    """Certified disjoint disks, one per root of a square-free rational
+    polynomial, found on its primitive integer form.
 
     Durand–Kerner runs on Gaussian integers at precision p.  At its fixed
     point the centres whose disks meet the real axis are snapped onto it and
@@ -363,11 +367,6 @@ def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
         p *= 2
 
 
-def _numeric_roots(factor: list[Fraction], multiplicity: int) -> list[NumericRoot]:
-    """The roots of a square-free factor, each with the factor's multiplicity."""
-    return [replace(root, multiplicity=multiplicity) for root in _isolate(factor)]
-
-
 def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     """σ(a) = σ(L_a): exact characteristic polynomial, factored root set."""
     algebra.require_identity()
@@ -378,16 +377,9 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     n = algebra.dim
     sign = Fraction(-1) ** n
     char = tuple(sign * c for c in monic)  # det(L_a − λI)
-    rr, cofactor = rational_roots(monic)
-    numeric: list[NumericRoot] = []
-    for factor, mult in square_free_factors(cofactor):
-        numeric.extend(_numeric_roots(factor, mult))
-    numeric.sort(key=lambda r: (r.re, r.im))
+    exact, disks = rational_roots(monic)
     result = SpectrumResult(
-        element=a,
-        char_poly=char,
-        rational_roots=tuple(rr),
-        other_roots=tuple(numeric),
+        element=a, char_poly=char, rational_roots=tuple(exact), other_roots=tuple(disks)
     )
     if result.multiplicity_total() != n:
         raise MathViolationError("root multiplicities do not sum to the dimension")

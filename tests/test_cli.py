@@ -279,3 +279,26 @@ def test_dense_tensor_past_the_product_limit_exits_2(tmp_path, capsys):
     assert err == (
         "error: the associativity check needs 19531250 tensor products; the limit is 16777216\n"
     )
+
+
+@pytest.mark.parametrize(
+    "target, grid, message",
+    [
+        # 10⁹ + 1 values: refused before a single one is built
+        ("builtin:upper2", "1000000000", "grid has 1000000001^3 points"),
+        # unital diagonal dim 20: 2²⁰ order idempotents, refused by the grid
+        # search that runs before their enumeration
+        ("diagonal", "2", "grid has 3486784401 points"),
+    ],
+)
+def test_classify_refuses_large_grids_before_building(tmp_path, capsys, target, grid, message):
+    if target == "diagonal":
+        target = str(tmp_path / "diag20.json")
+        rows = [[i, i, i, 1] for i in range(20)]
+        (tmp_path / "diag20.json").write_text(json.dumps({"dim": 20, "tensor": rows}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", target, "--grid", grid)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}; the limit is 250000\n"

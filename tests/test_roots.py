@@ -109,10 +109,10 @@ def assert_one_root_per_disk(factor, disks):
     [Fraction(c) for c in (0, 0, 9, -M36, 10, -M36, 1)]
 )
 def test_roots_match_sympy(poly):
-    roots, cofactor = rational_roots(poly)
+    roots, disks = rational_roots(poly)
     assert dict(roots) == linear_factor_roots(poly)
-    assert sum(m for _, m in roots) + len(cofactor) - 1 == len(poly) - 1
-    for factor, _ in square_free_factors(cofactor):
+    assert sum(m for _, m in roots) + sum(d.multiplicity for d in disks) == len(poly) - 1
+    for factor, _ in square_free_factors(poly):
         assert_one_root_per_disk(factor, _isolate(factor))
 
 
@@ -123,9 +123,14 @@ def test_forty_digit_rational_roots():
     r2 = Fraction(-3141592653589793238462643383279502884197, 2718281828459045235360287471352662497757)
     quadratic = [Fraction(-2), Fraction(0), Fraction(1)]
     poly = times(times([-r1, Fraction(1)], [-r2, Fraction(1)]), quadratic)
-    roots, cofactor = rational_roots(poly)
+    roots, disks = rational_roots(poly)
     assert roots == sorted([(r1, 1), (r2, 1)])
-    assert cofactor == quadratic
+    # the other two roots are −√2 and √2, each alone in a real disk
+    assert [d.multiplicity for d in disks] == [1, 1]
+    for disk, sign in zip(disks, (-1, 1)):
+        assert disk.certified_real() and sign * disk.re > 0
+        low, high = abs(disk.re) - disk.bound, abs(disk.re) + disk.bound
+        assert 0 < low and low**2 <= 2 <= high**2
 
 
 def test_close_roots_get_disjoint_disks():
@@ -141,7 +146,8 @@ def test_close_roots_get_disjoint_disks():
 @settings(max_examples=40, deadline=None)
 @given(polynomials, polynomials)
 def test_poly_gcd_matches_sympy(a, b):
-    # the primitive Euclidean algorithm on integer multiples, against sympy
-    gcd = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
-    want = [Fraction(int(c.p), int(c.q)) for c in reversed(gcd.all_coeffs())]
-    assert linalg.poly_gcd(a, b) == want
+    # the primitive Euclidean algorithm on integer multiples, against sympy's
+    # monic gcd cleared to its primitive integer form
+    _, gcd = sympy.gcd(to_sympy(a), to_sympy(b)).monic().clear_denoms(convert=True)
+    want = [int(c) for c in reversed(gcd.primitive()[1].all_coeffs())]
+    assert linalg.poly_gcd(linalg.integer_poly(a), linalg.integer_poly(b)) == want

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg import ApproxReal, GridSpec, InputError, linalg, vec
+from latticealg import ApproxReal, GridSpec, InputError, linalg, spectra, vec
 from latticealg.spectra import (
     evaluate_char_poly_at_element,
     rational_roots,
@@ -23,6 +23,36 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 def F(*args):
     return Fraction(*args)
+
+
+def faddeev_leverrier(a):
+    """Reference: det(λI − A), ascending, by Faddeev–LeVerrier over Fraction.
+
+    M_1 = I, c_{n−k} = −tr(A·M_k)/k and M_{k+1} = A·M_k + c_{n−k}·I.
+    """
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_char_poly_matches_fraction_reference(a):
+    # the integer recursion on D·A, rescaled, against the Fraction recursion on A
+    assert linalg.char_poly_monic(a) == faddeev_leverrier(a)
 
 
 def test_char_poly_of_diagonal_multiplier():
@@ -90,13 +120,54 @@ def test_irrational_roots_are_certified_numerically():
 def test_rational_roots_helper():
     # (λ − 1/2)²·(λ + 3) = λ³ + 2λ² − 11/4·λ + 3/4
     coeffs = [F(3, 4), F(-11, 4), F(2), F(1)]
-    roots, cofactor = rational_roots(coeffs)
+    roots, disks = rational_roots(coeffs)
     assert dict(roots) == {F(1, 2): 2, F(-3): 1}
-    assert cofactor == [F(1)]
-    # λ² − 2 has no rational roots at all
-    roots, cofactor = rational_roots([F(-2), F(0), F(1)])
+    assert disks == []
+    # λ² − 2 has no rational roots at all: both roots stay in real disks
+    roots, disks = rational_roots([F(-2), F(0), F(1)])
     assert roots == []
-    assert cofactor == [F(-2), F(0), F(1)]
+    assert [(d.certified_real(), d.multiplicity) for d in disks] == [(True, 1), (True, 1)]
+    assert disks[0].re < 0 < disks[1].re
+
+
+def test_rational_root_must_lie_in_its_disk():
+    # (λ − 3)(λ² − λ − 8) is one square-free factor.  3 is the nearest
+    # integer to the disk of (1 + √33)/2 ≈ 3.372 and a root, but of another
+    # disk: it is counted once, and both irrational roots keep their disks.
+    coeffs = [F(24), F(-5), F(-4), F(1)]
+    roots, disks = rational_roots(coeffs)
+    assert roots == [(F(3), 1)]
+    assert [(d.certified_real(), d.multiplicity) for d in disks] == [(True, 1), (True, 1)]
+    for disk, root in zip(disks, ((1 - 33**0.5) / 2, (1 + 33**0.5) / 2)):
+        assert abs(disk.value.real - root) < 1e-12
+        assert disk.re - disk.bound > 3 or disk.re + disk.bound < 3
+
+
+def test_each_yun_factor_is_isolated_once(monkeypatch):
+    # (λ − 1)²(λ² − 2)²(λ + 1/2)(λ² + 1)³(λ − 5)³: Yun factors (λ + 1/2),
+    # (λ − 1)(λ² − 2) and (λ² + 1)(λ − 5), each mixing rational and other roots
+    isolated = []
+    isolate = spectra._isolate
+    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
+    poly = [F(1)]
+    factors = [[-1, 1]] * 2 + [[-2, 0, 1]] * 2 + [[F(1, 2), 1]] + [[1, 0, 1]] * 3 + [[-5, 1]] * 3
+    for factor in factors:
+        product = [F(0)] * (len(poly) + len(factor) - 1)
+        for i, u in enumerate(poly):
+            for j, v in enumerate(factor):
+                product[i + j] += u * v
+        poly = product
+    roots, disks = rational_roots(poly)
+    assert roots == [(F(-1, 2), 1), (F(1), 2), (F(5), 3)]
+    assert sorted((d.certified_real(), d.multiplicity) for d in disks) == [
+        (False, 3), (False, 3), (True, 2), (True, 2)
+    ]
+    assert sorted(isolated) == sorted(f for f, _ in square_free_factors(poly))
+    assert len(isolated) == 3
+    # spectrum isolates the golden element's one Yun factor, λ² − λ − 1, once
+    isolated.clear()
+    la.spectrum(la.builtin("m2-regular"), vec([1, 1, 1, 0]))
+    assert isolated == [[-1, -1, 1]]
 
 
 def test_square_free_factorization():
@@ -207,7 +278,9 @@ def test_only_real_disks_give_candidates(monkeypatch):
     poly_eval = linalg.poly_eval
     monkeypatch.setattr(linalg, "poly_eval", lambda p, x: evaluations.append(x) or poly_eval(p, x))
     coeffs = [F(5), F(-2), F(6), F(-2), F(1)]
-    assert rational_roots(coeffs) == ([], coeffs)
+    roots, disks = rational_roots(coeffs)
+    assert roots == []
+    assert [(d.certified_nonreal(), d.multiplicity) for d in disks] == [(True, 1)] * 4
     assert evaluations == []
 
 
