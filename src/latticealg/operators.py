@@ -124,9 +124,6 @@ class OperatorMatrix:
         """|T|, which on a coordinatewise lattice is the entrywise absolute value."""
         return OperatorMatrix(tuple(tuple(abs(v) for v in row) for row in self.entries))
 
-    def is_idempotent(self) -> bool:
-        return self.compose(self) == self
-
     def rows_list(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
 

@@ -7,8 +7,11 @@ Four classes of positive elements are distinguished:
   BP_l  left band projections: x ↦ a∗x is a band projection operator;
   BP_r  right band projections: x ↦ x∗a is one.
 
-BP_l ∩ BP_r ⊆ BP always, and in a unital algebra BP_l = OI = BP_r
-(evaluate the left-multiplication projection at e).  BP itself can be
+BP_l ∩ BP_r ⊆ BP always.  With a positive identity BP_l ⊆ OI and
+BP_r ⊆ OI (evaluate the mask at e); the converse, and so BP_l = OI = BP_r,
+needs a nonnegative associative tensor, which classify does not check:
+with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 = b1∗b2 = b2∗b0 = b2∗b1 = ½·b2, the
+order idempotent b0 is in neither, as L_{b0} halves b2.  BP itself can be
 strictly larger — it may contain whole rays — so its membership test is
 exact but enumeration is only offered for OI, where the atom picture of
 A_e makes the list provably complete.
@@ -149,6 +152,8 @@ class ProjectionClassification:
     is_right_bp: bool
 
     def check_internal_consistency(self) -> bool:
+        """BP_l ∩ BP_r ⊆ BP, and OI = BP_l ∩ BP_r, which holds only on a
+        nonnegative associative tensor (see the module docstring)."""
         if self.is_left_bp and self.is_right_bp and not self.is_bp:
             return False
         if self.is_oi is not None and self.is_oi != (self.is_left_bp and self.is_right_bp):
@@ -175,22 +180,19 @@ def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassificatio
 def enumerate_order_idempotents(algebra: AlgebraSpec) -> list[LatticeElement]:
     """All order idempotents, exactly — the 2^m subset sums of the atoms of A_e.
 
-    Completeness: any p with 0 ≤ p ≤ e is supported in supp(e), hence lies
-    in A_e, where the coordinate map is multiplicative; p² = p then forces
-    each K-coordinate into {0, 1}, i.e. p is a sum of atoms.  Every such
-    sum is verified against is_order_idempotent before being returned.
-    Output is sorted by coordinates for determinism.
+    Read off the certificate ck_representation checks once: its atoms p_i
+    are > 0, pairwise disjoint, p_i∗p_j = δ_ij·p_i and Σ p_i = e.  By
+    bilinearity alone a subset sum s = Σ_{i∈I} p_i has s∗s = Σ_{i,j∈I}
+    p_i∗p_j = s, and e − s is the sum of the other atoms, so 0 ≤ s ≤ e.
+    Complete too: 0 ≤ p ≤ e makes p = Σ c_i·p_i with 0 ≤ c_i ≤ 1, and
+    p∗p = Σ c_i²·p_i = p forces every c_i into {0, 1}.  Neither step needs
+    associativity or a nonnegative tensor.  Each atom is e on one coordinate
+    of supp(e), so the sums are built with no product, and as every e_i > 0
+    the product over (0, e_i) lists them in ascending coordinate order.
     """
-    rep = ck_representation(algebra)
-    out = []
-    for bits in itertools.product((Fraction(0), Fraction(1)), repeat=rep.n_points):
-        candidate = rep.from_coords(list(bits))
-        if not is_order_idempotent(algebra, candidate):
-            raise MathViolationError(
-                f"atom subset sum {candidate} is not an order idempotent"
-            )
-        out.append(candidate)
-    return sorted(out, key=lambda x: x.coords)
+    e = ck_representation(algebra).identity
+    choices = [(Fraction(0), c) if c else (Fraction(0),) for c in e.coords]
+    return [LatticeElement(coords) for coords in itertools.product(*choices)]
 
 
 class OIBoolean(NamedTuple):

@@ -21,7 +21,6 @@ from .projections import (
     GridSpec,
     enumerate_order_idempotents,
     is_left_bp,
-    is_order_idempotent,
     is_right_bp,
     search_band_projections,
 )
@@ -161,8 +160,8 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
 
     grid = GridSpec.from_resolution(2)
     certified = search_band_projections(algebra, grid)
+    oi = enumerate_order_idempotents(algebra) if report.has_identity else []
     if report.has_identity:
-        oi = enumerate_order_idempotents(algebra)
         lines += ["## Order idempotents", "", f"{len(oi)} elements (complete enumeration):"]
         lines += [f"- {fmt_element(p)}" for p in oi]
         lines.append("")
@@ -173,10 +172,11 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         f"{len(certified)} certified members (a search aid, not an enumeration —",
         "the class may contain whole rays):",
     ]
-    unital = algebra.has_identity()
+    # The enumeration is complete, so membership in it decides OI exactly.
+    oi_members = set(oi)
     for p in certified:
         tags = []
-        if unital and is_order_idempotent(algebra, p):
+        if p in oi_members:
             tags.append("order idempotent")
         if is_left_bp(algebra, p) and is_right_bp(algebra, p):
             tags.append("left+right")

@@ -386,21 +386,6 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     return result
 
 
-def evaluate_char_poly_at_element(
-    algebra: AlgebraSpec, result: SpectrumResult, a: LatticeElement
-) -> LatticeElement:
-    """Σ_k c_k·a^k with a⁰ = e — zero by Cayley–Hamilton through L_a."""
-    e = algebra.require_identity()
-    acc = algebra.zero()
-    power = e
-    for k, c in enumerate(result.char_poly):
-        if k > 0:
-            power = algebra.multiply(power, a)
-        if c != 0:
-            acc = acc + power.scale(c)
-    return acc
-
-
 @dataclass
 class BPSpectrumReport:
     """Spectral constraints satisfied by a band projection element p.

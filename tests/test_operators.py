@@ -37,13 +37,17 @@ def test_matrix_basics():
     assert OperatorMatrix.diagonal([1, 2]).apply(vec([1, 1])) == vec([1, 2])
 
 
+def is_idempotent(m: OperatorMatrix) -> bool:
+    return m.compose(m) == m
+
+
 def test_order_and_modulus():
     m = OperatorMatrix.from_rows([[1, -2], [0, 3]])
     assert not m.is_nonnegative()
     assert m.modulus() == OperatorMatrix.from_rows([[1, 2], [0, 3]])
     assert m.leq(OperatorMatrix.from_rows([[1, 0], [0, 3]]))
-    assert OperatorMatrix.identity(2).is_idempotent()
-    assert not m.is_idempotent()
+    assert is_idempotent(OperatorMatrix.identity(2))
+    assert not is_idempotent(m)
 
 
 def test_op_sup_inf_entrywise():

@@ -1,6 +1,8 @@
 """Order idempotents, band projections, the four equivalences, grid search."""
 
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,10 @@ from latticealg import (
     OperatorMatrix,
     vec,
 )
+from latticealg import projections
+from latticealg.cli import main
 from latticealg.operators import is_band_projection_op, left_mult, mult_op, right_mult
+from latticealg.report import fmt_element
 
 
 def test_upper2_order_idempotents_complete():
@@ -40,6 +45,127 @@ def test_oi_counts_on_all_unital_fixtures(unital_algebra):
     for p in oi:
         assert la.is_order_idempotent(unital_algebra, p)
         assert unital_algebra.multiply(p, p) == p
+
+
+# Unital, nonnegative, not associative: b0∗b0 = b0, b1∗b1 = b1 and b2 is
+# halved by b0 and by b1 on either side, so e = b0 + b1 and b2∗b2 = 0.
+HALVING = {
+    "dim": 3,
+    "name": "halving",
+    "tensor": [
+        [0, 0, 0, 1],
+        [0, 2, 2, "1/2"],
+        [1, 1, 1, 1],
+        [1, 2, 2, "1/2"],
+        [2, 0, 2, "1/2"],
+        [2, 1, 2, "1/2"],
+    ],
+}
+UNITAL_BLOCKS = [n for n in la.BUILTIN_NAMES if la.builtin(n).has_identity()]
+_BASIS_SCALES = [Fraction(v) for v in ("1", "2", "1/2", "3", "2/3")]
+
+
+def permuted_unital_sum(seed):
+    """An lp_sum of one to three unital builtins in a permuted, rescaled
+    basis, so that e has coordinates other than 0 and 1 in mixed order."""
+    rng = random.Random(seed)
+    alg = la.lp_sum([la.builtin(rng.choice(UNITAL_BLOCKS)) for _ in range(rng.randint(1, 3))])
+    n = alg.dim
+    sigma = rng.sample(range(n), n)
+    s = [rng.choice(_BASIS_SCALES) for _ in range(n)]
+    # b'_σ(i) = s_i·b_i, so c'[σi, σj, σk] = s_i·s_j·c[i, j, k]/s_k.
+    tensor = {
+        (sigma[i], sigma[j], sigma[k]): s[i] * s[j] * c / s[k]
+        for (i, j, k), c in alg.tensor.items()
+    }
+    return AlgebraSpec(dim=n, tensor=tensor, norm=alg.norm, name=f"perm{seed}")
+
+
+def reference_order_idempotents(alg):
+    """Every 0/1 combination of the atoms, each proved an order idempotent
+    by is_order_idempotent, sorted by coordinates."""
+    rep = la.ck_representation(alg)
+    out = []
+    for bits in itertools.product((Fraction(0), Fraction(1)), repeat=rep.n_points):
+        p = rep.from_coords(list(bits))
+        assert la.is_order_idempotent(alg, p)
+        out.append(p)
+    return sorted(out, key=lambda x: x.coords)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [la.builtin(n) for n in UNITAL_BLOCKS]
+    + [permuted_unital_sum(seed) for seed in range(12)]
+    + [la.algebra_from_dict(HALVING)],
+    ids=lambda alg: alg.name,
+)
+def test_oi_enumeration_equals_the_proved_reference(alg):
+    assert la.enumerate_order_idempotents(alg) == reference_order_idempotents(alg)
+
+
+def test_oi_enumeration_makes_no_product(monkeypatch, unital_algebra):
+    rep = la.ck_representation(unital_algebra)
+    calls = {"multiply": 0, "is_order_idempotent": 0}
+    multiply = AlgebraSpec.multiply
+
+    def counted_multiply(self, x, y):
+        calls["multiply"] += 1
+        return multiply(self, x, y)
+
+    def counted_is_oi(alg, p):
+        calls["is_order_idempotent"] += 1
+        return la.is_order_idempotent(alg, p)
+
+    monkeypatch.setattr(projections, "ck_representation", lambda alg: rep)
+    monkeypatch.setattr(AlgebraSpec, "multiply", counted_multiply)
+    monkeypatch.setattr(projections, "is_order_idempotent", counted_is_oi)
+    oi = la.enumerate_order_idempotents(unital_algebra)
+    assert len(oi) == 2**rep.n_points
+    assert calls == {"multiply": 0, "is_order_idempotent": 0}
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [la.builtin(n) for n in UNITAL_BLOCKS] + [la.algebra_from_dict(HALVING)],
+    ids=lambda alg: alg.name,
+)
+def test_report_oi_tag_equals_the_predicate(alg):
+    section = la.build_report(alg).split("## Band projections over the grid")[1]
+    rows = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("- ")]
+    hits = la.search_band_projections(alg, GridSpec.from_resolution(2))
+    assert len(rows) == len(hits)
+    for row, p in zip(rows, hits):
+        assert row.split(" — ")[0] == f"- {fmt_element(p)}"
+        assert ("order idempotent" in row) == la.is_order_idempotent(alg, p)
+
+
+def test_oi_is_not_left_and_right_without_associativity(tmp_path, capsys):
+    alg = la.algebra_from_dict(HALVING)
+    c = la.classify(alg, vec([1, 0, 0]))
+    assert (c.is_oi, c.is_bp, c.is_left_bp, c.is_right_bp) == (True, False, False, False)
+    assert not c.check_internal_consistency()
+    path = tmp_path / "halving.json"
+    path.write_text(json.dumps(HALVING))
+    assert main(["verify", "--input", str(path)]) == 1
+    assert "associativity: FAIL" in capsys.readouterr().out
+    assert main(["classify", "--input", str(path), "--grid", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "algebra: halving (dim 3)\n"
+        "order idempotents (4, complete):\n"
+        "  (0, 0, 0)\n"
+        "  (0, 1, 0)\n"
+        "  (1, 0, 0)\n"
+        "  (1, 1, 0)\n"
+        "band projections over grid {0, 1/2, 1} (4 certified):\n"
+        "  (0, 0, 0)\n"
+        "  (0, 0, 1/2)\n"
+        "  (0, 0, 1)\n"
+        "  (1, 1, 0)\n"
+        "left-and-right band projections among them (2):\n"
+        "  (0, 0, 0)\n"
+        "  (1, 1, 0)\n"
+    )
 
 
 def test_oi_requires_identity():

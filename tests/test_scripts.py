@@ -5,16 +5,48 @@ import subprocess
 import sys
 from pathlib import Path
 
+import latticealg as la
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_rk_audit_reports_no_mismatch():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "rk_audit.py"), "--trials", "20", "--seed", "7"],
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_rk_audit_reports_no_mismatch():
+    proc = run_script("rk_audit.py", "--trials", "20", "--seed", "7")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert ": 0 mismatches (" in proc.stdout
+
+
+def test_bp_grid_survey_counts_the_order_idempotents():
+    proc = run_script("bp_grid_survey.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in la.BUILTIN_NAMES:
+        alg = la.builtin(name)
+        block = proc.stdout.split(f"== {name} (dim {alg.dim}) ==\n")[1].split("\n\n")[0]
+        if alg.has_identity():
+            count = len(la.enumerate_order_idempotents(alg))
+            assert f"order idempotents (complete): {count}\n" in block
+        else:
+            assert "order idempotents: no identity\n" in block
+        assert "N=4: " in block
+        assert "left-and-right members at N=2: " in block
+
+
+def test_build_reports_round_trip_every_builtin(tmp_path):
+    proc = run_script("build_reports.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in la.BUILTIN_NAMES:
+        meta = la.builtin_meta(name)
+        want = la.build_report(la.builtin(name), meta)
+        assert (tmp_path / f"{name}.md").read_text() == want
+        loaded = la.load_algebra(tmp_path / f"{name}.json")
+        assert la.build_report(loaded, meta) == want
