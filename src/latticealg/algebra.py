@@ -92,7 +92,9 @@ class IntegerTensor:
     integer vector (integer_form), and the columns below are integers scaled
     by a known power of L·D.  Associativity is checked on the same integers
     by contracting the tensor with itself, and AlgebraSpec.multiply and
-    basis_product read `pairs`, the one product index of the tensor.
+    basis_product read `pairs`, the one product index of the tensor.  The
+    exact solves take their integer rows from here too: the identity solve
+    from `second`, spectra and inverses from left_matrix.
     """
 
     def __init__(self, algebra: "AlgebraSpec") -> None:
@@ -117,6 +119,10 @@ class IntegerTensor:
         for i, k, big_c in self.second[q]:
             col[k] += v[i] * big_c
         return col
+
+    def left_matrix(self, v: Sequence[int]) -> list[list[int]]:
+        """D·L_v as integer rows, from its columns."""
+        return [list(row) for row in zip(*(self.left_column(v, q) for q in range(self.dim)))]
 
     def right_column(self, v: Sequence[int], q: int) -> list[int]:
         """D·(b_q ∗ v): column q of R_v."""
@@ -321,24 +327,25 @@ class AlgebraSpec:
         exactly that solution; the column check below decides two-sidedness.
         A declared identity replaces the solve and gets the same check.
         """
+        kernel = self.integer_tensor
         if self.identity is not None:
             e = self.identity
             failure = "candidate identity fails e∗b = b∗e = b on the basis"
         else:
             n = self.dim
             failure = f"algebra {self.name or '<unnamed>'} has no identity"
-            # Row (i, k) of e ∗ b_i = b_i, only where some entry c[(j,i,k)]
-            # touches it, and always (i, i): untouched, it reads 0 = 1.
-            rows = {(i, i): [Fraction(0)] * n for i in range(n)}
-            for (j, i, k), c in self.tensor.items():
-                rows.setdefault((i, k), [Fraction(0)] * n)[j] = c
-            solution = linalg.solve(list(rows.values()), [Fraction(int(i == k)) for i, k in rows])
+            # Row (i, k) of D·(e ∗ b_i) = D·b_i, only where some entry
+            # C[(j,i,k)] touches it, and always (i, i): untouched, it reads 0 = D.
+            rows = {(i, i): [0] * n for i in range(n)}
+            for i, entries in enumerate(kernel.second):
+                for j, k, big_c in entries:
+                    rows.setdefault((i, k), [0] * n)[j] = big_c
+            solution = linalg.solve(list(rows.values()), [kernel.den * (i == k) for i, k in rows])
             if solution is None:
                 return failure
             e = LatticeElement(tuple(solution))
         # Check e∗b_q = b_q∗e = b_q column by column (guards a declared
         # identity too): with e = v/L both columns must be L·D·e_q.
-        kernel = self.integer_tensor
         v, scale = integer_form(self, e)
         for q in range(self.dim):
             unit = [0] * self.dim

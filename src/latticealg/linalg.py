@@ -1,9 +1,11 @@
-"""Small exact linear algebra: solving and rref over Fraction, and the
-characteristic polynomial and its factors over the integers.
+"""Small exact linear algebra over the integers: fraction-free solving, and
+the characteristic polynomial and its factors.
 
-Matrices are lists of lists of Fraction; polynomials are ascending
-coefficient lists.  Everything is written for the small dimensions this
-package meets (an algebra file's dim is at most 64); clarity over asymptotics.
+Matrices are lists of integer rows, built by the integer kernel
+(algebra.IntegerTensor) over one known denominator; polynomials are
+ascending coefficient lists.  Everything is written for the small
+dimensions this package meets (an algebra file's dim is at most 64);
+clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -13,87 +15,61 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k, "inner dimensions must agree"
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j] != 0:
-                    oi[j] += c * bt[j]
-    return out
-
-
-def rref(aug: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot column list)."""
-    rows = len(aug)
-    cols = len(aug[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return aug, pivots
-
-
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution of A·x = b (free variables set to 0), or None.
+def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fraction]]:
+    """One exact solution of A·x = b for integer A and b (free variables set
+    to 0), or None.
 
     Accepts rectangular (overdetermined) systems; None means inconsistent.
+    Fraction-free Gauss–Jordan: the pivot of each column is the first row
+    below the pivots found so far with a nonzero entry there, and every other
+    row with a nonzero entry f in that column becomes p·row − f·pivot_row,
+    divided by its content so that the integers stay small.  A row with a
+    zero there is left alone.  Row operations keep the column dependencies,
+    so the pivot columns are those of the reduced row echelon form, and the
+    solution, supported on them, is x_c = rhs/p for each pivot row.
     """
     rows = len(a)
     if rows != len(b):
         raise AssertionError("rhs length mismatch")
     cols = len(a[0]) if rows else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if cols in pivots:  # pivot in the augmented column: inconsistent
+    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        top = aug[r]
+        p = top[c]
+        for i, row in enumerate(aug):
+            f = row[c]
+            if f and i != r:
+                new = [p * v - f * w for v, w in zip(row, top)]
+                g = math.gcd(*new)  # 0 when the row became zero
+                aug[i] = [v // g for v in new] if g > 1 else new
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    if any(row[cols] for row in aug[len(pivots):]):  # 0 = nonzero: inconsistent
         return None
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+    for row, c in zip(aug, pivots):
+        x[c] = Fraction(row[cols], row[c])
     return x
 
 
-def char_poly_monic(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Coefficients (ascending) of det(λI − A), computed exactly over ℤ.
+def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:
+    """Coefficients (ascending) of det(λI − A) for A = B/d, B an integer
+    matrix and d a positive integer, computed exactly over ℤ.
 
-    A is cleared to the integer matrix B = D·A, D the lcm of its
-    denominators, and the Faddeev–LeVerrier recursion runs on B: M_1 = I,
+    The Faddeev–LeVerrier recursion runs on B: M_1 = I,
     b_{n−k} = −tr(B·M_k)/k and M_{k+1} = B·M_k + b_{n−k}·I.  The b_k are the
     coefficients of det(λI − B), integers, so each division by k is exact.
-    det(λI − A) = D^(−n)·det(DλI − B), so c_k = b_k / D^(n−k).
+    det(λI − A) = d^(−n)·det(dλI − B), so c_k = b_k / d^(n−k).
     """
-    n = len(a)
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    n = len(b)
     coeffs = [0] * n + [1]
     product = [list(row) for row in b]  # B·M_1
     for k in range(1, n + 1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, integer_form
 from .errors import CapExceededError, DimensionMismatchError, InputError, UnsupportedNormError
 from .lattice import LatticeElement, NormSpec, as_scalar
 
@@ -78,7 +78,15 @@ class OperatorMatrix:
         """self ∘ other as matrices (apply other first)."""
         if other.dim != self.dim:
             raise DimensionMismatchError("operator dimension mismatch")
-        return OperatorMatrix(tuple(map(tuple, linalg.mat_mul(self.entries, other.entries))))
+        n = self.dim
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for row, out_row in zip(self.entries, out):
+            for c, other_row in zip(row, other.entries):
+                if c:
+                    for j, v in enumerate(other_row):
+                        if v:
+                            out_row[j] += c * v
+        return OperatorMatrix(tuple(map(tuple, out)))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self.compose(other)
@@ -123,9 +131,6 @@ class OperatorMatrix:
     def modulus(self) -> "OperatorMatrix":
         """|T|, which on a coordinatewise lattice is the entrywise absolute value."""
         return OperatorMatrix(tuple(tuple(abs(v) for v in row) for row in self.entries))
-
-    def rows_list(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
 
 def op_sup(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
@@ -280,17 +285,24 @@ def diagonal_mask_operator(x: LatticeElement) -> Optional[OperatorMatrix]:
 def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeElement]:
     """The two-sided inverse of a, or None if a is not invertible.
 
-    Solves a ∗ y = e exactly.  In a unital finite-dimensional algebra a
-    right inverse is automatically two-sided (L_a·L_y = I forces
-    L_y·L_a = I for square matrices, and x ↦ L_x is injective when an
-    identity exists); both sides are still verified by multiplication.
+    Solves a ∗ y = e exactly on the integer kernel: with a = v/L and
+    e = u/M, L_a = B/(L·D) for the integer rows B = D·L_v, so L_a·y = e
+    exactly when y = (L·D/M)·z for a solution z of B·z = u, which
+    linalg.solve finds by fraction-free elimination.  In a unital
+    finite-dimensional algebra a right inverse is automatically two-sided
+    (L_a·L_y = I forces L_y·L_a = I for square matrices, and x ↦ L_x is
+    injective when an identity exists); both sides are still verified by
+    multiplication.
     """
     e = algebra.require_identity()
-    la = left_mult(algebra, a)
-    y = linalg.solve(la.rows_list(), list(e.coords))
-    if y is None:
+    kernel = algebra.integer_tensor
+    v, scale = integer_form(algebra, a)
+    u, e_scale = integer_form(algebra, e)
+    z = linalg.solve(kernel.left_matrix(v), u)
+    if z is None:
         return None
-    inv = LatticeElement(tuple(y))
+    factor = Fraction(scale * kernel.den, e_scale)
+    inv = LatticeElement(tuple(factor * c for c in z))
     if algebra.multiply(a, inv) != e or algebra.multiply(inv, a) != e:
         return None
     return inv

@@ -151,15 +151,6 @@ class ProjectionClassification:
     is_left_bp: bool
     is_right_bp: bool
 
-    def check_internal_consistency(self) -> bool:
-        """BP_l ∩ BP_r ⊆ BP, and OI = BP_l ∩ BP_r, which holds only on a
-        nonnegative associative tensor (see the module docstring)."""
-        if self.is_left_bp and self.is_right_bp and not self.is_bp:
-            return False
-        if self.is_oi is not None and self.is_oi != (self.is_left_bp and self.is_right_bp):
-            return False
-        return True
-
 
 def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassification:
     """Run every membership predicate on a; is_oi is None without identity."""

@@ -32,11 +32,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, integer_form
 from .center import in_identity_ideal, norm_e
 from .errors import CapExceededError, InputError, MathViolationError, NotBandProjectionError
 from .lattice import ApproxReal, LatticeElement, as_scalar, float_above, to_float
-from .operators import invert_element, left_mult
+from .operators import invert_element
 from .projections import is_band_projection, is_order_idempotent
 
 # Durand–Kerner finds the roots at FIRST_BITS of precision below their size
@@ -372,8 +372,10 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     algebra.require_identity()
     if a.dim != algebra.dim:
         raise InputError("element dimension does not match algebra")
-    la = left_mult(algebra, a)
-    monic = linalg.char_poly_monic(la.rows_list())  # det(λI − L_a), ascending
+    # L_a = B/(L·D) for a = v/L and the integer rows B = D·L_v
+    kernel = algebra.integer_tensor
+    v, scale = integer_form(algebra, a)
+    monic = linalg.char_poly_monic(kernel.left_matrix(v), scale * kernel.den)  # det(λI − L_a)
     n = algebra.dim
     sign = Fraction(-1) ** n
     char = tuple(sign * c for c in monic)  # det(L_a − λI)

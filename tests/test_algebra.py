@@ -14,6 +14,8 @@ from latticealg import algebra as algebra_module
 from latticealg.cli import main
 from latticealg.inner import summand_supports
 
+from fraction_linalg import solve as fraction_solve
+
 positives = st.fractions(min_value=0, max_value=8, max_denominator=8)
 # Small integers make cancellation between tensor terms likely.
 coefficients = st.one_of(
@@ -251,8 +253,9 @@ def test_integer_tensor_is_built_once(monkeypatch):
 # contracting that kernel and solves the identity from the left-identity rows
 # the tensor touches.  The reference below reads `alg.tensor` alone: a
 # Fraction product, n³ pairs of basis products, and an identity solved from
-# all 2n² rows of the two-sided system and then multiplied against every
-# basis element.
+# all 2n² rows of the two-sided system by the tests' own Fraction
+# Gauss–Jordan (fraction_linalg) and then multiplied against every basis
+# element.
 
 
 def fraction_product(alg, x, y):
@@ -275,13 +278,54 @@ def reference_identity(alg):
         rows = [[alg.tensor.get((j, i, k), Fraction(0)) for j in range(n)] for i, k in pairs]
         rows += [[alg.tensor.get((i, j, k), Fraction(0)) for j in range(n)] for i, k in pairs]
         rhs = [Fraction(int(i == k)) for i, k in pairs] * 2
-        solution = la.linalg.solve(rows, rhs)
+        solution = fraction_solve(rows, rhs)
         if solution is None:
             return None
         e = vec(solution)
     if any(fraction_product(alg, e, b) != b or fraction_product(alg, b, e) != b for b in basis):
         return None
     return e
+
+
+@st.composite
+def integer_systems(draw):
+    """Rectangular integer systems A·x = b of up to 6×7.  Sparse entries and
+    a planted dependent row make rank-deficient A likely; b is A·x₀ (a
+    consistent system) or arbitrary (often inconsistent); large entries
+    make the elimination reduce its rows by their content."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(10**12), 10**12))
+    a = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a[i] = [s * u + t * v for u, v in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols))
+        b = [sum(u * x for u, x in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_solve_matches_fraction_reference(system):
+    a, b = system
+    x = la.linalg.solve(a, b)
+    assert x == fraction_solve(a, b)
+    if x is not None:
+        assert [sum(u * v for u, v in zip(row, x)) for row in a] == b
+
+
+def test_solve_on_singular_and_inconsistent_systems():
+    # rank 1: x₁ free, so x = (1, 0); the same rows with b = (1, 3) are inconsistent
+    assert la.linalg.solve([[2, 4], [1, 2]], [2, 1]) == [1, 0]
+    assert la.linalg.solve([[2, 4], [1, 2]], [1, 3]) is None
+    # overdetermined and consistent, with a zero column
+    assert la.linalg.solve([[0, 3], [0, 6], [0, -9]], [1, 2, -3]) == [0, Fraction(1, 3)]
+    assert la.linalg.solve([[0, 0]], [0]) == [0, 0]
+    assert la.linalg.solve([[0, 0]], [5]) is None
 
 
 def reference_axioms(alg):

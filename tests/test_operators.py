@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg import CapExceededError, InputError, NormSpec, OperatorMatrix, vec
+from latticealg import AlgebraSpec, CapExceededError, InputError, NormSpec, OperatorMatrix, vec
+from latticealg import operators
 from latticealg.operators import is_band_projection_op
+
+from fraction_linalg import solve as fraction_solve
+from test_projections import HALVING, UNITAL_BLOCKS, permuted_unital_sum
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 nonnegatives = st.fractions(min_value=0, max_value=6, max_denominator=6)
@@ -183,3 +187,76 @@ def test_invert_element():
     assert inv is not None
     assert m3.multiply(inv, vec([2, 1, 2])) == m3.require_identity()
     assert not inv.is_positive()
+
+
+# -- invert_element against a Fraction solve of L_a·y = e ---------------------
+
+INVERT_ALGEBRAS = (
+    [la.builtin(n) for n in UNITAL_BLOCKS]
+    + [permuted_unital_sum(seed) for seed in range(8)]
+    + [la.algebra_from_dict(HALVING)]
+)
+
+
+def reference_inverse(alg, a):
+    """y with L_a·y = e from the Fraction matrix of left_mult, kept when
+    R_a·y = e too (y ∗ a = e), else None."""
+    e = alg.require_identity()
+    y = fraction_solve(la.left_mult(alg, a).entries, e.coords)
+    if y is None:
+        return None
+    inv = vec(y)
+    return inv if la.right_mult(alg, a).apply(inv) == e else None
+
+
+@st.composite
+def invert_cases(draw):
+    alg = draw(st.sampled_from(INVERT_ALGEBRAS))
+    # zero coordinates make singular elements common
+    coord = st.one_of(st.just(Fraction(0)), rationals)
+    return alg, vec(draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(invert_cases())
+def test_invert_element_matches_fraction_reference(case):
+    alg, a = case
+    assert la.invert_element(alg, a) == reference_inverse(alg, a)
+
+
+@pytest.mark.parametrize("alg", INVERT_ALGEBRAS, ids=lambda alg: alg.name)
+def test_invert_element_on_identity_and_singular_elements(alg):
+    e = alg.require_identity()
+    assert la.invert_element(alg, e) == e
+    assert la.invert_element(alg, e.scale(3)) == e.scale(Fraction(1, 3))
+    assert la.invert_element(alg, alg.zero()) is None
+    # an atom of A_e other than e is a zero divisor
+    atoms = la.ck_representation(alg).atoms
+    if len(atoms) > 1:
+        assert la.invert_element(alg, atoms[0]) is None
+        assert reference_inverse(alg, atoms[0]) is None
+
+
+def test_spectrum_inverse_and_identity_solve_stay_on_the_kernel(monkeypatch, unital_algebra):
+    """No Fraction operator matrix is built: left_mult and compose are never
+    called, and neither is any other OperatorMatrix constructor."""
+    calls = []
+    left_mult, compose, post_init = (
+        operators.left_mult,
+        OperatorMatrix.compose,
+        OperatorMatrix.__post_init__,
+    )
+    monkeypatch.setattr(operators, "left_mult", lambda *a: calls.append("left_mult") or left_mult(*a))
+    monkeypatch.setattr(OperatorMatrix, "compose", lambda *a: calls.append("compose") or compose(*a))
+    monkeypatch.setattr(
+        OperatorMatrix, "__post_init__", lambda self: calls.append("matrix") or post_init(self)
+    )
+    alg = AlgebraSpec(dim=unital_algebra.dim, tensor=unital_algebra.tensor)  # identity solved
+    e = alg.require_identity()
+    for x in [*unital_algebra.elements.values(), e, e.scale(2), alg.zero()]:
+        la.spectrum(alg, x)
+        la.invert_element(alg, x)
+    assert calls == []
+    # the counters do see the audit route
+    la.mult_op(alg, e, e)
+    assert {"left_mult", "compose", "matrix"} <= set(calls)

@@ -140,11 +140,20 @@ def test_report_oi_tag_equals_the_predicate(alg):
         assert ("order idempotent" in row) == la.is_order_idempotent(alg, p)
 
 
+def assert_inclusions_of_every_tensor(alg, c):
+    """BP_l ∩ BP_r ⊆ BP, and with an identity e ≥ 0, BP_l ∪ BP_r ⊆ OI: when
+    L_a (or R_a) is a mask M, a = M·e, so 0 ≤ a ≤ e and a∗a = M·M·e = a."""
+    if c.is_left_bp and c.is_right_bp:
+        assert c.is_bp
+    if (c.is_left_bp or c.is_right_bp) and alg.has_identity():
+        assert c.is_oi or not alg.require_identity().is_positive()
+
+
 def test_oi_is_not_left_and_right_without_associativity(tmp_path, capsys):
     alg = la.algebra_from_dict(HALVING)
     c = la.classify(alg, vec([1, 0, 0]))
     assert (c.is_oi, c.is_bp, c.is_left_bp, c.is_right_bp) == (True, False, False, False)
-    assert not c.check_internal_consistency()
+    assert_inclusions_of_every_tensor(alg, c)
     path = tmp_path / "halving.json"
     path.write_text(json.dumps(HALVING))
     assert main(["verify", "--input", str(path)]) == 1
@@ -197,7 +206,7 @@ def test_negative_elements_fail_all_bp_predicates():
     assert not la.is_right_bp(alg, x)
     c = la.classify(alg, x)
     assert not c.nonnegative
-    assert c.check_internal_consistency()
+    assert_inclusions_of_every_tensor(alg, c)
 
 
 def test_left_right_intersection_inside_bp(unital_algebra):
@@ -205,9 +214,7 @@ def test_left_right_intersection_inside_bp(unital_algebra):
     for p in la.search_band_projections(unital_algebra, grid):
         c = la.classify(unital_algebra, p)
         assert c.is_bp
-        if c.is_left_bp and c.is_right_bp:
-            assert c.is_bp  # BP_l ∩ BP_r ⊆ BP
-        assert c.check_internal_consistency()
+        assert_inclusions_of_every_tensor(unital_algebra, c)
 
 
 def test_unital_left_right_bp_equals_oi(unital_algebra):

@@ -1,5 +1,6 @@
 """Characteristic polynomials, exact and numeric roots, spectral theorems."""
 
+import math
 import os
 import subprocess
 import sys
@@ -47,8 +48,10 @@ def rational_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices())
 def test_char_poly_matches_fraction_reference(a):
-    # the integer recursion on D·A, rescaled, against the Fraction recursion on A
-    assert linalg.char_poly_monic(a) == faddeev_leverrier(a)
+    # the integer recursion on B = D·A, rescaled, against the Fraction recursion on A
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    assert linalg.char_poly_monic(b, d) == faddeev_leverrier(a)
 
 
 def test_char_poly_of_diagonal_multiplier():
