@@ -3,23 +3,28 @@
 A_e is the order ideal generated by the identity, {x : |x| ≤ λe for some
 λ ≥ 0}; in the coordinatewise model this is the span of the coordinate
 directions where e is strictly positive.  It is simultaneously a
-projection band (with a diagonal 0/1 band projection), an inverse-closed
-subalgebra, and — through its atoms — a finite function algebra: the map
-x ↦ (x_i / e_i)_{i ∈ supp(e)} is a lattice and algebra isomorphism onto
-functions on the finite set K of atoms, isometric for the order-unit norm
-‖x‖_e = inf{λ : |x| ≤ λe}.
+projection band (its band projection is the 0/1 diagonal mask on supp(e),
+OperatorMatrix.mask), an inverse-closed subalgebra, and — through its
+atoms — a finite function algebra: the map x ↦ (x_i / e_i)_{i ∈ supp(e)}
+is a lattice and algebra isomorphism onto functions on the finite set K
+of atoms, isometric for the order-unit norm ‖x‖_e = inf{λ : |x| ≤ λe}.
+
+The support, the projection and the atoms are all read off e, so none of
+them is checked again; only the atoms' products depend on the tensor, and
+ck_representation checks those exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import InputError, MathViolationError, UnsupportedNormError
+from .errors import InputError, UnsupportedNormError
 from .lattice import LatticeElement, norm
-from .operators import OperatorMatrix, invert_element, is_band_projection_op
+from .operators import OperatorMatrix, invert_element
 
 
 @dataclass(frozen=True)
@@ -55,37 +60,20 @@ def principal_ideal(algebra: AlgebraSpec, a: LatticeElement) -> IdealBasis:
     return IdealBasis(support=frozenset(support), generator=a)
 
 
-def disjoint_complement_support(algebra: AlgebraSpec, support: frozenset[int]) -> frozenset[int]:
-    """Support of {x : x ⊥ y for every y supported in `support`}."""
-    return frozenset(i for i in range(algebra.dim) if i not in support)
-
-
 def identity_ideal(algebra: AlgebraSpec) -> tuple[IdealBasis, OperatorMatrix]:
     """(A_e as an IdealBasis, the band projection of A onto A_e).
 
-    A_e is the order ideal generated by e: the span of coordinates where e
-    is strictly positive.  It is also the band generated by e — computed
-    independently as the double disjoint complement {e}^dd and asserted
-    equal — and the associated band projection M is the diagonal 0/1
-    matrix on supp(e).  The decomposition A = A_e ⊕ A_e^d holds for every
-    x by construction: M·x keeps the coordinates of x on supp(e) and
-    (I−M)·x the rest, which is disjoint from e.
+    A_e is the order ideal generated by e: the span of the coordinates
+    where e is nonzero.  On a coordinatewise lattice it is also the band
+    generated by e, and its band projection is the 0/1 diagonal mask on
+    supp(e), so both are read off e with nothing left to check.  The
+    decomposition A = A_e ⊕ A_e^d holds for every x: M·x keeps the
+    coordinates of x on supp(e) and (I−M)·x the rest, which is disjoint
+    from e.
     """
     e = algebra.require_identity()
-    ideal_route = frozenset(e.support())
-    band_route = disjoint_complement_support(
-        algebra, disjoint_complement_support(algebra, frozenset(e.support()))
-    )
-    if ideal_route != band_route:
-        raise MathViolationError(
-            "order ideal generated by e differs from the band generated by e"
-        )
-    basis = IdealBasis(support=ideal_route, generator=e)
-    mask = [Fraction(1 if i in ideal_route else 0) for i in range(algebra.dim)]
-    projection = OperatorMatrix.diagonal(mask)
-    if not is_band_projection_op(projection):
-        raise MathViolationError("projection onto A_e is not a band projection")
-    return basis, projection
+    support = e.support()
+    return IdealBasis(support=support, generator=e), OperatorMatrix.mask(algebra.dim, support)
 
 
 def in_identity_ideal(algebra: AlgebraSpec, x: LatticeElement) -> bool:
@@ -141,12 +129,14 @@ class CKRepresentation:
 def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
     """Compute and verify the atom representation of A_e.
 
-    The atoms are checked exactly: strictly positive, pairwise disjoint,
-    summing to e, and δ-orthogonal (a_i ∗ a_j = δ_ij · a_i for every pair).
-    By bilinearity the last check proves the coordinate map multiplicative
-    on all of A_e.  Raises InputError if an invariant fails, since that
-    would mean the input is not a lattice algebra (nonnegative associative
-    tensor with positive identity) to begin with.
+    Each atom is e on one coordinate of supp(e); given e ≥ 0 (checked),
+    the atoms are strictly positive, pairwise disjoint and sum to e by
+    construction.  Only the tensor decides their products, so
+    δ-orthogonality (a_i ∗ a_j = δ_ij · a_i for every pair) is checked
+    exactly; by bilinearity it proves the coordinate map multiplicative on
+    all of A_e.  Raises InputError if either check fails, since that would
+    mean the input is not a lattice algebra (nonnegative associative tensor
+    with positive identity) to begin with.
     """
     e = algebra.require_identity()
     if not e.is_positive():
@@ -157,23 +147,11 @@ def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
         coords = [Fraction(0)] * algebra.dim
         coords[i] = e.coords[i]
         atoms.append(LatticeElement(tuple(coords)))
-    # Invariants: disjointness, positivity, partition of e, δ-orthogonality.
-    total = algebra.zero()
-    for t, a in enumerate(atoms):
-        if not a.is_positive() or a.is_zero():
-            raise InputError(f"atom {t} is not strictly positive")
-        total = total + a
-        for s, b in enumerate(atoms):
-            if s != t and not a.is_disjoint(b):
-                raise InputError(f"atoms {t} and {s} are not disjoint")
-            product = algebra.multiply(a, b)
-            expected = a if s == t else algebra.zero()
-            if product != expected:
-                raise InputError(
-                    f"atoms {t}, {s} violate a_i∗a_j = δ_ij·a_i: got {product}"
-                )
-    if total != e:
-        raise InputError("atoms do not sum to the identity")
+    zero = algebra.zero()
+    for (t, a), (s, b) in itertools.product(enumerate(atoms), repeat=2):
+        product = algebra.multiply(a, b)
+        if product != (a if s == t else zero):
+            raise InputError(f"atoms {t}, {s} violate a_i∗a_j = δ_ij·a_i: got {product}")
     return CKRepresentation(atoms=tuple(atoms), support=support, identity=e)
 
 
@@ -210,10 +188,7 @@ def truncation_cauchy_check(
         raise InputError("truncation_cauchy_check requires a >= 0")
     if not algebra.norm.is_exact():
         raise UnsupportedNormError("truncation bound check needs an exact (sup/one) norm")
-    mask = LatticeElement(
-        tuple(Fraction(1 if i in e.support() else 0) for i in range(algebra.dim))
-    )
-    projection = LatticeElement(tuple(m * c for m, c in zip(mask.coords, a.coords)))
+    projection = identity_ideal(algebra)[1].apply(a)
     # Smallest n with a_n already equal to the band component of a.
     ratios = [a.coords[i] / e.coords[i] for i in sorted(e.support())]
     n_star = max((int(r) + (0 if r.denominator == 1 else 1) for r in ratios), default=0)

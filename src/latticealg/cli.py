@@ -40,7 +40,7 @@ from .inner import (
     validate_family,
 )
 from .io import element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
-from .lattice import LatticeElement
+from .lattice import LatticeElement, format_scalar
 from .operators import diagonal_mask_operator
 from .projections import (
     GridSpec,
@@ -58,7 +58,6 @@ from .report import (
     fmt_poly,
     fmt_projection_matrix,
     fmt_radius,
-    fmt_scalar,
     fmt_spectrum,
 )
 from .spectra import spectrum
@@ -68,7 +67,12 @@ COMMANDS = ("verify", "classify", "center", "spectrum", "inner", "report")
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs, resolved from flags and environment."""
+    """Everything one invocation needs, as given on the command line.
+
+    Each option is validated by the command that reads it: `grid` by
+    classify, and `cap` by inner, which falls back to LATTICEALG_CAP and
+    then to the default when it is None.
+    """
 
     command: str
     input_path: Optional[str] = None
@@ -78,7 +82,7 @@ class RunConfig:
     gamma: Optional[str] = None
     grid: int = 2
     out_format: str = "text"
-    cap: int = ENUM_CAP_DEFAULT
+    cap: Optional[int] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,20 +155,6 @@ def _config_from_args(argv: Sequence[str]) -> RunConfig:
             input_path = ns.target
     if input_path and builtin_name:
         raise InputError("--input and --builtin are mutually exclusive")
-    cap = ns.cap
-    if cap is None:
-        env = os.environ.get("LATTICEALG_CAP")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise InputError(f"LATTICEALG_CAP must be an integer, got {env!r}") from None
-        else:
-            cap = ENUM_CAP_DEFAULT
-    if cap <= 0:
-        raise InputError("cap must be positive")
-    if ns.grid <= 0:
-        raise InputError("grid resolution must be positive")
     return RunConfig(
         command=ns.command,
         input_path=input_path,
@@ -174,8 +164,24 @@ def _config_from_args(argv: Sequence[str]) -> RunConfig:
         gamma=ns.gamma,
         grid=ns.grid,
         out_format=ns.out_format,
-        cap=cap,
+        cap=ns.cap,
     )
+
+
+def _inner_cap(config: RunConfig) -> int:
+    """--cap, else LATTICEALG_CAP, else the default; it must be positive."""
+    cap = config.cap
+    if cap is None:
+        env = os.environ.get("LATTICEALG_CAP")
+        if env is None:
+            return ENUM_CAP_DEFAULT
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InputError(f"LATTICEALG_CAP must be an integer, got {env!r}") from None
+    if cap <= 0:
+        raise InputError("cap must be positive")
+    return cap
 
 
 def _resolve_algebra(config: RunConfig) -> tuple[AlgebraSpec, Optional[BuiltinMeta]]:
@@ -276,6 +282,8 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
 
 
 def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+    if config.grid <= 0:
+        raise InputError("grid resolution must be positive")
     algebra, _meta = _resolve_algebra(config)
     check_grid_size(config.grid + 1, algebra.dim)
     grid = GridSpec.from_resolution(config.grid)
@@ -293,8 +301,8 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     else:
         payload["order_idempotents"] = None
         lines.append("order idempotents: not applicable (no identity)")
-    grid_str = "{" + ", ".join(fmt_scalar(v) for v in grid.values) + "}"
-    payload["grid"] = [fmt_scalar(v) for v in grid.values]
+    grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
+    payload["grid"] = [format_scalar(v) for v in grid.values]
     payload["band_projections_on_grid"] = [element_to_wire(p) for p in certified]
     payload["left_and_right_on_grid"] = [element_to_wire(p) for p in core]
     lines.append(f"band projections over grid {grid_str} ({len(certified)} certified):")
@@ -406,6 +414,7 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
 
 
 def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+    cap = _inner_cap(config)
     algebra, meta = _resolve_algebra(config)
     names, members = _resolve_family(algebra, meta, config)
     family = validate_family(algebra, members)
@@ -419,7 +428,7 @@ def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         f"family ({len(family)} members): valid — orthogonal, all in BP_l ∩ BP_r",
     ]
     lines += [f"  {n} = {fmt_element(x)}" for n, x in zip(names, family.members)]
-    enumerated = enumerate_inner(algebra, family, cap=config.cap)
+    enumerated = enumerate_inner(algebra, family, cap=cap)
     subsets = 2 ** (len(family) ** 2)
     payload["distinct_inner"] = [
         {"gamma": gamma.sorted_pairs(), "matrix": operator_to_wire(matrix)}
@@ -448,7 +457,7 @@ def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         mask = diagonal_mask_operator(x)
         if mask is None or x.is_zero():
             continue
-        witness = is_inner(algebra, family, mask, cap=config.cap)
+        witness = is_inner(algebra, family, mask, cap=cap)
         verdicts[name] = None if witness is None else witness.sorted_pairs()
         verdict_str = (
             f"inner via Γ = {fmt_gamma(witness)}" if witness is not None else "NOT inner"

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import AlgebraSpec
 from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
 from .lattice import LatticeElement
-from .operators import OperatorMatrix, is_band_projection_op, mult_op
+from .operators import OperatorMatrix, mult_op
 from .projections import integer_form, is_left_bp, is_right_bp, mask_support
 
 ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
@@ -165,10 +165,6 @@ def summand_supports(algebra: AlgebraSpec, family: ProjectionFamily) -> list[fro
     return supports
 
 
-def _union_mask(n: int, support: frozenset[int]) -> OperatorMatrix:
-    return OperatorMatrix.diagonal([1 if i in support else 0 for i in range(n)])
-
-
 def _gamma_union(supports: list[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
     """supp P_Γ; the pair (α, β) sits at α·|Λ| + β in the sorted pair order."""
     n = gamma.n_members
@@ -196,14 +192,12 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
     never produce silent output.
     """
     _require_family_size(family, gamma)
-    n = algebra.dim
     union = _gamma_union(summand_supports(algebra, family), gamma)
     covered: set[int] = set()
     for a, b in gamma.sorted_pairs():
-        summand = mult_op(algebra, family[a], family[b])
-        if not is_band_projection_op(summand):
+        support = mult_op(algebra, family[a], family[b]).as_mask()
+        if support is None:
             raise MathViolationError(f"summand matrix ({a},{b}) is not a 0/1 mask")
-        support = {i for i in range(n) if summand.entries[i][i] == 1}
         if covered & support:
             raise MathViolationError(
                 f"summand matrix ({a},{b}) overlaps another summand on coordinates "
@@ -212,7 +206,7 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
         covered |= support
     if covered != union:
         raise MathViolationError("the summand matrices' supports differ from the kernel's union")
-    return _union_mask(n, union)
+    return OperatorMatrix.mask(algebra.dim, union)
 
 
 @dataclass
@@ -275,7 +269,7 @@ def enumerate_inner(
         chosen = [t for i, t in enumerate(nonzero) if bits >> i & 1]
         gamma = GammaSet.of((pairs[t] for t in chosen), len(family))
         union = frozenset().union(*(supports[t] for t in chosen))
-        out.append((gamma, _union_mask(algebra.dim, union)))
+        out.append((gamma, OperatorMatrix.mask(algebra.dim, union)))
     return out
 
 
@@ -292,13 +286,13 @@ def is_inner(
     the witness is the set of nonzero summands inside supp(M), which is
     the first such Γ in bit-mask order.
     """
-    if not is_band_projection_op(m):
+    target = m.as_mask()
+    if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
     _check_cap(len(family), cap)
     supports = summand_supports(algebra, family)
     if m.dim != algebra.dim:
         return None
-    target = frozenset(i for i in range(m.dim) if m.entries[i][i] == 1)
     inside = [t for t, s in enumerate(supports) if s and s <= target]
     if frozenset().union(*(supports[t] for t in inside)) != target:
         return None

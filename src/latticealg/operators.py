@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from . import linalg
 from .algebra import AlgebraSpec, integer_form
@@ -61,6 +61,37 @@ class OperatorMatrix:
         return OperatorMatrix(
             tuple(tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
         )
+
+    @staticmethod
+    def mask(n: int, support: AbstractSet[int]) -> "OperatorMatrix":
+        """The band projection of R^n onto the coordinates in `support`
+        (a subset of range(n)): the 0/1 diagonal mask, built from one
+        shared 0 and one shared 1."""
+        zero, one = Fraction(0), Fraction(1)
+        zero_row = (zero,) * n
+        return OperatorMatrix(
+            tuple(
+                zero_row[:i] + (one,) + zero_row[i + 1 :] if i in support else zero_row
+                for i in range(n)
+            )
+        )
+
+    def as_mask(self) -> Optional[frozenset[int]]:
+        """supp(M) when M is a 0/1 diagonal mask, and None otherwise.
+
+        Entrywise, 0 ≤ M ≤ I forces the off-diagonal entries to 0 and the
+        diagonal into [0, 1]; M² = M then forces the diagonal into {0, 1}.
+        So M is a mask exactly when it is a band projection operator, and
+        the test runs in O(n²) without a matrix product.
+        """
+        support = []
+        for i, row in enumerate(self.entries):
+            for j, v in enumerate(row):
+                if v:
+                    if i != j or v != 1:
+                        return None
+                    support.append(i)
+        return frozenset(support)
 
     # -- action and arithmetic -------------------------------------------
 
@@ -199,18 +230,9 @@ def rk_oracle(s: OperatorMatrix, t: OperatorMatrix, x: LatticeElement) -> Lattic
 
 
 def is_band_projection_op(m: OperatorMatrix) -> bool:
-    """True iff 0 ≤ M ≤ I and M² = M (an order projection onto a band).
-
-    Entrywise, 0 ≤ M ≤ I forces the off-diagonal entries to 0 and the
-    diagonal into [0, 1]; M² = M then forces the diagonal into {0, 1}.  So
-    the test is exactly "M is a 0/1 diagonal mask", made in O(n²) without
-    a matrix product.
-    """
-    return all(
-        (v == 0 or v == 1) if i == j else v == 0
-        for i, row in enumerate(m.entries)
-        for j, v in enumerate(row)
-    )
+    """True iff 0 ≤ M ≤ I and M² = M (an order projection onto a band),
+    i.e. iff M is a 0/1 diagonal mask (see OperatorMatrix.as_mask)."""
+    return m.as_mask() is not None
 
 
 def regular_norm(t: OperatorMatrix, spec: NormSpec) -> Fraction:
@@ -279,7 +301,7 @@ def diagonal_mask_operator(x: LatticeElement) -> Optional[OperatorMatrix]:
     or None when the vector has other values."""
     if not set(x.coords) <= {Fraction(0), Fraction(1)}:
         return None
-    return OperatorMatrix.diagonal(x.coords)
+    return OperatorMatrix.mask(x.dim, x.support())
 
 
 def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeElement]:

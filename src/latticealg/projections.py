@@ -171,8 +171,9 @@ def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassificatio
 def enumerate_order_idempotents(algebra: AlgebraSpec) -> list[LatticeElement]:
     """All order idempotents, exactly — the 2^m subset sums of the atoms of A_e.
 
-    Read off the certificate ck_representation checks once: its atoms p_i
-    are > 0, pairwise disjoint, p_i∗p_j = δ_ij·p_i and Σ p_i = e.  By
+    Read off the certificate of ck_representation: its atoms p_i are > 0,
+    pairwise disjoint and Σ p_i = e by construction, and it checks
+    p_i∗p_j = δ_ij·p_i once.  By
     bilinearity alone a subset sum s = Σ_{i∈I} p_i has s∗s = Σ_{i,j∈I}
     p_i∗p_j = s, and e − s is the sum of the other atoms, so 0 ≤ s ≤ e.
     Complete too: 0 ≤ p ≤ e makes p = Σ c_i·p_i with 0 ≤ c_i ≤ 1, and

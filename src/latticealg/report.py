@@ -12,10 +12,10 @@ from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
+from .errors import NotBandProjectionError
 from .fixtures import BuiltinMeta
 from .inner import GammaSet, enumerate_inner, is_inner, validate_family
-from .io import scalar_to_wire
-from .lattice import ApproxReal, LatticeElement
+from .lattice import ApproxReal, LatticeElement, format_scalar
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GridSpec,
@@ -27,12 +27,8 @@ from .projections import (
 from .spectra import SpectrumResult, spectrum
 
 
-def fmt_scalar(q: Fraction) -> str:
-    return str(scalar_to_wire(q))
-
-
 def fmt_element(x: LatticeElement) -> str:
-    return "(" + ", ".join(fmt_scalar(c) for c in x.coords) + ")"
+    return "(" + ", ".join(format_scalar(c) for c in x.coords) + ")"
 
 
 def fmt_combo(x: LatticeElement, labels: Sequence[str]) -> str:
@@ -44,7 +40,7 @@ def fmt_combo(x: LatticeElement, labels: Sequence[str]) -> str:
         if c == 1:
             terms.append(label)
         else:
-            terms.append(f"{fmt_scalar(c)}·{label}")
+            terms.append(f"{format_scalar(c)}·{label}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -56,10 +52,10 @@ def fmt_poly(coeffs: Sequence[Fraction], var: str = "λ") -> str:
         if c == 0:
             continue
         if k == 0:
-            body = fmt_scalar(abs(c))
+            body = format_scalar(abs(c))
         else:
             power = var if k == 1 else f"{var}^{k}"
-            body = power if abs(c) == 1 else f"{fmt_scalar(abs(c))}·{power}"
+            body = power if abs(c) == 1 else f"{format_scalar(abs(c))}·{power}"
         sign = "-" if c < 0 else "+"
         terms.append((sign, body))
     if not terms:
@@ -73,7 +69,7 @@ def fmt_poly(coeffs: Sequence[Fraction], var: str = "λ") -> str:
 
 def fmt_spectrum(result: SpectrumResult) -> str:
     parts = [
-        fmt_scalar(root) if mult == 1 else f"{fmt_scalar(root)} (×{mult})"
+        format_scalar(root) if mult == 1 else f"{format_scalar(root)} (×{mult})"
         for root, mult in result.rational_roots
     ]
     for root in result.other_roots:
@@ -87,20 +83,16 @@ def fmt_spectrum(result: SpectrumResult) -> str:
 def fmt_radius(radius: Union[Fraction, ApproxReal]) -> str:
     """A spectral radius: exact, or its value ± error."""
     if isinstance(radius, Fraction):
-        return fmt_scalar(radius)
+        return format_scalar(radius)
     return f"{radius.value:.12g} ± {radius.error:.3g}"
 
 
 def fmt_projection_matrix(m: OperatorMatrix) -> str:
-    """Band projection operators here are 0/1 diagonals; render them as such."""
-    diag = [m.entries[i][i] for i in range(m.dim)]
-    if all(
-        m.entries[i][j] == (diag[i] if i == j else 0)
-        for i in range(m.dim)
-        for j in range(m.dim)
-    ):
-        return "diag(" + ", ".join(fmt_scalar(d) for d in diag) + ")"
-    return "[" + "; ".join(", ".join(fmt_scalar(v) for v in row) for row in m.entries) + "]"
+    """A band projection operator, i.e. a 0/1 diagonal mask, as diag(...)."""
+    support = m.as_mask()
+    if support is None:
+        raise NotBandProjectionError("only band projection operators are printed as masks")
+    return "diag(" + ", ".join("1" if i in support else "0" for i in range(m.dim)) + ")"
 
 
 def fmt_gamma(gamma: GammaSet) -> str:
@@ -125,9 +117,9 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
     lines.append(f"- basis: {', '.join(labels)}")
     norm_desc = algebra.norm.kind
     if algebra.norm.weights is not None:
-        norm_desc += " with weights (" + ", ".join(fmt_scalar(w) for w in algebra.norm.weights) + ")"
+        norm_desc += " with weights (" + ", ".join(format_scalar(w) for w in algebra.norm.weights) + ")"
     if algebra.norm.p is not None:
-        norm_desc += f", p = {fmt_scalar(algebra.norm.p)}"
+        norm_desc += f", p = {format_scalar(algebra.norm.p)}"
     lines.append(f"- norm: {norm_desc}")
     lines.append("- nonzero basis products:")
     for (i, j) in sorted({(i, j) for i, j, _k in algebra.tensor}):
@@ -165,7 +157,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         lines += ["## Order idempotents", "", f"{len(oi)} elements (complete enumeration):"]
         lines += [f"- {fmt_element(p)}" for p in oi]
         lines.append("")
-    grid_str = "{" + ", ".join(fmt_scalar(v) for v in grid.values) + "}"
+    grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
     lines += [
         f"## Band projections over the grid {grid_str}",
         "",

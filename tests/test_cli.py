@@ -161,6 +161,37 @@ def test_cap_flag_and_env(capsys, monkeypatch):
     assert code == 2
 
 
+def test_options_are_validated_only_by_the_command_that_reads_them(capsys, monkeypatch):
+    # only inner reads the cap, and only classify the grid
+    monkeypatch.setenv("LATTICEALG_CAP", "abc")
+    for command in ("verify", "classify"):
+        code, _, err = run_cli(capsys, command, "builtin:ck2")
+        assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "inner", "builtin:ck2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: LATTICEALG_CAP must be an integer, got 'abc'\n"
+    monkeypatch.delenv("LATTICEALG_CAP")
+    code, _, _ = run_cli(capsys, "verify", "builtin:ck2", "--grid", "0", "--cap", "0")
+    assert code == 0
+    code, _, err = run_cli(capsys, "classify", "builtin:ck2", "--grid", "0")
+    assert (code, err) == (2, "error: grid resolution must be positive\n")
+    code, _, err = run_cli(capsys, "inner", "builtin:ck2", "--cap", "0")
+    assert (code, err) == (2, "error: cap must be positive\n")
+
+
+@pytest.mark.parametrize("command", ["center", "classify", "inner"])
+def test_atoms_that_are_not_delta_orthogonal_exit_2(tmp_path, capsys, command):
+    # e = (1, 1) is an identity and e ≥ 0, but a0∗a0 = b0 + b1 ≠ a0
+    rows = [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, -1], [1, 0, 1, -1], [1, 1, 1, 2]]
+    path = tmp_path / "not-delta.json"
+    path.write_text(json.dumps({"dim": 2, "tensor": rows}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: atoms 0, 0 violate a_i∗a_j = δ_ij·a_i: got (1, 1)\n"
+
+
 def test_report_runs_deterministically(capsys):
     outputs = []
     for _ in range(2):

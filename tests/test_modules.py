@@ -42,3 +42,16 @@ def test_no_module_imports_random():
 def test_no_module_imports_mpmath():
     """Roots and p-norms are bracketed with integers; nothing needs mpmath."""
     assert [f"{f}: {n}" for f, n in imported_top_level_names() if n == "mpmath"] == []
+
+
+def test_only_operators_and_io_read_matrix_entries():
+    """OperatorMatrix.mask and as_mask are the one bridge between supports
+    and dense matrices; apart from them only the wire writer reads .entries."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(la.__file__).parent.glob("*.py"))
+        if path.name not in ("operators.py", "io.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert offenders == []

@@ -172,6 +172,47 @@ def test_band_projection_operator_predicate():
     assert not is_band_projection_op(OperatorMatrix.from_rows([[1, 1], [0, 0]]))
 
 
+def entrywise_mask_rule(m):
+    """0/1 on the diagonal and 0 off it, entry by entry."""
+    return all(
+        (v == 0 or v == 1) if i == j else v == 0
+        for i, row in enumerate(m.entries)
+        for j, v in enumerate(row)
+    )
+
+
+@st.composite
+def near_masks(draw):
+    """A 0/1 diagonal mask, possibly with a few entries overwritten
+    (a 2 or a 1/2 on the diagonal, a 1/2 or a 1 off it, ...)."""
+    n = draw(st.integers(1, 6))
+    rows = [[Fraction(int(i == j and draw(st.booleans()))) for j in range(n)] for i in range(n)]
+    values = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(values)
+    return OperatorMatrix.from_rows(rows)
+
+
+@settings(deadline=None)
+@given(st.one_of(near_masks(), st.integers(1, 6).flatmap(matrices)))
+def test_as_mask_agrees_with_the_entrywise_rule(m):
+    support = m.as_mask()
+    assert (support is not None) == entrywise_mask_rule(m) == is_band_projection_op(m)
+    if support is not None:
+        assert support == {i for i in range(m.dim) if m.entries[i][i] == 1}
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1)))))
+def test_mask_is_the_diagonal_of_its_support(case):
+    n, support = case
+    m = OperatorMatrix.mask(n, support)
+    diagonal = OperatorMatrix.diagonal([1 if i in support else 0 for i in range(n)])
+    assert m == diagonal
+    assert hash(m) == hash(diagonal)
+    assert m.as_mask() == support
+
+
 def test_diagonal_mask_operator():
     assert la.diagonal_mask_operator(vec([1, 0, 1])) == OperatorMatrix.diagonal([1, 0, 1])
     assert la.diagonal_mask_operator(vec([1, "1/2", 0])) is None
