@@ -59,6 +59,7 @@ from .report import (
     fmt_projection_matrix,
     fmt_radius,
     fmt_spectrum,
+    fmt_subset_count,
 )
 from .spectra import spectrum
 
@@ -429,7 +430,7 @@ def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     ]
     lines += [f"  {n} = {fmt_element(x)}" for n, x in zip(names, family.members)]
     enumerated = enumerate_inner(algebra, family, cap=cap)
-    subsets = 2 ** (len(family) ** 2)
+    subsets = fmt_subset_count(len(family))
     payload["distinct_inner"] = [
         {"gamma": gamma.sorted_pairs(), "matrix": operator_to_wire(matrix)}
         for gamma, matrix in enumerated

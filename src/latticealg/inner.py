@@ -9,22 +9,24 @@ which is a band projection (in finite dimensions the defining supremum of
 the summands is attained and equals the sum, because the ranges of the
 distinct two-sided multiplications are pairwise disjoint bands).
 
-Each summand L_{p_α}R_{p_β} is a product of 0/1 diagonal masks, hence a
-mask, and the nonzero summand supports are pairwise disjoint.  So P_Γ is
-the mask of the union of Γ's supports, the image of Γ ↦ P_Γ is exactly
-the 2^k unions of the k nonzero supports, and "M is inner" is a subset
-test on supp(M).  summand_supports computes the supports once, with
-projections.mask_support, and checks both facts; no walk over the
-2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra
-homomorphism onto its image; a band projection need not be of this form
-at all — the 3-dimensional identityless fixture carries a witness.
+validate_family records supp L_{p_α} and supp R_{p_α} for every member
+as it checks membership.  Each summand L_{p_α}R_{p_β} is a product of
+those 0/1 diagonal masks, hence the mask on their intersection, and
+summand_supports checks that the nonzero summand supports are pairwise
+disjoint.  So P_Γ is the mask of the union of Γ's supports, the image of
+Γ ↦ P_Γ is exactly the 2^k unions of the k nonzero supports, and "M is
+inner" is a subset test on supp(M).  After validation only inner_bp's
+independent audit computes a product, and no walk over the 2^(|Λ|²)
+subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra homomorphism onto
+its image; a band projection need not be of this form at all — the
+3-dimensional identityless fixture carries a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .algebra import AlgebraSpec
 from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
@@ -37,9 +39,13 @@ ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """A validated orthogonal family {p_α} ⊆ BP_l ∩ BP_r (see validate_family)."""
+    """A validated orthogonal family {p_α} ⊆ BP_l ∩ BP_r with its masks:
+    left[α] = supp L_{p_α} and right[α] = supp R_{p_α}, as validate_family,
+    the only constructor, found them."""
 
     members: tuple[LatticeElement, ...]
+    left: tuple[frozenset[int], ...]
+    right: tuple[frozenset[int], ...]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -102,30 +108,36 @@ class GammaSet:
 def validate_family(algebra: AlgebraSpec, members: Sequence[LatticeElement]) -> ProjectionFamily:
     """Check both family invariants exactly; raise FamilyError with a witness.
 
-    Every member must lie in BP_l(A) ∩ BP_r(A), and the family must be
-    δ-orthogonal: p_α ∗ p_β = p_α when α = β and 0 otherwise.
+    Every member must lie in BP_l(A) ∩ BP_r(A): p ≥ 0 with L_p and R_p
+    0/1 masks (projections.mask_support, as in is_left_bp/is_right_bp),
+    whose supports the family keeps.  The family must be δ-orthogonal:
+    p_α ∗ p_β = p_α when α = β and 0 otherwise.  L_{p_α} is the mask on
+    left[α], so by bilinearity alone p_α ∗ p_β is p_β restricted to
+    left[α], and no product is computed.
     """
     members = tuple(members)
+    left, right = [], []
     for idx, p in enumerate(members):
         if p.dim != algebra.dim:
             raise FamilyError(f"member {idx} has wrong dimension", witness=idx)
-        if not is_left_bp(algebra, p):
-            raise FamilyError(
-                f"member {idx} is not a left band projection", witness=idx
-            )
-        if not is_right_bp(algebra, p):
-            raise FamilyError(
-                f"member {idx} is not a right band projection", witness=idx
-            )
+        form = integer_form(algebra, p)
+        left_support = mask_support(algebra, form, None) if p.is_positive() else None
+        if left_support is None:
+            raise FamilyError(f"member {idx} is not a left band projection", witness=idx)
+        right_support = mask_support(algebra, None, form)
+        if right_support is None:
+            raise FamilyError(f"member {idx} is not a right band projection", witness=idx)
+        left.append(left_support)
+        right.append(right_support)
     for (i, p), (j, q) in itertools.product(enumerate(members), repeat=2):
-        product = algebra.multiply(p, q)
+        product = LatticeElement(tuple(c * (k in left[i]) for k, c in enumerate(q.coords)))
         expected = p if i == j else algebra.zero()
         if product != expected:
             raise FamilyError(
                 f"members {i}, {j} violate p_α∗p_β = δ_αβ·p_α (got {product})",
                 witness=(i, j),
             )
-    return ProjectionFamily(members=members)
+    return ProjectionFamily(members=members, left=tuple(left), right=tuple(right))
 
 
 def _check_cap(n_members: int, cap: int) -> None:
@@ -140,21 +152,16 @@ def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
     return sorted(itertools.product(range(n_members), repeat=2))
 
 
-def summand_supports(algebra: AlgebraSpec, family: ProjectionFamily) -> list[frozenset[int]]:
-    """supp(L_{p_α}R_{p_β}) for every (α, β) ∈ Λ×Λ, in sorted pair order.
-
-    Each summand must be a 0/1 mask (projections.mask_support, with R
-    applied first as in mult_op), and the nonzero supports must be
-    pairwise disjoint.  Either failure raises MathViolationError: the
-    family or the algebra is invalid.
-    """
-    forms = [integer_form(algebra, p) for p in family.members]
+def summand_supports(family: ProjectionFamily) -> list[frozenset[int]]:
+    """supp(L_{p_α}R_{p_β}) = left[α] ∩ right[β] for every (α, β) ∈ Λ×Λ,
+    in sorted pair order: a product of two masks is the mask on the
+    intersection.  The nonzero supports must be pairwise disjoint (on an
+    associative tensor L_{p_α}L_{p_γ} = L_{p_α∗p_γ} = 0 for α ≠ γ makes
+    them so); an overlap raises MathViolationError."""
     supports: list[frozenset[int]] = []
     covered: set[int] = set()
     for a, b in _sorted_pairs(len(family)):
-        support = mask_support(algebra, forms[a], forms[b])
-        if support is None:
-            raise MathViolationError(f"summand ({a},{b}) is not a band projection operator")
+        support = family.left[a] & family.right[b]
         if covered & support:
             raise MathViolationError(
                 f"summand ({a},{b}) overlaps another summand on coordinates "
@@ -182,9 +189,10 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
     """P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β) as a matrix, with its certificate.
 
     P_Γ is the mask of the union of Γ's summand supports.  As an audit
-    independent of the integer kernel, each summand is also built as a
-    rational matrix with mult_op, and must be a 0/1 mask; the masks must
-    have pairwise disjoint supports whose union is the kernel's.  Disjoint
+    independent of the integer kernel and of the masks the family
+    recorded, each summand is also built as a rational matrix with
+    mult_op, and must be a 0/1 mask; the masks must have pairwise disjoint
+    supports whose union is the recorded one.  Disjoint
     masks take at most one nonzero value per coordinate, so their
     coordinatewise supremum equals their sum on every x ≥ 0 — the exact
     finite-dimensional form of the defining supremum.  A failed check
@@ -192,7 +200,7 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
     never produce silent output.
     """
     _require_family_size(family, gamma)
-    union = _gamma_union(summand_supports(algebra, family), gamma)
+    union = _gamma_union(summand_supports(family), gamma)
     covered: set[int] = set()
     for a, b in gamma.sorted_pairs():
         support = mult_op(algebra, family[a], family[b]).as_mask()
@@ -237,7 +245,7 @@ def boolean_laws(
     """
     _require_family_size(family, gamma)
     _require_family_size(family, delta)
-    supports = summand_supports(algebra, family)
+    supports = summand_supports(family)
     u = _gamma_union(supports, gamma)
     v = _gamma_union(supports, delta)
     full = _gamma_union(supports, GammaSet.full(gamma.n_members))
@@ -262,7 +270,7 @@ def enumerate_inner(
     """
     _check_cap(len(family), cap)
     pairs = _sorted_pairs(len(family))
-    supports = summand_supports(algebra, family)
+    supports = summand_supports(family)
     nonzero = [t for t, s in enumerate(supports) if s]
     out: list[tuple[GammaSet, OperatorMatrix]] = []
     for bits in range(1 << len(nonzero)):
@@ -290,7 +298,7 @@ def is_inner(
     if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
     _check_cap(len(family), cap)
-    supports = summand_supports(algebra, family)
+    supports = summand_supports(family)
     if m.dim != algebra.dim:
         return None
     inside = [t for t, s in enumerate(supports) if s and s <= target]
@@ -300,6 +308,30 @@ def is_inner(
     return GammaSet.of((pairs[t] for t in inside), len(family))
 
 
+def _maximal_cliques(adjacent: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:
+    """Every maximal clique of the graph on range(len(adjacent)), each sorted.
+
+    Bron–Kerbosch with a pivot (CACM 1973, Algorithm 457): every maximal
+    clique that extends the current one holds the pivot u or a candidate
+    outside u's neighbourhood, so only those candidates are branched on.
+    """
+    cliques: list[tuple[int, ...]] = []
+
+    def expand(clique: list[int], candidates: frozenset[int], excluded: frozenset[int]) -> None:
+        if not candidates and not excluded:
+            cliques.append(tuple(sorted(clique)))
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adjacent[u]))
+        for v in sorted(candidates - adjacent[pivot]):
+            expand(clique + [v], candidates & adjacent[v], excluded & adjacent[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    if adjacent:
+        expand([], frozenset(range(len(adjacent))), frozenset())
+    return cliques
+
+
 def find_families(
     algebra: AlgebraSpec, candidate_pool: Sequence[LatticeElement]
 ) -> list[ProjectionFamily]:
@@ -307,9 +339,10 @@ def find_families(
 
     Pool members are filtered to nonzero idempotent elements of
     BP_l ∩ BP_r (zero is excluded: it satisfies the invariants vacuously
-    but contributes nothing to any P_Γ), then maximal cliques of the
-    pairwise-orthogonality graph are enumerated exhaustively.  Families
-    are sorted by decreasing size, then by member coordinates.
+    but contributes nothing to any P_Γ), more than 20 of them are refused,
+    and the maximal cliques of the pairwise-orthogonality graph are
+    enumerated with _maximal_cliques.  Families are sorted by decreasing
+    size, then by member coordinates, and each goes through validate_family.
     """
     eligible = []
     seen_coords = set()
@@ -324,29 +357,14 @@ def find_families(
         eligible.append(p)
     eligible.sort(key=lambda p: p.coords)
     k = len(eligible)
-    orthogonal = [
-        [
-            algebra.multiply(eligible[i], eligible[j]).is_zero()
-            and algebra.multiply(eligible[j], eligible[i]).is_zero()
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    cliques: list[tuple[int, ...]] = []
     if k > 20:
         raise CapExceededError(f"candidate pool of {k} eligible members is too large")
-    for bits in range(1, 1 << k):
-        members = [i for i in range(k) if bits >> i & 1]
-        if all(orthogonal[i][j] for i, j in itertools.combinations(members, 2)):
-            cliques.append(tuple(members))
-    maximal = [
-        c
-        for c in cliques
-        if not any(set(c) < set(d) for d in cliques if d != c)
-    ]
-    families = [
-        ProjectionFamily(members=tuple(eligible[i] for i in clique))
-        for clique in sorted(maximal, key=lambda c: (-len(c), [eligible[i].coords for i in c]))
-    ]
-    # Re-validate each (cheap, and guards the clique construction).
-    return [validate_family(algebra, f.members) for f in families]
+    adjacent: list[set[int]] = [set() for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        p, q = eligible[i], eligible[j]
+        if algebra.multiply(p, q).is_zero() and algebra.multiply(q, p).is_zero():
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+    cliques = _maximal_cliques(adjacent)
+    cliques.sort(key=lambda c: (-len(c), [eligible[i].coords for i in c]))
+    return [validate_family(algebra, [eligible[i] for i in c]) for c in cliques]

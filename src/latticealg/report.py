@@ -100,6 +100,16 @@ def fmt_gamma(gamma: GammaSet) -> str:
     return "{" + pairs + "}"
 
 
+def fmt_subset_count(n_members: int) -> str:
+    """The number 2^(|Λ|²) of Γ-subsets, as "2^N" when str() refuses it
+    (past Python's int-to-string digit limit)."""
+    n_pairs = n_members * n_members
+    try:
+        return str(2**n_pairs)
+    except ValueError:
+        return f"2^{n_pairs}"
+
+
 def _labels(algebra: AlgebraSpec, meta: Optional[BuiltinMeta]) -> list[str]:
     if meta is not None and len(meta.basis_labels) == algebra.dim:
         return list(meta.basis_labels)
@@ -212,12 +222,12 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
     if members:
         family = validate_family(algebra, members)
         inner_list = enumerate_inner(algebra, family)
-        subsets = 2 ** (len(family) ** 2)
         lines += [
             f"## Inner projections over the family ({', '.join(family_names)})",
             "",
             f"- family of {len(family)} orthogonal left-and-right band projections",
-            f"- distinct inner projections: {len(inner_list)} out of {subsets} Γ-subsets:",
+            f"- distinct inner projections: {len(inner_list)} out of "
+            f"{fmt_subset_count(len(family))} Γ-subsets:",
         ]
         for gamma, matrix in inner_list:
             lines.append(f"  - Γ = {fmt_gamma(gamma)} ↦ {fmt_projection_matrix(matrix)}")

@@ -1,5 +1,6 @@
 """Inner projections over orthogonal families of two-sided band projections."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -8,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import (
@@ -21,9 +24,12 @@ from latticealg import (
     ProjectionFamily,
     vec,
 )
+from latticealg import inner as inner_module
+from latticealg import projections as projections_module
 from latticealg.cli import main
-from latticealg.inner import summand_supports
+from latticealg.inner import _maximal_cliques, summand_supports
 from latticealg.operators import is_band_projection_op, mult_op
+from latticealg.projections import integer_form, mask_support
 
 
 def noid3_family():
@@ -298,11 +304,11 @@ def test_boolean_laws_in_matrix_form(name):
 
 def test_summand_supports_are_disjoint_masks():
     alg, family = builtin_family("m2-regular")
-    assert summand_supports(alg, family) == [
+    assert summand_supports(family) == [
         frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})
     ]
     alg, family = noid3_family()
-    assert summand_supports(alg, family) == [
+    assert summand_supports(family) == [
         frozenset({0}), frozenset(), frozenset(), frozenset({1})
     ]
 
@@ -322,7 +328,7 @@ def test_overlapping_supports_raise(tmp_path, capsys):
     alg = _overlap_algebra()
     family = la.validate_family(alg, [alg.elements["p0"], alg.elements["p1"]])
     with pytest.raises(MathViolationError, match="overlaps"):
-        summand_supports(alg, family)
+        summand_supports(family)
     with pytest.raises(MathViolationError):
         la.enumerate_inner(alg, family)
     with pytest.raises(MathViolationError):
@@ -335,17 +341,17 @@ def test_overlapping_supports_raise(tmp_path, capsys):
 
 def test_non_mask_summand_raises(capsys, monkeypatch):
     alg = la.builtin("ck2")
-    family = ProjectionFamily(members=(vec([2, 0]),))  # not validated: L_p = diag(2, 0)
-    with pytest.raises(MathViolationError, match="not a band projection"):
-        summand_supports(alg, family)
-    with pytest.raises(MathViolationError):
+    # Not built by validate_family: L_p = R_p = diag(2, 0), while the
+    # recorded masks say {0}.  The supports are read off the record, and
+    # inner_bp's mult_op audit is what rejects the family.
+    mask = (frozenset({0}),)
+    family = ProjectionFamily(members=(vec([2, 0]),), left=mask, right=mask)
+    assert summand_supports(family) == [frozenset({0})]
+    with pytest.raises(MathViolationError, match="not a 0/1 mask"):
         la.inner_bp(alg, family, GammaSet.full(1))
-    monkeypatch.setattr(
-        "latticealg.cli.validate_family",
-        lambda algebra, members: ProjectionFamily(members=(vec([2, 0]),)),
-    )
-    assert main(["inner", "builtin:ck2"]) == 1
-    assert "not a band projection" in capsys.readouterr().err
+    monkeypatch.setattr("latticealg.cli.validate_family", lambda algebra, members: family)
+    assert main(["inner", "builtin:ck2", "--gamma", "(0,0)"]) == 1
+    assert "not a 0/1 mask" in capsys.readouterr().err
 
 
 def _mult_op_off_diagonal(algebra, a, b):
@@ -399,3 +405,260 @@ def test_five_member_family_under_raised_cap(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["distinct_inner"]) == 2**5
     assert payload["distinct_inner"][-1]["gamma"] == [[i, i] for i in range(5)]
+
+
+# -- references: membership, orthogonality and summands through the kernel --
+
+
+def reference_validate_family(algebra, members):
+    """validate_family before the family kept its masks: is_left_bp and
+    is_right_bp per member, then one product per ordered pair."""
+    members = tuple(members)
+    for idx, p in enumerate(members):
+        if p.dim != algebra.dim:
+            raise FamilyError(f"member {idx} has wrong dimension", witness=idx)
+        if not la.is_left_bp(algebra, p):
+            raise FamilyError(f"member {idx} is not a left band projection", witness=idx)
+        if not la.is_right_bp(algebra, p):
+            raise FamilyError(f"member {idx} is not a right band projection", witness=idx)
+    for (i, p), (j, q) in itertools.product(enumerate(members), repeat=2):
+        product = algebra.multiply(p, q)
+        expected = p if i == j else algebra.zero()
+        if product != expected:
+            raise FamilyError(
+                f"members {i}, {j} violate p_α∗p_β = δ_αβ·p_α (got {product})",
+                witness=(i, j),
+            )
+    return members
+
+
+def reference_summand_supports(algebra, members):
+    """Each summand L_{p_α}R_{p_β} decided by the kernel column by column
+    (mask_support with both sides, R applied first as in mult_op)."""
+    forms = [integer_form(algebra, p) for p in members]
+    supports, covered = [], set()
+    for a, b in sorted(itertools.product(range(len(members)), repeat=2)):
+        support = mask_support(algebra, forms[a], forms[b])
+        if support is None:
+            raise MathViolationError(f"summand ({a},{b}) is not a band projection operator")
+        if covered & support:
+            raise MathViolationError(
+                f"summand ({a},{b}) overlaps another summand on coordinates "
+                f"{sorted(covered & support)}"
+            )
+        covered |= support
+        supports.append(support)
+    return supports
+
+
+def _outcome(run):
+    try:
+        return ("ok", run())
+    except FamilyError as err:
+        return ("family", str(err), err.witness)
+    except MathViolationError as err:
+        return ("violation", str(err))
+
+
+@st.composite
+def planted_families(draw):
+    """A tensor with planted masks and a family of 1-3 members.
+
+    The base is b_i∗b_i = b_i off a random set of null coordinates, so a
+    0/1 member has L_p = R_p = the mask on its support there.  Each
+    coordinate belongs to one member or to none; one member may then be
+    scaled (2, 1/2), negated, zeroed or made to overlap another.  For a
+    coordinate j outside every member, planted entries b_i∗b_j = b_j or
+    b_j∗b_i = b_j, for i in a member's support, add j to that member's
+    left or right mask without touching orthogonality; they make the
+    tensor non-associative, and several on one j make summands overlap.
+    Noise entries, negative ones included, may break any of this.
+    """
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    k = draw(st.integers(1, 3))
+    null = draw(st.sets(index, max_size=2))
+    tensor = {(i, i, i): Fraction(1) for i in range(n) if i not in null}
+    owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    members = [[Fraction(owner[q] == a) for q in range(n)] for a in range(k)]
+    change = draw(st.sampled_from(["none"] * 4 + ["scale", "negate", "zero", "overlap"]))
+    a = draw(st.integers(0, k - 1))
+    if change == "scale":
+        members[a] = [c * draw(st.sampled_from([2, Fraction(1, 2)])) for c in members[a]]
+    elif change == "negate":
+        members[a] = [-c for c in members[a]]
+    elif change == "zero":
+        members[a] = [Fraction(0)] * n
+    elif change == "overlap":
+        members[a][draw(index)] = Fraction(1)
+    supports = [[q for q, c in enumerate(m) if c] for m in members]
+    for j in range(n):
+        if any(m[j] for m in members):
+            continue
+        for support, left in itertools.product(supports, (True, False)):
+            if support and draw(st.booleans()):
+                i = draw(st.sampled_from(support))
+                tensor[(i, j, j) if left else (j, i, j)] = Fraction(1)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        key = draw(st.tuples(index, index, index))
+        tensor[key] = Fraction(draw(st.sampled_from([-1, 1, 2]))) / draw(st.sampled_from([1, 2]))
+    return AlgebraSpec(dim=n, tensor=tensor, name="planted"), [vec(m) for m in members]
+
+
+def _check_family_against_reference(alg, members):
+    """The same verdict, message and witness as the reference; for a valid
+    family also the same supports, or the same overlap message."""
+    want = _outcome(lambda: reference_validate_family(alg, members))
+    got = _outcome(lambda: la.validate_family(alg, members))
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok" and got[1].members == want[1]
+    want_supports = _outcome(lambda: reference_summand_supports(alg, members))
+    assert _outcome(lambda: summand_supports(got[1])) == want_supports
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_families())
+# Outcomes the strategy reaches rarely: summands that overlap, and a
+# negative member whose L_p and R_p are both the zero mask.
+@example((_overlap_algebra(), [vec([1, 0, 0]), vec([0, 1, 0])]))
+@example((AlgebraSpec(dim=2, tensor={(0, 0, 0): Fraction(1)}), [vec([1, 0]), vec([0, -1])]))
+def test_validate_family_and_supports_match_the_kernel_reference(case):
+    _check_family_against_reference(*case)
+
+
+def test_validated_family_is_read_without_kernel_work(monkeypatch):
+    """validate_family asks mask_support for L_p and R_p of each member and
+    multiplies nothing; enumerate_inner, is_inner and boolean_laws then do
+    no kernel work, and inner_bp's audit builds one mult_op per Γ pair."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (inner_module, projections_module):
+        monkeypatch.setattr(module, "mask_support", counting("mask_support", mask_support))
+    monkeypatch.setattr(AlgebraSpec, "multiply", counting("multiply", AlgebraSpec.multiply))
+    monkeypatch.setattr(inner_module, "mult_op", counting("mult_op", mult_op))
+    for name in la.BUILTIN_NAMES:
+        alg, family = builtin_family(name)
+        calls.clear()
+        family = la.validate_family(alg, family.members)
+        assert calls == {"mask_support": 2 * len(family)}, name
+        calls.clear()
+        gammas = la.enumerate_inner(alg, family)
+        for bits in itertools.product((0, 1), repeat=alg.dim):
+            la.is_inner(alg, family, OperatorMatrix.diagonal(bits))
+        for gamma, _ in gammas:
+            la.boolean_laws(alg, family, gamma, gamma.complement())
+        assert calls == {}, name
+        for gamma in (GammaSet.full(len(family)), gammas[-1][0]):
+            calls.clear()
+            la.inner_bp(alg, family, gamma)
+            assert calls == {"mult_op": len(gamma.pairs)}, name
+
+
+def test_inner_prints_subset_counts_past_the_digit_limit(tmp_path, capsys):
+    """Zero members are valid and may repeat; 2^40000 has 12,042 digits,
+    more than str() converts by default."""
+    alg = dataclasses.replace(la.builtin("ck2"), elements={"z": vec([0, 0])})
+    path = tmp_path / "zeros.json"
+    la.save_algebra(alg, path)
+    argv = ["inner", str(path), "--cap", "40000"] + ["--family", "z"] * 200
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "distinct inner projections: 1 out of 2^40000 Γ-subsets" in out
+    assert main(argv[:2] + ["--family", "z"] * 4) == 0
+    assert "1 out of 65536 Γ-subsets" in capsys.readouterr().out
+
+
+# -- maximal orthogonal families ---------------------------------------------
+
+
+def reference_maximal_cliques(adjacent):
+    """Every clique by a walk over the 2^k vertex subsets, then the ones in
+    no larger clique kept by a quadratic filter."""
+    k = len(adjacent)
+    cliques = [
+        members
+        for bits in range(1, 1 << k)
+        for members in [tuple(i for i in range(k) if bits >> i & 1)]
+        if all(j in adjacent[i] for i, j in itertools.combinations(members, 2))
+    ]
+    return [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
+
+
+def random_graph(rng, k):
+    p = rng.choice([0.2, 0.5, 0.8])
+    adjacent = [set() for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        if rng.random() < p:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+    return [frozenset(a) for a in adjacent]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_maximal_cliques_match_the_subset_walk(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        adjacent = random_graph(rng, rng.randint(0, 10))
+        assert sorted(_maximal_cliques(adjacent)) == sorted(reference_maximal_cliques(adjacent))
+
+
+def diagonal_algebra(n, null=()):
+    """b_i∗b_i = b_i off the null coordinates, every other product 0."""
+    tensor = {(i, i, i): Fraction(1) for i in range(n) if i not in null}
+    return AlgebraSpec(dim=n, tensor=tensor, name=f"diag{n}")
+
+
+def test_find_families_matches_the_subset_walk_on_random_pools():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        alg = diagonal_algebra(n, null=rng.sample(range(n), rng.randint(0, 1)))
+        pool = [
+            vec([rng.choice([0, 0, 1, 1, 2]) for _ in range(n)]) for _ in range(rng.randint(0, 12))
+        ]
+        eligible = sorted(
+            {p.coords: p for p in pool if not p.is_zero() and la.is_left_bp(alg, p)
+             and la.is_right_bp(alg, p) and alg.multiply(p, p) == p}.values(),
+            key=lambda p: p.coords,
+        )
+        adjacent = [
+            frozenset(j for j, q in enumerate(eligible)
+                      if j != i and alg.multiply(p, q).is_zero() and alg.multiply(q, p).is_zero())
+            for i, p in enumerate(eligible)
+        ]
+        want = sorted(
+            reference_maximal_cliques(adjacent),
+            key=lambda c: (-len(c), [eligible[i].coords for i in c]),
+        )
+        got = la.find_families(alg, pool)
+        assert [f.members for f in got] == [tuple(eligible[i] for i in c) for c in want]
+
+
+def test_find_families_on_twenty_orthogonal_atoms():
+    alg = diagonal_algebra(20)
+    atoms = [la.unit(20, i) for i in range(20)]
+    start = time.perf_counter()
+    families = la.find_families(alg, atoms[::-1])
+    assert time.perf_counter() - start < 1.0
+    assert [f.members for f in families] == [tuple(sorted(atoms, key=lambda p: p.coords))]
+    assert la.find_families(alg, []) == []
+
+
+def test_find_families_refuses_a_large_pool_before_the_table(monkeypatch):
+    alg = diagonal_algebra(21)
+    products = []
+    real = AlgebraSpec.multiply
+    monkeypatch.setattr(
+        AlgebraSpec, "multiply", lambda self, x, y: products.append(1) or real(self, x, y)
+    )
+    with pytest.raises(CapExceededError, match="21 eligible members"):
+        la.find_families(alg, [la.unit(21, i) for i in range(21)])
+    assert len(products) == 21  # one p∗p per member, no orthogonality table
