@@ -44,7 +44,7 @@ def survey(name: str, max_resolution: int) -> None:
     two_sided = [
         p
         for p in la.search_band_projections(alg, GridSpec.from_resolution(2))
-        if la.is_left_bp(alg, p) and la.is_right_bp(alg, p)
+        if None not in la.side_masks(alg, p)
     ]
     report = la.commutation_check(alg, two_sided)
     print(

@@ -47,9 +47,8 @@ from .projections import (
     check_grid_size,
     classify,
     enumerate_order_idempotents,
-    is_left_bp,
-    is_right_bp,
     search_band_projections,
+    side_masks,
 )
 from .report import (
     build_report,
@@ -291,7 +290,7 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     # The grid search runs first: 2^m ≤ (N+1)^dim for the m atoms of A_e,
     # so its cap also bounds the enumeration of the 2^m order idempotents.
     certified = search_band_projections(algebra, grid)
-    core = [p for p in certified if is_left_bp(algebra, p) and is_right_bp(algebra, p)]
+    core = [p for p in certified if None not in side_masks(algebra, p)]
     payload: dict[str, Any] = {"name": algebra.name, "dim": algebra.dim}
     lines = [f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"]
     if algebra.has_identity():
@@ -422,6 +421,7 @@ def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     payload: dict[str, Any] = {
         "name": algebra.name,
         "family": {n: element_to_wire(x) for n, x in zip(names, family.members)},
+        "family_names": names,
         "family_valid": True,
     }
     lines = [

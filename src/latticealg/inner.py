@@ -9,15 +9,15 @@ which is a band projection (in finite dimensions the defining supremum of
 the summands is attained and equals the sum, because the ranges of the
 distinct two-sided multiplications are pairwise disjoint bands).
 
-validate_family records supp L_{p_α} and supp R_{p_α} for every member
-as it checks membership.  Each summand L_{p_α}R_{p_β} is a product of
-those 0/1 diagonal masks, hence the mask on their intersection, and
-summand_supports checks that the nonzero summand supports are pairwise
-disjoint.  So P_Γ is the mask of the union of Γ's supports, the image of
-Γ ↦ P_Γ is exactly the 2^k unions of the k nonzero supports, and "M is
-inner" is a subset test on supp(M).  After validation only inner_bp's
-independent audit computes a product, and no walk over the 2^(|Λ|²)
-subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra homomorphism onto
+validate_family and find_families record supp L_{p_α} and supp R_{p_α}
+of every member as projections.side_masks reads them.  Each summand
+L_{p_α}R_{p_β} is a product of those 0/1 diagonal masks, hence the mask
+on their intersection, and summand_supports checks that the nonzero
+summand supports are pairwise disjoint.  So P_Γ is the mask of the union
+of Γ's supports, the image of Γ ↦ P_Γ is exactly the 2^k unions of the
+k nonzero supports, and "M is inner" is a subset test on supp(M).  After
+validation only inner_bp's independent audit computes a product, and no
+walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra homomorphism onto
 its image; a band projection need not be of this form at all — the
 3-dimensional identityless fixture carries a witness.
 """
@@ -32,16 +32,16 @@ from .algebra import AlgebraSpec
 from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
 from .lattice import LatticeElement
 from .operators import OperatorMatrix, mult_op
-from .projections import integer_form, is_left_bp, is_right_bp, mask_support
+from .projections import side_masks
 
 ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """A validated orthogonal family {p_α} ⊆ BP_l ∩ BP_r with its masks:
-    left[α] = supp L_{p_α} and right[α] = supp R_{p_α}, as validate_family,
-    the only constructor, found them."""
+    """A δ-orthogonal family {p_α} ⊆ BP_l ∩ BP_r with its masks left[α] =
+    supp L_{p_α} and right[α] = supp R_{p_α}, as side_masks read them in
+    validate_family or find_families, which build it by the same δ rule."""
 
     members: tuple[LatticeElement, ...]
     left: tuple[frozenset[int], ...]
@@ -108,31 +108,29 @@ class GammaSet:
 def validate_family(algebra: AlgebraSpec, members: Sequence[LatticeElement]) -> ProjectionFamily:
     """Check both family invariants exactly; raise FamilyError with a witness.
 
-    Every member must lie in BP_l(A) ∩ BP_r(A): p ≥ 0 with L_p and R_p
-    0/1 masks (projections.mask_support, as in is_left_bp/is_right_bp),
-    whose supports the family keeps.  The family must be δ-orthogonal:
-    p_α ∗ p_β = p_α when α = β and 0 otherwise.  L_{p_α} is the mask on
-    left[α], so by bilinearity alone p_α ∗ p_β is p_β restricted to
-    left[α], and no product is computed.
+    Every member must lie in BP_l(A) ∩ BP_r(A): side_masks must find L_p
+    and R_p to be 0/1 masks (left first), whose supports the family keeps.
+    By bilinearity alone p_α ∗ p_β is p_β restricted to left[α], so
+    δ-orthogonality (p_α ∗ p_β = δ_αβ·p_α) holds when supp p_β ∩ left[α] is
+    supp p_β for α = β and empty otherwise.  No product is computed.
     """
     members = tuple(members)
     left, right = [], []
     for idx, p in enumerate(members):
         if p.dim != algebra.dim:
             raise FamilyError(f"member {idx} has wrong dimension", witness=idx)
-        form = integer_form(algebra, p)
-        left_support = mask_support(algebra, form, None) if p.is_positive() else None
+        left_support, right_support = side_masks(algebra, p)
         if left_support is None:
             raise FamilyError(f"member {idx} is not a left band projection", witness=idx)
-        right_support = mask_support(algebra, None, form)
         if right_support is None:
             raise FamilyError(f"member {idx} is not a right band projection", witness=idx)
         left.append(left_support)
         right.append(right_support)
-    for (i, p), (j, q) in itertools.product(enumerate(members), repeat=2):
-        product = LatticeElement(tuple(c * (k in left[i]) for k, c in enumerate(q.coords)))
-        expected = p if i == j else algebra.zero()
-        if product != expected:
+    supports = [p.support() for p in members]
+    for i, j in itertools.product(range(len(members)), repeat=2):
+        if supports[j] & left[i] != (supports[j] if i == j else frozenset()):
+            q = members[j]
+            product = LatticeElement(tuple(c * (k in left[i]) for k, c in enumerate(q.coords)))
             raise FamilyError(
                 f"members {i}, {j} violate p_α∗p_β = δ_αβ·p_α (got {product})",
                 witness=(i, j),
@@ -337,34 +335,32 @@ def find_families(
 ) -> list[ProjectionFamily]:
     """Maximal orthogonal families assembled from a pool, deterministically.
 
-    Pool members are filtered to nonzero idempotent elements of
-    BP_l ∩ BP_r (zero is excluded: it satisfies the invariants vacuously
-    but contributes nothing to any P_Γ), more than 20 of them are refused,
-    and the maximal cliques of the pairwise-orthogonality graph are
-    enumerated with _maximal_cliques.  Families are sorted by decreasing
-    size, then by member coordinates, and each goes through validate_family.
+    side_masks reads each distinct nonzero pool member once (zero adds
+    nothing to any P_Γ).  As in validate_family, p is kept when it is in
+    BP_l ∩ BP_r with supp p ⊆ left[p] (p∗p = p), and p ⊥ q (orthogonal)
+    when supp q ∩ left[p] = ∅ = supp p ∩ left[q].  More than 20 kept members
+    are refused.  Each maximal clique of ⊥ (_maximal_cliques) is a family
+    built from the recorded masks, sorted by decreasing size, then by coords.
     """
-    eligible = []
-    seen_coords = set()
+    eligible, seen_coords = [], set()
     for p in candidate_pool:
         if p.is_zero() or p.coords in seen_coords:
             continue
-        if not (is_left_bp(algebra, p) and is_right_bp(algebra, p)):
-            continue
-        if algebra.multiply(p, p) != p:
-            continue
         seen_coords.add(p.coords)
-        eligible.append(p)
-    eligible.sort(key=lambda p: p.coords)
+        left, right = side_masks(algebra, p)
+        if left is not None and right is not None and p.support() <= left:
+            eligible.append((p, left, right))
+    eligible.sort(key=lambda entry: entry[0].coords)
     k = len(eligible)
     if k > 20:
         raise CapExceededError(f"candidate pool of {k} eligible members is too large")
+    supports = [p.support() for p, _, _ in eligible]
     adjacent: list[set[int]] = [set() for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
-        p, q = eligible[i], eligible[j]
-        if algebra.multiply(p, q).is_zero() and algebra.multiply(q, p).is_zero():
+        if not (supports[j] & eligible[i][1] or supports[i] & eligible[j][1]):
             adjacent[i].add(j)
             adjacent[j].add(i)
     cliques = _maximal_cliques(adjacent)
-    cliques.sort(key=lambda c: (-len(c), [eligible[i].coords for i in c]))
-    return [validate_family(algebra, [eligible[i] for i in c]) for c in cliques]
+    cliques.sort(key=lambda c: (-len(c), [eligible[i][0].coords for i in c]))
+    # An entry (p, left, right) has the field order of ProjectionFamily.
+    return [ProjectionFamily(*zip(*(eligible[i] for i in c))) for c in cliques]

@@ -7,14 +7,15 @@ Four classes of positive elements are distinguished:
   BP_l  left band projections: x ↦ a∗x is a band projection operator;
   BP_r  right band projections: x ↦ x∗a is one.
 
-BP_l ∩ BP_r ⊆ BP always.  With a positive identity BP_l ⊆ OI and
-BP_r ⊆ OI (evaluate the mask at e); the converse, and so BP_l = OI = BP_r,
-needs a nonnegative associative tensor, which classify does not check:
-with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 = b1∗b2 = b2∗b0 = b2∗b1 = ½·b2, the
-order idempotent b0 is in neither, as L_{b0} halves b2.  BP itself can be
-strictly larger — it may contain whole rays — so its membership test is
-exact but enumeration is only offered for OI, where the atom picture of
-A_e makes the list provably complete.
+BP_l ∩ BP_r ⊆ BP always; each operator is a band projection exactly when
+it is a 0/1 mask (mask_support), and side_masks reads L_a and R_a.  With a
+positive identity BP_l ⊆ OI and BP_r ⊆ OI (evaluate the mask at e); the
+converse, and so BP_l = OI = BP_r, needs a nonnegative associative tensor,
+which classify does not check: with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 =
+b1∗b2 = b2∗b0 = b2∗b1 = ½·b2, the order idempotent b0 is in neither, as
+L_{b0} halves b2.  BP itself can be strictly larger — it may contain whole
+rays — so its membership test is exact but enumeration is only offered
+for OI, where the atom picture of A_e makes the list provably complete.
 """
 
 from __future__ import annotations
@@ -116,24 +117,26 @@ def is_band_projection(algebra: AlgebraSpec, a: LatticeElement) -> bool:
     return mask_support(algebra, form, form) is not None
 
 
-def is_left_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
-    """a ≥ 0 and x ↦ a∗x is a band projection operator.
-
-    Decided exactly as "L_a is a 0/1 diagonal mask" (mask_support).
-    """
+def side_masks(
+    algebra: AlgebraSpec, a: LatticeElement
+) -> tuple[Optional[frozenset[int]], Optional[frozenset[int]]]:
+    """(supp L_a, supp R_a), each None when that operator is not a 0/1
+    mask (mask_support), and both None when a ≱ 0: the one reader of BP_l
+    and BP_r."""
     if not a.is_positive():
-        return False
-    return mask_support(algebra, integer_form(algebra, a), None) is not None
+        return None, None
+    form = integer_form(algebra, a)
+    return mask_support(algebra, form, None), mask_support(algebra, None, form)
+
+
+def is_left_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
+    """a ≥ 0 and x ↦ a∗x is a band projection operator (side_masks)."""
+    return side_masks(algebra, a)[0] is not None
 
 
 def is_right_bp(algebra: AlgebraSpec, a: LatticeElement) -> bool:
-    """a ≥ 0 and x ↦ x∗a is a band projection operator.
-
-    Decided exactly as "R_a is a 0/1 diagonal mask" (mask_support).
-    """
-    if not a.is_positive():
-        return False
-    return mask_support(algebra, None, integer_form(algebra, a)) is not None
+    """a ≥ 0 and x ↦ x∗a is a band projection operator (side_masks)."""
+    return side_masks(algebra, a)[1] is not None
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,14 @@ def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassificatio
         oi: Optional[bool] = is_order_idempotent(algebra, a)
     except NoIdentityError:
         oi = None
+    left, right = side_masks(algebra, a)
     return ProjectionClassification(
         element=a,
         nonnegative=a.is_positive(),
         is_oi=oi,
         is_bp=is_band_projection(algebra, a),
-        is_left_bp=is_left_bp(algebra, a),
-        is_right_bp=is_right_bp(algebra, a),
+        is_left_bp=left is not None,
+        is_right_bp=right is not None,
     )
 
 
@@ -302,7 +306,7 @@ def commutation_check(
     algebra: AlgebraSpec, candidates: Sequence[LatticeElement]
 ) -> CommutationReport:
     """Check a∗b = b∗a on candidates ∩ BP_l ∩ BP_r; hunt a non-commuting BP pair."""
-    core = [a for a in candidates if is_left_bp(algebra, a) and is_right_bp(algebra, a)]
+    core = [a for a in candidates if None not in side_masks(algebra, a)]
     failures = []
     for a, b in itertools.combinations(core, 2):
         if algebra.multiply(a, b) != algebra.multiply(b, a):

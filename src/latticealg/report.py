@@ -20,9 +20,8 @@ from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GridSpec,
     enumerate_order_idempotents,
-    is_left_bp,
-    is_right_bp,
     search_band_projections,
+    side_masks,
 )
 from .spectra import SpectrumResult, spectrum
 
@@ -180,7 +179,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         tags = []
         if p in oi_members:
             tags.append("order idempotent")
-        if is_left_bp(algebra, p) and is_right_bp(algebra, p):
+        if None not in side_masks(algebra, p):
             tags.append("left+right")
         lines.append(f"- {fmt_element(p)}" + (f" — {', '.join(tags)}" if tags else ""))
     lines.append("")

@@ -137,6 +137,30 @@ def test_gamma_text_forms(capsys):
         assert json.loads(out)["gamma"] == pairs
 
 
+def test_inner_json_lists_family_names_in_member_order(tmp_path, capsys):
+    """family_names keeps repeats, which the name-keyed family object loses;
+    on every builtin it lists the members of the text output in order."""
+    alg = la.algebra_from_dict({"dim": 2, "tensor": [[0, 0, 0, 1]], "elements": {"z": [0, 0]}})
+    path = tmp_path / "zeros.json"
+    la.save_algebra(alg, path)
+    code, out, _ = run_cli(capsys, "inner", str(path), *["--family", "z"] * 3, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family_names"] == ["z", "z", "z"]
+    assert payload["family"] == {"z": [0, 0]}
+    for name in la.BUILTIN_NAMES:
+        code, text, _ = run_cli(capsys, "inner", f"builtin:{name}")
+        assert code == 0
+        lines = text.splitlines()
+        size = int(lines[1].split("(")[1].split()[0])
+        members = [line.split(" = ")[0].strip() for line in lines[2:2 + size]]
+        code, out, _ = run_cli(capsys, "inner", f"builtin:{name}", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family_names"] == members, name
+        assert list(payload["family"]) == members, name
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -30,6 +31,7 @@ from latticealg.cli import main
 from latticealg.inner import _maximal_cliques, summand_supports
 from latticealg.operators import is_band_projection_op, mult_op
 from latticealg.projections import integer_form, mask_support
+from test_projections import reference_side_masks
 
 
 def noid3_family():
@@ -528,20 +530,21 @@ def test_validate_family_and_supports_match_the_kernel_reference(case):
     _check_family_against_reference(*case)
 
 
+def counted(calls, name, fn):
+    """fn, with each call counted in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_validated_family_is_read_without_kernel_work(monkeypatch):
     """validate_family asks mask_support for L_p and R_p of each member and
     multiplies nothing; enumerate_inner, is_inner and boolean_laws then do
     no kernel work, and inner_bp's audit builds one mult_op per Γ pair."""
     calls = collections.Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module in (inner_module, projections_module):
-        monkeypatch.setattr(module, "mask_support", counting("mask_support", mask_support))
+    counting = functools.partial(counted, calls)
+    monkeypatch.setattr(projections_module, "mask_support", counting("mask_support", mask_support))
     monkeypatch.setattr(AlgebraSpec, "multiply", counting("multiply", AlgebraSpec.multiply))
     monkeypatch.setattr(inner_module, "mult_op", counting("mult_op", mult_op))
     for name in la.BUILTIN_NAMES:
@@ -661,4 +664,66 @@ def test_find_families_refuses_a_large_pool_before_the_table(monkeypatch):
     )
     with pytest.raises(CapExceededError, match="21 eligible members"):
         la.find_families(alg, [la.unit(21, i) for i in range(21)])
-    assert len(products) == 21  # one p∗p per member, no orthogonality table
+    assert len(products) == 0  # p∗p = p is read off the masks, and no table is built
+
+
+def test_find_families_reads_each_member_once_and_multiplies_nothing(monkeypatch):
+    """One side_masks reading per member (two mask_support calls) decides
+    eligibility and orthogonality; no product and no validate_family."""
+    calls = collections.Counter()
+    counting = functools.partial(counted, calls)
+    monkeypatch.setattr(projections_module, "mask_support", counting("mask_support", mask_support))
+    monkeypatch.setattr(AlgebraSpec, "multiply", counting("multiply", AlgebraSpec.multiply))
+    monkeypatch.setattr(inner_module, "validate_family", counting("validate_family", la.validate_family))
+    alg = diagonal_algebra(20)
+    atoms = [la.unit(20, i) for i in range(20)]
+    (family,) = la.find_families(alg, atoms + atoms[:3])
+    assert calls == {"mask_support": 40}
+    assert family.members == tuple(sorted(atoms, key=lambda p: p.coords))
+    assert family.left == family.right == tuple(p.support() for p in family.members)
+
+
+def reference_find_families(algebra, pool):
+    """find_families before it read masks: is_left_bp, is_right_bp and
+    p∗p = p per member, two products per pair, then validate_family per
+    maximal clique."""
+    eligible = []
+    for p in pool:
+        if p.is_zero() or p.coords in {q.coords for q in eligible}:
+            continue
+        if la.is_left_bp(algebra, p) and la.is_right_bp(algebra, p) and algebra.multiply(p, p) == p:
+            eligible.append(p)
+    eligible.sort(key=lambda p: p.coords)
+    adjacent = [
+        frozenset(j for j, q in enumerate(eligible) if j != i
+                  and algebra.multiply(p, q).is_zero() and algebra.multiply(q, p).is_zero())
+        for i, p in enumerate(eligible)
+    ]
+    cliques = sorted(
+        _maximal_cliques(adjacent), key=lambda c: (-len(c), [eligible[i].coords for i in c])
+    )
+    return [la.validate_family(algebra, [eligible[i] for i in c]) for c in cliques]
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_families(), st.data())
+@example((_overlap_algebra(), [vec([1, 0, 0]), vec([0, 1, 0])]), None)
+def test_find_families_matches_the_product_route_on_planted_tensors(case, data):
+    """The planted tensors are mostly non-associative.  The pool holds the
+    members, their pairwise sums, a duplicate, zero and a ×2 copy."""
+    alg, members = case
+    pool = members + [p + q for p, q in itertools.combinations(members, 2)]
+    pool += [members[0], alg.zero(), members[-1].scale(2)]
+    if data is not None:
+        pool = data.draw(st.permutations(pool))
+    want = reference_find_families(alg, pool)
+    got = la.find_families(alg, pool)
+    assert got == want  # members and recorded masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_families())
+def test_side_masks_match_the_fraction_route_on_planted_tensors(case):
+    alg, members = case
+    for a in members + [sum(members, alg.zero()), alg.zero()]:
+        assert la.side_masks(alg, a) == reference_side_masks(alg, a), a

@@ -55,3 +55,41 @@ def test_only_operators_and_io_read_matrix_entries():
         if isinstance(node, ast.Attribute) and node.attr == "entries"
     ]
     assert offenders == []
+
+
+def _spelling(node):
+    """The identifier a name, an attribute or an imported name spells."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_one_reader_of_left_and_right_masks():
+    """side_masks is the one reader of L_a and R_a: only projections names
+    mask_support, inner takes nothing else from projections, and no library
+    or script code calls is_left_bp or is_right_bp (public wrappers)."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(la.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py"))
+    }
+    assert [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items() if name != "projections.py"
+        for node in ast.walk(tree) if _spelling(node) == "mask_support"
+    ] == []
+    assert [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _spelling(node.func) in ("is_left_bp", "is_right_bp")
+    ] == []
+    assert [
+        alias.name for node in ast.walk(trees["inner.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "projections"
+        for alias in node.names
+    ] == ["side_masks"]

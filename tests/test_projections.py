@@ -375,6 +375,32 @@ def test_mask_test_on_matrices_matches_fraction_reference(rows):
     assert is_band_projection_op(diag) == reference_bp_op(diag)
 
 
+def reference_side_masks(alg: AlgebraSpec, a: LatticeElement):
+    """(supp L_a, supp R_a) read off the dense Fraction matrices."""
+    if not a.is_positive():
+        return (None, None)
+    return left_mult(alg, a).as_mask(), right_mult(alg, a).as_mask()
+
+
+@pytest.mark.parametrize("name", la.BUILTIN_NAMES)
+def test_side_masks_match_the_fraction_route_on_the_grid(name):
+    alg = la.builtin(name)
+    for point in GridSpec.from_resolution(2).points(alg.dim):
+        a = LatticeElement(point)
+        assert la.side_masks(alg, a) == reference_side_masks(alg, a), point
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_side_masks_match_the_fraction_route_on_lp_sums(seed):
+    rng = random.Random(seed)
+    blocks = ("ck2", "ck3", "upper2", "m2-regular", "noid3", "m3-reflection")
+    alg = la.lp_sum([la.builtin(n) for n in rng.sample(blocks, rng.randint(1, 3))])
+    coords = [0, 0, 1, 1, Fraction(1, 2), 2, -1]
+    for _ in range(60):
+        a = vec([rng.choice(coords) for _ in range(alg.dim)])
+        assert la.side_masks(alg, a) == reference_side_masks(alg, a), a
+
+
 @pytest.mark.parametrize(
     "name, grid",
     [(name, GridSpec.from_resolution(2)) for name in la.BUILTIN_NAMES]
