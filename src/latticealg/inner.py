@@ -338,9 +338,15 @@ def find_families(
     side_masks reads each distinct nonzero pool member once (zero adds
     nothing to any P_Γ).  As in validate_family, p is kept when it is in
     BP_l ∩ BP_r with supp p ⊆ left[p] (p∗p = p), and p ⊥ q (orthogonal)
-    when supp q ∩ left[p] = ∅ = supp p ∩ left[q].  More than 20 kept members
-    are refused.  Each maximal clique of ⊥ (_maximal_cliques) is a family
-    built from the recorded masks, sorted by decreasing size, then by coords.
+    when supp p ∩ supp q = ∅.  That one intersection decides p∗q = 0 and
+    q∗p = 0: by bilinearity p∗q = L_p q is q restricted to left[p], and
+    p∗q = R_q p is p restricted to right[q], so p∗q vanishes off
+    supp p ∩ supp q; on it p∗q equals q, because supp p ⊆ left[p].  So
+    supp(p∗q) = supp p ∩ supp q, and supp(q∗p) is the same set by the same
+    argument with supp q ⊆ left[q].
+    More than 20 kept members are refused.  Each maximal clique of ⊥
+    (_maximal_cliques) is a family built from the recorded masks, sorted by
+    decreasing size, then by coords.
     """
     eligible, seen_coords = [], set()
     for p in candidate_pool:
@@ -357,7 +363,7 @@ def find_families(
     supports = [p.support() for p, _, _ in eligible]
     adjacent: list[set[int]] = [set() for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
-        if not (supports[j] & eligible[i][1] or supports[i] & eligible[j][1]):
+        if not supports[i] & supports[j]:
             adjacent[i].add(j)
             adjacent[j].add(i)
     cliques = _maximal_cliques(adjacent)

@@ -64,11 +64,24 @@ def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:
     """Coefficients (ascending) of det(λI − A) for A = B/d, B an integer
     matrix and d a positive integer, computed exactly over ℤ.
 
-    The Faddeev–LeVerrier recursion runs on B: M_1 = I,
-    b_{n−k} = −tr(B·M_k)/k and M_{k+1} = B·M_k + b_{n−k}·I.  The b_k are the
-    coefficients of det(λI − B), integers, so each division by k is exact.
-    det(λI − A) = d^(−n)·det(dλI − B), so c_k = b_k / d^(n−k).
+    Ordered by its strongly connected components (_blocks), B is block
+    triangular: an entry off the diagonal blocks joins two components, and
+    the components can be ordered so that every such edge runs one way.  So
+    det(λI − B) is the product of det(λI − B_C) over the diagonal blocks
+    B_C, each _faddeev_leverrier's, and the product is taken over ℤ.  det(λI − A) = d^(−n)·det(dλI − B), so
+    c_k = b_k / d^(n−k) for the coefficients b_k of det(λI − B).
     """
+    n = len(b)
+    coeffs = [1]
+    for block in _blocks(b):
+        coeffs = _poly_mul(coeffs, _faddeev_leverrier([[b[i][j] for j in block] for i in block]))
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+
+
+def _faddeev_leverrier(b: Sequence[Sequence[int]]) -> list[int]:
+    """det(λI − B), ascending, for an integer matrix B: M_1 = I,
+    b_{n−k} = −tr(B·M_k)/k and M_{k+1} = B·M_k + b_{n−k}·I.  The b_k are
+    integers, so each division by k is exact."""
     n = len(b)
     coeffs = [0] * n + [1]
     product = [list(row) for row in b]  # B·M_1
@@ -81,7 +94,70 @@ def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:
             product[i][i] += c
         columns = list(zip(*product))
         product = [[sum(map(mul, row, col)) for col in columns] for row in b]
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+    return coeffs
+
+
+def _blocks(b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph with an edge i → j
+    for every b_ij ≠ 0, each as a sorted list of indices.
+
+    Tarjan's algorithm (SIAM J. Comput. 1972), with an explicit stack of
+    (vertex, next successor) frames in place of recursion, so its depth is
+    not bounded by Python's recursion limit.
+    """
+    n = len(b)
+    successors = [[j for j, x in enumerate(row) if x] for row in b]
+    index = [-1] * n  # visiting order; -1 until visited
+    low = [0] * n  # least index reachable through the DFS subtree and one back edge
+    on_stack = [False] * n  # in stack: visited, its component not yet emitted
+    stack: list[int] = []
+    blocks: list[list[int]] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, 0)]
+        while frames:
+            v, i = frames[-1]
+            if i < len(successors[v]):
+                frames[-1] = (v, i + 1)
+                w = successors[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                block = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    block.append(w)
+                    if w == v:
+                        break
+                blocks.append(sorted(block))
+    return blocks
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -10,11 +10,19 @@ solving the linear system is automatically two-sided (see
 operators.invert_element).  Hence σ(a) = σ(L_a), the root set of the
 characteristic polynomial.
 
-The characteristic polynomial is computed over ℤ (linalg.char_poly_monic),
-its primitive integer form is split by one pass of Yun's square-free
-factorization, and each factor goes once through one exact routine,
-_isolate.  It runs Durand–Kerner on Gaussian integers in units of 2^-p and
-certifies the result: for a square-free q of degree d the disk
+The characteristic polynomial is computed over ℤ (linalg.char_poly_monic)
+as the product of one polynomial per strongly connected block of L_a's
+nonzero pattern: in a direct sum L_a is block diagonal up to a permutation
+of the basis, and in a triangular algebra block triangular, so the
+determinant splits over the diagonal blocks.  Its primitive integer form is
+split by one pass of Yun's square-free factorization.  A linear factor's
+root is read off.  Every other factor q runs one level of Durand–Kerner on
+Gaussian integers in units of 2^-p; the fractions of denominator ≤ lead
+nearest the points' real parts are tried, and if they are d distinct
+rationals on which q vanishes exactly, they are all of q's roots and
+nothing more is computed.  Otherwise the
+iteration goes on from the same points, doubling p, until the result
+certifies: for a square-free q of degree d the disk
 |z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
@@ -179,20 +187,33 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     """All roots with multiplicities: the rational ones exactly, the others
     as certified disks.
 
-    Each Yun factor q is isolated once.  A rational root of q in lowest
-    terms has a denominator dividing lead, q's leading coefficient, and
-    _isolate makes every real disk narrower than 1/(2·lead²), so the
-    fraction of denominator ≤ lead nearest a real disk's centre is the only
-    rational the disk can hold.  It is a root when it lies in the disk and
-    q vanishes on it; a disk that holds no rational root is kept.
+    A linear Yun factor's root is read off.  Any other factor q runs one
+    Durand–Kerner level, and q is done when _snapped_roots finds from those
+    points that all its roots are rational.  Otherwise isolation resumes
+    from the same points (_isolate_from), so each factor is isolated at
+    most once.  A rational root of q in lowest terms has a
+    denominator dividing lead, q's leading coefficient, and every real disk
+    is narrower than 1/(2·lead²), so the fraction of denominator ≤ lead
+    nearest a real disk's centre is the only rational the disk can hold.
+    It is a root when it lies in the disk and q vanishes on it; a disk that
+    holds no rational root is kept.
     """
     if len(linalg.poly_trim(coeffs)) <= 1:
         raise InputError("constant polynomial has no meaningful root set")
     found: list[tuple[Fraction, int]] = []
     disks: list[NumericRoot] = []
     for factor, multiplicity in square_free_factors(coeffs):
+        if len(factor) == 2:
+            found.append((Fraction(-factor[0], factor[1]), multiplicity))
+            continue
+        p, zs = _start(factor)
+        _durand_kerner(factor, zs, p)
+        exact = _snapped_roots(factor, zs, p)
+        if exact is not None:
+            found.extend((root, multiplicity) for root in exact)
+            continue
         lead = factor[-1]
-        for disk in _isolate(factor):
+        for disk in _isolate_from(factor, zs, p):
             if disk.certified_real():
                 candidate = disk.re.limit_denominator(lead)
                 if abs(candidate - disk.re) <= disk.bound and linalg.poly_eval(factor, candidate) == 0:
@@ -333,19 +354,41 @@ def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p
     return True
 
 
+def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[Fraction]]:
+    """All roots of the square-free q of degree d, exactly, when the points
+    zs show them rational; else None.
+
+    The fractions of denominator ≤ lead nearest the points' real parts
+    must be d distinct rationals on each of which q vanishes exactly.  A
+    polynomial of degree d has no more than d roots, so these are all of
+    them, however far the points were from converged.
+    """
+    unit, lead = 1 << p, q[-1]
+    roots = {Fraction(x, unit).limit_denominator(lead) for x, _ in zs}
+    if len(roots) < len(zs) or not all(linalg.poly_eval(q, r) == 0 for r in roots):
+        return None
+    return sorted(roots)
+
+
 def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
     """Certified disjoint disks, one per root of a square-free rational
-    polynomial, found on its primitive integer form.
-
-    Durand–Kerner runs on Gaussian integers at precision p.  At its fixed
-    point the centres whose disks meet the real axis are snapped onto it and
-    the disks are certified (_certified); if they fail, p doubles and the
-    iteration continues from the current points.
-    """
+    polynomial, found on its primitive integer form: one Durand–Kerner
+    level from _start, then _isolate_from."""
     q = linalg.integer_poly(factor)
     p, zs = _start(q)
+    _durand_kerner(q, zs, p)
+    return _isolate_from(q, zs, p)
+
+
+def _isolate_from(q: Sequence[int], zs: list[Gaussian], p: int) -> list[NumericRoot]:
+    """Certified disjoint disks, one per root of the square-free primitive
+    q, from Durand–Kerner's fixed point zs at precision p.
+
+    From CERTIFY_BITS on, the centres whose disks meet the real axis are
+    snapped onto it and the disks are certified (_certified); if they fail,
+    p doubles and the iteration continues from the current points.
+    """
     while True:
-        _durand_kerner(q, zs, p)
         radii = _radii(q, zs, p) if p >= CERTIFY_BITS else None
         if radii is not None:
             unit = 1 << p
@@ -365,6 +408,7 @@ def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
             )
         zs = [(x << p, y << p) for x, y in zs]
         p *= 2
+        _durand_kerner(q, zs, p)
 
 
 def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:

@@ -38,6 +38,17 @@ def faddeev_leverrier(a):
     return coeffs
 
 
+def expand(*factors):
+    """The ascending coefficients of the product of ascending factors."""
+    poly = [F(1)]
+    for factor in factors:
+        poly = [
+            sum(poly[i] * factor[k - i] for i in range(len(poly)) if 0 <= k - i < len(factor))
+            for k in range(len(poly) + len(factor) - 1)
+        ]
+    return poly
+
+
 @st.composite
 def rational_matrices(draw):
     n = draw(st.integers(1, 8))
@@ -52,6 +63,78 @@ def test_char_poly_matches_fraction_reference(a):
     d = math.lcm(*(x.denominator for row in a for x in row))
     b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     assert linalg.char_poly_monic(b, d) == faddeev_leverrier(a)
+
+
+@st.composite
+def reducible_matrices(draw):
+    """(B, d): an integer matrix with several strongly connected components
+    and a denominator.  B is block upper triangular with 1×1 to 4×4 diagonal
+    blocks, sparse entries and some zero rows, conjugated by a random
+    permutation; the dimension is at most 12."""
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=12).filter(lambda s: sum(s) <= 12)
+    )
+    n = sum(sizes)
+    block = [k for k, size in enumerate(sizes) for _ in range(size)]
+    entries = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=n * n, max_size=n * n))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    a = [
+        [entries[i * n + j] if block[i] <= block[j] and i not in zero_rows else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    return [[a[i][j] for j in order] for i in order], draw(st.integers(1, 9))
+
+
+def reachable(b):
+    """reach[i] = the set of j with a path i → … → j along nonzero entries (i included)."""
+    n = len(b)
+    reach = [{i} | {j for j in range(n) if b[i][j]} for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return reach
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_matrices())
+def test_char_poly_of_reducible_matrices_matches_fraction_reference(case):
+    # the product of the diagonal blocks' polynomials against the Fraction
+    # recursion on the whole matrix
+    b, d = case
+    assert linalg.char_poly_monic(b, d) == faddeev_leverrier([[F(x, d) for x in row] for row in b])
+    # the blocks are the strongly connected components: they partition the
+    # indices, and i, j share a block exactly when each reaches the other
+    blocks = linalg._blocks(b)
+    assert sorted(i for block in blocks for i in block) == list(range(len(b)))
+    reach = reachable(b)
+    block_of = {i: k for k, block in enumerate(blocks) for i in block}
+    for i in range(len(b)):
+        for j in range(len(b)):
+            assert (block_of[i] == block_of[j]) == (j in reach[i] and i in reach[j])
+
+
+def test_blocks_need_no_recursion_at_the_dimension_limit():
+    # one cycle 0 → 1 → … → 63 → 0 is a single block 64 frames deep, and a
+    # chain without the closing edge is 64 blocks
+    n = 64
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    assert linalg._blocks(cycle) == [list(range(n))]
+    chain = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    assert sorted(linalg._blocks(chain)) == [[i] for i in range(n)]
+    assert linalg.char_poly_monic(chain, 1) == [F(0)] * n + [F(1)]
+
+
+def test_direct_sum_char_poly_is_the_product_of_the_blocks():
+    # sixteen upper2 blocks make a dim-48 algebra whose L_a is block diagonal
+    upper2 = la.builtin("upper2")
+    alg = la.lp_sum([upper2] * 16)
+    parts = [vec([k % 5 - 2, F(k, 3), F(1, k + 1)]) for k in range(16)]
+    result = la.spectrum(alg, vec([c for part in parts for c in part.coords]))
+    blocks = [la.spectrum(upper2, part).char_poly for part in parts]
+    assert list(result.char_poly) == expand(*blocks)
+    assert result.dim == 48
 
 
 def test_char_poly_of_diagonal_multiplier():
@@ -144,29 +227,86 @@ def test_rational_root_must_lie_in_its_disk():
 
 def test_each_yun_factor_is_isolated_once(monkeypatch):
     # (λ − 1)²(λ² − 2)²(λ + 1/2)(λ² + 1)³(λ − 5)³: Yun factors (λ + 1/2),
-    # (λ − 1)(λ² − 2) and (λ² + 1)(λ − 5), each mixing rational and other roots
+    # read off, and (λ − 1)(λ² − 2) and (λ² + 1)(λ − 5), each mixing
+    # rational and other roots, so each is isolated
     isolated = []
-    isolate = spectra._isolate
-    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
-    poly = [F(1)]
+    isolate_from = spectra._isolate_from
+    monkeypatch.setattr(
+        spectra, "_isolate_from", lambda q, zs, p: isolated.append(q) or isolate_from(q, zs, p)
+    )
     factors = [[-1, 1]] * 2 + [[-2, 0, 1]] * 2 + [[F(1, 2), 1]] + [[1, 0, 1]] * 3 + [[-5, 1]] * 3
-    for factor in factors:
-        product = [F(0)] * (len(poly) + len(factor) - 1)
-        for i, u in enumerate(poly):
-            for j, v in enumerate(factor):
-                product[i + j] += u * v
-        poly = product
+    poly = expand(*factors)
     roots, disks = rational_roots(poly)
     assert roots == [(F(-1, 2), 1), (F(1), 2), (F(5), 3)]
     assert sorted((d.certified_real(), d.multiplicity) for d in disks) == [
         (False, 3), (False, 3), (True, 2), (True, 2)
     ]
-    assert sorted(isolated) == sorted(f for f, _ in square_free_factors(poly))
-    assert len(isolated) == 3
+    assert sorted(isolated) == sorted(f for f, _ in square_free_factors(poly) if len(f) > 2)
+    assert len(isolated) == 2
     # spectrum isolates the golden element's one Yun factor, λ² − λ − 1, once
     isolated.clear()
     la.spectrum(la.builtin("m2-regular"), vec([1, 1, 1, 0]))
     assert isolated == [[-1, -1, 1]]
+
+
+def counting(monkeypatch, *names):
+    """Wrap the functions of these names, spectra's or else linalg's;
+    return their call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        module = spectra if hasattr(spectra, name) else linalg
+        original = getattr(module, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_all_rational_factor_needs_no_certificate(monkeypatch):
+    # (λ − 1)(λ − 2)(λ − 1/3), one square-free factor 3λ³ − 10λ² + 9λ − 2:
+    # one Durand–Kerner level, three exact evaluations, no disk
+    calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified", "_isolate_from", "poly_eval")
+    roots, disks = rational_roots(expand([F(-1), F(1)], [F(-2), F(1)], [F(-1, 3), F(1)]))
+    assert roots == [(F(1, 3), 1), (F(1), 1), (F(2), 1)]
+    assert disks == []
+    assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0, "_isolate_from": 0, "poly_eval": 3}
+
+
+def test_linear_factor_is_read_off(monkeypatch):
+    # (λ − 7/3)²(λ + 4): Yun factors 3λ − 7 and λ + 4, both linear
+    calls = counting(monkeypatch, "_isolate", "_start", "_durand_kerner", "_isolate_from", "poly_eval")
+    roots, disks = rational_roots(expand([F(-7, 3), F(1)], [F(-7, 3), F(1)], [F(4), F(1)]))
+    assert roots == [(F(-4), 1), (F(7, 3), 2)]
+    assert disks == []
+    assert set(calls.values()) == {0}
+
+
+def test_linear_factor_with_a_huge_lead_is_exact():
+    # 3^1400·λ − 1: the lead has 2,219 bits, so a certified real disk would
+    # have to be narrower than 2^-4438, past MAX_BITS; read off, the root
+    # needs no disk
+    roots, disks = rational_roots([F(-1), F(3**1400)])
+    assert roots == [(F(1, 3**1400), 1)] and disks == []
+
+
+def test_mixed_factor_keeps_its_disks(monkeypatch):
+    # (λ − 1)(λ² − 2) is one Yun factor: 1 is not the only root, so the
+    # snap fails and isolation resumes from the first level's points, giving
+    # exactly the disks that a full isolation gives
+    calls = counting(monkeypatch, "_start", "_durand_kerner", "_isolate_from")
+    roots, disks = rational_roots([F(2), F(-2), F(-1), F(1)])
+    assert roots == [(F(1), 1)]
+    centre = F(240615969168004511545033772477625056927, 2**127)
+    bound = F(1834027439966797131562139241364745005, 2**249)
+    assert disks == [
+        spectra.NumericRoot(-centre, F(0), bound, 1),
+        spectra.NumericRoot(centre, F(0), bound, 1),
+    ]
+    assert calls["_start"] == calls["_isolate_from"] == 1
+    assert [disk.re for disk in spectra._isolate([F(2), F(-2), F(-1), F(1)])] == [-centre, F(1), centre]
 
 
 def test_square_free_factorization():
