@@ -28,12 +28,15 @@ def survey(name: str, max_resolution: int) -> None:
     else:
         print("order idempotents: no identity")
     previous: set = set()
+    at_two = None
     for n in range(1, max_resolution + 1):
         grid = GridSpec.from_resolution(n)
         if grid.size(alg.dim) > GRID_POINT_CAP:
             print(f"  N={n}: grid too large ({grid.size(alg.dim)} points), stopping")
             break
         found = la.search_band_projections(alg, grid)
+        if n == 2:
+            at_two = found
         coords = {p.coords for p in found}
         fresh = coords - previous
         previous |= coords
@@ -41,11 +44,9 @@ def survey(name: str, max_resolution: int) -> None:
             f"  N={n}: {len(found)} band projections on the grid"
             f" ({len(fresh)} not seen at coarser N)"
         )
-    two_sided = [
-        p
-        for p in la.search_band_projections(alg, GridSpec.from_resolution(2))
-        if None not in la.side_masks(alg, p)
-    ]
+    if at_two is None:
+        at_two = la.search_band_projections(alg, GridSpec.from_resolution(2))
+    two_sided = [p for p in at_two if None not in la.side_masks(alg, p)]
     report = la.commutation_check(alg, two_sided)
     print(
         f"left-and-right members at N=2: {len(report.core_members)}, "

@@ -257,8 +257,8 @@ def check_equivalences(algebra: AlgebraSpec, p: LatticeElement) -> EquivalenceCh
     e = algebra.require_identity()
     if not is_band_projection(algebra, p):
         raise NotBandProjectionError(f"{p} is not a band projection")
-    cond_i = is_order_idempotent(algebra, p)
     cond_ii = algebra.multiply(p, p) == p
+    cond_i = cond_ii and p.is_positive() and (e - p).is_positive()  # is_order_idempotent, one product
     cond_iii = in_identity_ideal(algebra, p)
 
     def positive_inverse_at(lam: Fraction) -> bool:

@@ -16,13 +16,12 @@ nonzero pattern: in a direct sum L_a is block diagonal up to a permutation
 of the basis, and in a triangular algebra block triangular, so the
 determinant splits over the diagonal blocks.  Its primitive integer form is
 split by one pass of Yun's square-free factorization.  A linear factor's
-root is read off.  Every other factor q runs one level of Durand–Kerner on
-Gaussian integers in units of 2^-p; the fractions of denominator ≤ lead
-nearest the points' real parts are tried, and if they are d distinct
-rationals on which q vanishes exactly, they are all of q's roots and
-nothing more is computed.  Otherwise the
-iteration goes on from the same points, doubling p, until the result
-certifies: for a square-free q of degree d the disk
+root is read off.  Every other factor q is isolated by one loop: Durand–Kerner
+on Gaussian integers in units of 2^-p, doubling p from level to level.  After
+each level the fractions of small denominator nearest the points' real parts
+are tried, and if they are d distinct rationals on which q vanishes exactly,
+they are all of q's roots and nothing more is computed.  From CERTIFY_BITS
+on, the level is also certified: for a square-free q of degree d the disk
 |z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
@@ -187,39 +186,21 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     """All roots with multiplicities: the rational ones exactly, the others
     as certified disks.
 
-    A linear Yun factor's root is read off.  Any other factor q runs one
-    Durand–Kerner level, and q is done when _snapped_roots finds from those
-    points that all its roots are rational.  Otherwise isolation resumes
-    from the same points (_isolate_from), so each factor is isolated at
-    most once.  A rational root of q in lowest terms has a
-    denominator dividing lead, q's leading coefficient, and every real disk
-    is narrower than 1/(2·lead²), so the fraction of denominator ≤ lead
-    nearest a real disk's centre is the only rational the disk can hold.
-    It is a root when it lies in the disk and q vanishes on it; a disk that
-    holds no rational root is kept.
+    A linear Yun factor's root is read off; every other factor is isolated
+    once (_isolate).
     """
-    if len(linalg.poly_trim(coeffs)) <= 1:
+    factors = square_free_factors(coeffs)
+    if not factors:
         raise InputError("constant polynomial has no meaningful root set")
     found: list[tuple[Fraction, int]] = []
     disks: list[NumericRoot] = []
-    for factor, multiplicity in square_free_factors(coeffs):
+    for factor, multiplicity in factors:
         if len(factor) == 2:
             found.append((Fraction(-factor[0], factor[1]), multiplicity))
             continue
-        p, zs = _start(factor)
-        _durand_kerner(factor, zs, p)
-        exact = _snapped_roots(factor, zs, p)
-        if exact is not None:
-            found.extend((root, multiplicity) for root in exact)
-            continue
-        lead = factor[-1]
-        for disk in _isolate_from(factor, zs, p):
-            if disk.certified_real():
-                candidate = disk.re.limit_denominator(lead)
-                if abs(candidate - disk.re) <= disk.bound and linalg.poly_eval(factor, candidate) == 0:
-                    found.append((candidate, multiplicity))
-                    continue
-            disks.append(replace(disk, multiplicity=multiplicity))
+        exact, isolated = _isolate(factor)
+        found.extend((root, multiplicity) for root in exact)
+        disks.extend(replace(disk, multiplicity=multiplicity) for disk in isolated)
     return sorted(found), sorted(disks, key=lambda r: (r.re, r.im))
 
 
@@ -358,37 +339,43 @@ def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional
     """All roots of the square-free q of degree d, exactly, when the points
     zs show them rational; else None.
 
-    The fractions of denominator ≤ lead nearest the points' real parts
-    must be d distinct rationals on each of which q vanishes exactly.  A
-    polynomial of degree d has no more than d roots, so these are all of
-    them, however far the points were from converged.
+    The fractions of denominator ≤ min(lead, 2^(p/2 − 1)) nearest the
+    points' real parts must be d distinct rationals on each of which q
+    vanishes exactly.  A polynomial of degree d has no more than d roots, so
+    these are all of them, however far the points were from converged.
+    Fractions of denominator ≤ 2^(p/2 − 1) lie at least 4 grid units apart,
+    so a point within 2 units of such a root snaps to it; with a bound of
+    2^p or more, limit_denominator would return the dyadic point itself.
     """
-    unit, lead = 1 << p, q[-1]
-    roots = {Fraction(x, unit).limit_denominator(lead) for x, _ in zs}
+    unit = 1 << p
+    roots = {Fraction(x, unit).limit_denominator(min(q[-1], 1 << (p // 2 - 1))) for x, _ in zs}
     if len(roots) < len(zs) or not all(linalg.poly_eval(q, r) == 0 for r in roots):
         return None
     return sorted(roots)
 
 
-def _isolate(factor: Sequence[Fraction]) -> list[NumericRoot]:
-    """Certified disjoint disks, one per root of a square-free rational
-    polynomial, found on its primitive integer form: one Durand–Kerner
-    level from _start, then _isolate_from."""
-    q = linalg.integer_poly(factor)
-    p, zs = _start(q)
-    _durand_kerner(q, zs, p)
-    return _isolate_from(q, zs, p)
+def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
+    """The roots of the square-free primitive integer q of degree ≥ 2: the
+    rational ones exactly, the others in certified disjoint disks.
 
-
-def _isolate_from(q: Sequence[int], zs: list[Gaussian], p: int) -> list[NumericRoot]:
-    """Certified disjoint disks, one per root of the square-free primitive
-    q, from Durand–Kerner's fixed point zs at precision p.
-
-    From CERTIFY_BITS on, the centres whose disks meet the real axis are
-    snapped onto it and the disks are certified (_certified); if they fail,
-    p doubles and the iteration continues from the current points.
+    Durand–Kerner runs from _start, one level per precision p.  After each
+    level q is done when _snapped_roots shows all its roots rational.  From
+    CERTIFY_BITS on, the centres whose disks meet the real axis are snapped
+    onto it and the disks are certified (_certified).  A real disk is
+    narrower than 1/(2·lead²), and a rational root of q in lowest terms has
+    a denominator dividing lead, so the fraction of denominator ≤ lead
+    nearest the centre is the only rational the disk can hold: it is
+    returned as a root when it lies in the disk and q vanishes on it, and
+    the disk is kept otherwise.  If the disks fail, p doubles and the
+    iteration continues from the current points; past MAX_BITS q is refused.
     """
+    lead = q[-1]
+    p, zs = _start(q)
     while True:
+        _durand_kerner(q, zs, p)
+        exact = _snapped_roots(q, zs, p)
+        if exact is not None:
+            return exact, []
         radii = _radii(q, zs, p) if p >= CERTIFY_BITS else None
         if radii is not None:
             unit = 1 << p
@@ -396,11 +383,16 @@ def _isolate_from(q: Sequence[int], zs: list[Gaussian], p: int) -> list[NumericR
             if snapped != zs:
                 radii = _radii(q, snapped, p)
             if radii is not None and _certified(q, snapped, radii, p):
-                roots = [
-                    NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
-                    for (x, y), r in zip(snapped, radii)
-                ]
-                return sorted(roots, key=lambda r: (r.re, r.im))
+                found, disks = [], []
+                for (x, y), r in zip(snapped, radii):
+                    disk = NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
+                    if y == 0:
+                        candidate = disk.re.limit_denominator(lead)
+                        if abs(candidate - disk.re) <= disk.bound and linalg.poly_eval(q, candidate) == 0:
+                            found.append(candidate)
+                            continue
+                    disks.append(disk)
+                return found, disks
         if 2 * p > MAX_BITS:
             raise CapExceededError(
                 f"isolating the roots of a degree-{len(q) - 1} factor "
@@ -408,17 +400,14 @@ def _isolate_from(q: Sequence[int], zs: list[Gaussian], p: int) -> list[NumericR
             )
         zs = [(x << p, y << p) for x, y in zs]
         p *= 2
-        _durand_kerner(q, zs, p)
 
 
 def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     """σ(a) = σ(L_a): exact characteristic polynomial, factored root set."""
     algebra.require_identity()
-    if a.dim != algebra.dim:
-        raise InputError("element dimension does not match algebra")
     # L_a = B/(L·D) for a = v/L and the integer rows B = D·L_v
-    kernel = algebra.integer_tensor
     v, scale = integer_form(algebra, a)
+    kernel = algebra.integer_tensor
     monic = linalg.char_poly_monic(kernel.left_matrix(v), scale * kernel.den)  # det(λI − L_a)
     n = algebra.dim
     sign = Fraction(-1) ** n

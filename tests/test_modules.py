@@ -93,3 +93,18 @@ def test_one_reader_of_left_and_right_masks():
         if isinstance(node, ast.ImportFrom) and node.module == "projections"
         for alias in node.names
     ] == ["side_masks"]
+
+
+def test_one_isolation_loop():
+    """_isolate is the one loop that takes a Yun factor through Durand–Kerner:
+    nothing else in the package or the scripts calls its steps."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    steps = ("_start", "_durand_kerner", "_radii", "_certified", "_snapped_roots")
+    assert [
+        f"{path.name}:{node.lineno} in {getattr(top, 'name', 'module')}"
+        for path in sorted(Path(la.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if not (path.name == "spectra.py" and getattr(top, "name", None) == "_isolate")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _spelling(node.func) in steps
+    ] == []

@@ -67,15 +67,19 @@ def linear_factor_roots(poly):
     return out
 
 
-def assert_one_root_per_disk(factor, disks):
-    """Disjoint disks, one per root, each holding exactly one root of factor."""
+def assert_one_root_per_disk(factor, exact, disks):
+    """Exact roots of factor, and disjoint disks each holding exactly one of
+    its other roots: together one entry per root."""
     poly = to_sympy(factor)
-    assert len(disks) == poly.degree()
+    assert len(set(exact)) + len(disks) == poly.degree()
+    assert all(linalg.poly_eval(factor, root) == 0 for root in exact)
     for i, a in enumerate(disks):
         assert a.certified_real() or a.certified_nonreal()
         for b in disks[i + 1 :]:
             assert (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.bound + b.bound) ** 2
-    assert sum(d.certified_real() for d in disks) == poly.count_roots()
+    assert len(exact) + sum(d.certified_real() for d in disks) == poly.count_roots()
+    if not disks:
+        return
     # Nonreal roots are approximated far below every radius: the working
     # precision covers the disks' 2^-2p units and the roots' magnitudes.
     bits = 64 + max(d.bound.denominator.bit_length() for d in disks)
@@ -113,7 +117,8 @@ def test_roots_match_sympy(poly):
     assert dict(roots) == linear_factor_roots(poly)
     assert sum(m for _, m in roots) + sum(d.multiplicity for d in disks) == len(poly) - 1
     for factor, _ in square_free_factors(poly):
-        assert_one_root_per_disk(factor, _isolate(factor))
+        if len(factor) > 2:
+            assert_one_root_per_disk(factor, *_isolate(factor))
 
 
 def test_forty_digit_rational_roots():
@@ -137,10 +142,10 @@ def test_close_roots_get_disjoint_disks():
     # Mignotte's x⁵ − 2(10²⁰x − 1)² has two real roots 1.4·10⁻⁷⁰ apart near
     # 10⁻²⁰, far closer than the first certified precision can tell apart
     a = 10**20
-    poly = [Fraction(c) for c in (-2, 4 * a, -2 * a * a, 0, 0, 1)]
-    disks = _isolate(poly)
-    assert sum(d.certified_real() for d in disks) == 3
-    assert_one_root_per_disk(poly, disks)
+    poly = [-2, 4 * a, -2 * a * a, 0, 0, 1]
+    exact, disks = _isolate(poly)
+    assert exact == [] and sum(d.certified_real() for d in disks) == 3
+    assert_one_root_per_disk(poly, exact, disks)
 
 
 @settings(max_examples=40, deadline=None)

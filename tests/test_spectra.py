@@ -230,10 +230,8 @@ def test_each_yun_factor_is_isolated_once(monkeypatch):
     # read off, and (λ − 1)(λ² − 2) and (λ² + 1)(λ − 5), each mixing
     # rational and other roots, so each is isolated
     isolated = []
-    isolate_from = spectra._isolate_from
-    monkeypatch.setattr(
-        spectra, "_isolate_from", lambda q, zs, p: isolated.append(q) or isolate_from(q, zs, p)
-    )
+    isolate = spectra._isolate
+    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
     factors = [[-1, 1]] * 2 + [[-2, 0, 1]] * 2 + [[F(1, 2), 1]] + [[1, 0, 1]] * 3 + [[-5, 1]] * 3
     poly = expand(*factors)
     roots, disks = rational_roots(poly)
@@ -268,16 +266,44 @@ def counting(monkeypatch, *names):
 def test_all_rational_factor_needs_no_certificate(monkeypatch):
     # (λ − 1)(λ − 2)(λ − 1/3), one square-free factor 3λ³ − 10λ² + 9λ − 2:
     # one Durand–Kerner level, three exact evaluations, no disk
-    calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified", "_isolate_from", "poly_eval")
+    calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified", "_isolate", "poly_eval")
     roots, disks = rational_roots(expand([F(-1), F(1)], [F(-2), F(1)], [F(-1, 3), F(1)]))
     assert roots == [(F(1, 3), 1), (F(1), 1), (F(2), 1)]
     assert disks == []
-    assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0, "_isolate_from": 0, "poly_eval": 3}
+    assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0, "_isolate": 1, "poly_eval": 3}
+
+
+def test_all_rational_factor_with_a_large_lead_snaps_early(monkeypatch):
+    # ∏_{k=2..8}(λ − 1/k) has the lead 8! = 40320, and the dim-48 sum of
+    # upper2 blocks a degree-15 Yun factor with a 45-bit lead whose roots are
+    # 1/2 … 1/16 and small integers.  Both leads exceed 2^p at the first
+    # level (p = 16), where fractions of denominator ≤ lead include the
+    # points themselves; with denominators ≤ 2^(p/2 − 1) the snap finds the
+    # roots after one Durand–Kerner level per non-linear factor, where
+    # climbing to a certificate took four and five levels in all
+    calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified")
+    roots, disks = rational_roots(expand(*[[F(-1, k), F(1)] for k in range(2, 9)]))
+    assert roots == [(F(1, k), 1) for k in range(8, 1, -1)] and disks == []
+    assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0}
+    # denominators above 2^(16/2 − 1) = 128 snap at the second level
+    calls.update(dict.fromkeys(calls, 0))
+    roots, disks = rational_roots(expand([F(-100, 201), F(1)], [F(-150, 203), F(1)], [F(75, 301), F(1)]))
+    assert roots == [(F(-75, 301), 1), (F(100, 201), 1), (F(150, 203), 1)] and disks == []
+    assert calls == {"_durand_kerner": 2, "_radii": 0, "_certified": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    alg = la.lp_sum([la.builtin("upper2")] * 16)
+    parts = [[k % 5 - 2, F(k, 3), F(1, k + 1)] for k in range(16)]
+    result = la.spectrum(alg, vec([c for part in parts for c in part]))
+    assert result.rational_roots == (
+        (F(-2), 8), (F(-1), 6), (F(0), 6), *((F(1, k), 1) for k in range(16, 1, -1)), (F(1), 7), (F(2), 6)
+    )
+    assert result.other_roots == ()
+    assert calls == {"_durand_kerner": 2, "_radii": 0, "_certified": 0}
 
 
 def test_linear_factor_is_read_off(monkeypatch):
     # (λ − 7/3)²(λ + 4): Yun factors 3λ − 7 and λ + 4, both linear
-    calls = counting(monkeypatch, "_isolate", "_start", "_durand_kerner", "_isolate_from", "poly_eval")
+    calls = counting(monkeypatch, "_isolate", "_start", "_durand_kerner", "poly_eval")
     roots, disks = rational_roots(expand([F(-7, 3), F(1)], [F(-7, 3), F(1)], [F(4), F(1)]))
     assert roots == [(F(-4), 1), (F(7, 3), 2)]
     assert disks == []
@@ -294,9 +320,9 @@ def test_linear_factor_with_a_huge_lead_is_exact():
 
 def test_mixed_factor_keeps_its_disks(monkeypatch):
     # (λ − 1)(λ² − 2) is one Yun factor: 1 is not the only root, so the
-    # snap fails and isolation resumes from the first level's points, giving
-    # exactly the disks that a full isolation gives
-    calls = counting(monkeypatch, "_start", "_durand_kerner", "_isolate_from")
+    # snap fails at every level; the certified disks give 1 exactly and keep
+    # the disks of ±√2
+    calls = counting(monkeypatch, "_start", "_isolate")
     roots, disks = rational_roots([F(2), F(-2), F(-1), F(1)])
     assert roots == [(F(1), 1)]
     centre = F(240615969168004511545033772477625056927, 2**127)
@@ -305,8 +331,9 @@ def test_mixed_factor_keeps_its_disks(monkeypatch):
         spectra.NumericRoot(-centre, F(0), bound, 1),
         spectra.NumericRoot(centre, F(0), bound, 1),
     ]
-    assert calls["_start"] == calls["_isolate_from"] == 1
-    assert [disk.re for disk in spectra._isolate([F(2), F(-2), F(-1), F(1)])] == [-centre, F(1), centre]
+    assert calls == {"_start": 1, "_isolate": 1}
+    exact, isolated = spectra._isolate([2, -2, -1, 1])
+    assert exact == [F(1)] and sorted(isolated, key=lambda d: d.re) == disks
 
 
 def test_square_free_factorization():
