@@ -10,6 +10,7 @@ clarity over asymptotics.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -62,20 +63,36 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fractio
 
 def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:
     """Coefficients (ascending) of det(λI − A) for A = B/d, B an integer
-    matrix and d a positive integer, computed exactly over ℤ.
+    matrix and d a positive integer, computed exactly over ℤ: the product
+    of char_poly_blocks(b, d), divided by d^n."""
+    return monic_product(char_poly_blocks(b, d), d)
 
-    Ordered by its strongly connected components (_blocks), B is block
-    triangular: an entry off the diagonal blocks joins two components, and
-    the components can be ordered so that every such edge runs one way.  So
-    det(λI − B) is the product of det(λI − B_C) over the diagonal blocks
-    B_C, each _faddeev_leverrier's, and the product is taken over ℤ.  det(λI − A) = d^(−n)·det(dλI − B), so
-    c_k = b_k / d^(n−k) for the coefficients b_k of det(λI − B).
+
+def char_poly_blocks(b: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+    """One integer polynomial per strongly connected block C of B's nonzero
+    pattern (_blocks): f_C(d·λ), ascending, for f_C = det(μI − B_C) from
+    _faddeev_leverrier, so its coefficients are f_k·d^k and its roots those
+    of det(λI − A_C) for A = B/d.
+
+    Ordered by its strongly connected components, B is block triangular:
+    an entry off the diagonal blocks joins two components, and the
+    components can be ordered so that every such edge runs one way.  So
+    det(λI − B) is the product of the det(λI − B_C), and the product of the
+    polynomials returned is det(dλI − B) = d^n·det(λI − A).
     """
-    n = len(b)
-    coeffs = [1]
+    out = []
     for block in _blocks(b):
-        coeffs = _poly_mul(coeffs, _faddeev_leverrier([[b[i][j] for j in block] for i in block]))
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+        f = _faddeev_leverrier([[b[i][j] for j in block] for i in block])
+        out.append([c * d**k for k, c in enumerate(f)])
+    return out
+
+
+def monic_product(blocks: Sequence[Sequence[int]], d: int) -> list[Fraction]:
+    """det(λI − A), ascending, from A's char_poly_blocks(b, d): their
+    product over ℤ divided by d^n."""
+    product = functools.reduce(_poly_mul, blocks, [1])
+    scale = d ** (len(product) - 1)
+    return [Fraction(c, scale) for c in product]
 
 
 def _faddeev_leverrier(b: Sequence[Sequence[int]]) -> list[int]:
@@ -160,11 +177,13 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Evaluate an ascending-coefficient polynomial at a rational point."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def poly_eval(q: Sequence[int], s: int, t: int) -> int:
+    """t^d·q(s/t) for the integer polynomial q of degree d (ascending),
+    by Horner on integers: zero exactly when s/t is a root of q."""
+    acc, power = 0, 1
+    for c in reversed(q):
+        acc = acc * s + c * power
+        power *= t
     return acc
 
 

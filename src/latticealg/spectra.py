@@ -10,18 +10,22 @@ solving the linear system is automatically two-sided (see
 operators.invert_element).  Hence σ(a) = σ(L_a), the root set of the
 characteristic polynomial.
 
-The characteristic polynomial is computed over ℤ (linalg.char_poly_monic)
-as the product of one polynomial per strongly connected block of L_a's
-nonzero pattern: in a direct sum L_a is block diagonal up to a permutation
-of the basis, and in a triangular algebra block triangular, so the
-determinant splits over the diagonal blocks.  Its primitive integer form is
-split by one pass of Yun's square-free factorization.  A linear factor's
-root is read off.  Every other factor q is isolated by one loop: Durand–Kerner
-on Gaussian integers in units of 2^-p, doubling p from level to level.  After
-each level the fractions of small denominator nearest the points' real parts
-are tried, and if they are d distinct rationals on which q vanishes exactly,
-they are all of q's roots and nothing more is computed.  From CERTIFY_BITS
-on, the level is also certified: for a square-free q of degree d the disk
+The characteristic polynomial is found block by block: in a direct sum L_a
+is block diagonal up to a permutation of the basis, and in a triangular
+algebra block triangular, so the determinant splits over the strongly
+connected blocks of L_a's nonzero pattern.  linalg.char_poly_blocks gives
+one integer polynomial per block; their product is kept only for
+char_poly.  A 1×1 block's root is read off.  Every other block polynomial
+is split by one pass of Yun's square-free factorization, and its factors
+are refined against those of the earlier blocks by gcds, so that each
+distinct factor, with its multiplicities summed, is isolated once.  A
+linear factor's root is read off.  Every other factor q is isolated by one
+loop: Durand–Kerner on Gaussian integers in units of 2^-p, doubling p from
+level to level.  After each level the fractions of small denominator
+nearest the points' real parts are tried, and if they are d distinct
+rationals on which q vanishes exactly, they are all of q's roots and
+nothing more is computed.  From CERTIFY_BITS on, the level is also
+certified: for a square-free q of degree d the disk
 |z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
@@ -29,6 +33,9 @@ so its root is real; no tolerance decides realness.  Rational roots are read
 off the real disks: once a disk's radius is below 1/(2·lead²), the fraction
 of denominator ≤ lead nearest its centre is the only rational it can hold,
 and it is a root when it lies in the disk and q vanishes on it exactly.
+Fractions are picked and tested on integers: the nearest one by the
+continued-fraction rule of Fraction.limit_denominator, and the zero test as
+t^d·q(s/t) (linalg.poly_eval).
 """
 
 from __future__ import annotations
@@ -96,12 +103,16 @@ class NumericRoot:
         return self.re + self.bound < 0
 
     def modulus_bounds(self) -> tuple[Fraction, Fraction]:
-        """Rationals lo ≤ |λ| ≤ hi for the root λ in the disk."""
-        square = self.re**2 + self.im**2  # |centre| = √(num·den)/den
-        den = square.denominator
-        root = math.isqrt(square.numerator * den)
-        low = max(Fraction(root, den) - self.bound, Fraction(0))
-        return low, Fraction(root + 1, den) + self.bound
+        """Rationals lo ≤ |λ| ≤ hi for the root λ in the disk: |centre| ∓ the
+        bound, with |centre| = √square bracketed by root/scale and
+        (root + 1)/scale for root = ⌊√(square·scale²)⌋ at a scale of at least
+        2^CERTIFY_BITS, so the bracket adds a negligible term even when the
+        centre's denominator is small."""
+        square = self.re**2 + self.im**2
+        scale = max(square.denominator, 1 << CERTIFY_BITS)
+        root = math.isqrt(square.numerator * scale * scale // square.denominator)
+        low = max(Fraction(root, scale) - self.bound, Fraction(0))
+        return low, Fraction(root + 1, scale) + self.bound
 
 
 @dataclass(frozen=True)
@@ -182,26 +193,59 @@ class SpectrumResult:
         )
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[NumericRoot]]:
-    """All roots with multiplicities: the rational ones exactly, the others
-    as certified disks.
+def rational_roots(*polys: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[NumericRoot]]:
+    """All roots of the product of polys, with multiplicities: the rational
+    ones exactly, the others as certified disks.
 
-    A linear Yun factor's root is read off; every other factor is isolated
-    once (_isolate).
+    A linear argument's root is read off.  Every other argument is split by
+    square_free_factors, and its factors are refined against those of the
+    earlier arguments (_refine), so the factors left are pairwise coprime
+    and carry summed multiplicities.  A linear factor's root is read off;
+    every other factor is isolated once (_isolate).  Exact roots are merged
+    by value, so a root shared by two arguments is reported once.
     """
-    factors = square_free_factors(coeffs)
-    if not factors:
+    polys = [linalg.poly_trim(poly) for poly in polys]
+    if not all(polys) or all(len(poly) == 1 for poly in polys):  # a constant product
         raise InputError("constant polynomial has no meaningful root set")
-    found: list[tuple[Fraction, int]] = []
+    found: dict[Fraction, int] = {}
+    factors: list[tuple[list[int], int]] = []
+    for poly in polys:
+        if len(poly) == 2:
+            root = Fraction(-poly[0], poly[1])
+            found[root] = found.get(root, 0) + 1
+        elif len(poly) > 2:
+            factors = _refine(factors, square_free_factors(poly))
     disks: list[NumericRoot] = []
     for factor, multiplicity in factors:
         if len(factor) == 2:
-            found.append((Fraction(-factor[0], factor[1]), multiplicity))
-            continue
-        exact, isolated = _isolate(factor)
-        found.extend((root, multiplicity) for root in exact)
+            exact, isolated = [Fraction(-factor[0], factor[1])], []
+        else:
+            exact, isolated = _isolate(factor)
+        for root in exact:
+            found[root] = found.get(root, 0) + multiplicity
         disks.extend(replace(disk, multiplicity=multiplicity) for disk in isolated)
-    return sorted(found), sorted(disks, key=lambda r: (r.re, r.im))
+    return sorted(found.items()), sorted(disks, key=lambda r: (r.re, r.im))
+
+
+def _refine(factors: list[tuple[list[int], int]], new: list[tuple[list[int], int]]) -> list[tuple[list[int], int]]:
+    """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15,
+    1993) of two lists of pairwise coprime square-free factors with
+    multiplicities: each g of factors that shares h = gcd(f, g) with an f
+    of new splits off h, of the summed multiplicity, and f continues as f/h.
+    The factors returned are pairwise coprime, because f and g are
+    square-free and the factors within each list were coprime."""
+    new = list(new)
+    out = []
+    for g, n in factors:
+        for i, (f, m) in enumerate(new):
+            h = linalg.poly_gcd(f, g) if len(f) > 1 and len(g) > 1 else [1]
+            if len(h) > 1:
+                new[i] = linalg.poly_div_exact(f, h), m
+                g = linalg.poly_div_exact(g, h)
+                out.append((h, n + m))
+        if len(g) > 1:
+            out.append((g, n))
+    return out + [(f, m) for f, m in new if len(f) > 1]
 
 
 def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[int], int]]:
@@ -335,23 +379,56 @@ def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p
     return True
 
 
+def _nearest_fraction(n: int, d: int, bound: int) -> tuple[int, int]:
+    """(s, t) in lowest terms with 0 < t ≤ bound: the fraction nearest n/d
+    (d > 0) among those of denominator ≤ bound, as
+    Fraction.limit_denominator picks it, on integers.
+
+    The convergents p1/q1 of n/d's continued fraction are taken while their
+    denominators fit; if the expansion ends first, n/d itself fits.  Else
+    the answer is p1/q1 or the semiconvergent (p0 + k·p1)/(q0 + k·q1) with
+    the largest k that fits, whichever is nearer, p1/q1 on a tie: that is,
+    p1/q1 when 2·r·(q0 + k·q1) ≤ d for the remainder r the expansion
+    stopped at.  Every quantity scales with a common factor of n and d, so
+    n/d need not be in lowest terms.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, rem = n, d
+    while rem:
+        a = num // rem
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, rem = rem, num - a * rem
+    else:
+        return p1, q1
+    k = (bound - q0) // q1
+    if 2 * rem * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[Fraction]]:
     """All roots of the square-free q of degree d, exactly, when the points
     zs show them rational; else None.
 
     The fractions of denominator ≤ min(lead, 2^(p/2 − 1)) nearest the
-    points' real parts must be d distinct rationals on each of which q
-    vanishes exactly.  A polynomial of degree d has no more than d roots, so
-    these are all of them, however far the points were from converged.
-    Fractions of denominator ≤ 2^(p/2 − 1) lie at least 4 grid units apart,
-    so a point within 2 units of such a root snaps to it; with a bound of
-    2^p or more, limit_denominator would return the dyadic point itself.
+    points' real parts (_nearest_fraction) must be d distinct rationals on
+    each of which q vanishes exactly (linalg.poly_eval).  Distinctness is
+    checked before any evaluation, and the evaluations run one at a time,
+    so a failed snap stops at its first non-root.  A polynomial of degree d
+    has no more than d roots, so these are all of them, however far the
+    points were from converged.  Fractions of denominator ≤ 2^(p/2 − 1) lie
+    at least 4 grid units apart, so a point within 2 units of such a root
+    snaps to it; with a bound of 2^p or more, the nearest fraction would be
+    the dyadic point itself.
     """
-    unit = 1 << p
-    roots = {Fraction(x, unit).limit_denominator(min(q[-1], 1 << (p // 2 - 1))) for x, _ in zs}
-    if len(roots) < len(zs) or not all(linalg.poly_eval(q, r) == 0 for r in roots):
+    unit, bound = 1 << p, min(q[-1], 1 << (p // 2 - 1))
+    snapped = {_nearest_fraction(x, unit, bound) for x, _ in zs}
+    if len(snapped) < len(zs) or any(linalg.poly_eval(q, s, t) for s, t in snapped):
         return None
-    return sorted(roots)
+    return sorted(Fraction(s, t) for s, t in snapped)
 
 
 def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
@@ -363,11 +440,12 @@ def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
     CERTIFY_BITS on, the centres whose disks meet the real axis are snapped
     onto it and the disks are certified (_certified).  A real disk is
     narrower than 1/(2·lead²), and a rational root of q in lowest terms has
-    a denominator dividing lead, so the fraction of denominator ≤ lead
-    nearest the centre is the only rational the disk can hold: it is
-    returned as a root when it lies in the disk and q vanishes on it, and
-    the disk is kept otherwise.  If the disks fail, p doubles and the
-    iteration continues from the current points; past MAX_BITS q is refused.
+    a denominator dividing lead, so the fraction s/t of denominator ≤ lead
+    nearest the centre (_nearest_fraction) is the only rational the disk
+    can hold: it is returned as a root when it lies in the disk and
+    linalg.poly_eval(q, s, t) vanishes, and the disk is kept otherwise.  If
+    the disks fail, p doubles and the iteration continues from the current
+    points; past MAX_BITS q is refused.
     """
     lead = q[-1]
     p, zs = _start(q)
@@ -385,13 +463,13 @@ def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
             if radii is not None and _certified(q, snapped, radii, p):
                 found, disks = [], []
                 for (x, y), r in zip(snapped, radii):
-                    disk = NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
                     if y == 0:
-                        candidate = disk.re.limit_denominator(lead)
-                        if abs(candidate - disk.re) <= disk.bound and linalg.poly_eval(q, candidate) == 0:
-                            found.append(candidate)
+                        # s/t lies in the disk when |s/t − x/unit| ≤ r/unit²
+                        s, t = _nearest_fraction(x, unit, lead)
+                        if abs(s * unit - x * t) * unit <= r * t and linalg.poly_eval(q, s, t) == 0:
+                            found.append(Fraction(s, t))
                             continue
-                    disks.append(disk)
+                    disks.append(NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1))
                 return found, disks
         if 2 * p > MAX_BITS:
             raise CapExceededError(
@@ -408,11 +486,13 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     # L_a = B/(L·D) for a = v/L and the integer rows B = D·L_v
     v, scale = integer_form(algebra, a)
     kernel = algebra.integer_tensor
-    monic = linalg.char_poly_monic(kernel.left_matrix(v), scale * kernel.den)  # det(λI − L_a)
+    d = scale * kernel.den
+    blocks = linalg.char_poly_blocks(kernel.left_matrix(v), d)  # one per block of L_a
+    monic = linalg.monic_product(blocks, d)  # det(λI − L_a)
     n = algebra.dim
     sign = Fraction(-1) ** n
     char = tuple(sign * c for c in monic)  # det(L_a − λI)
-    exact, disks = rational_roots(monic)
+    exact, disks = rational_roots(*blocks)
     result = SpectrumResult(
         element=a, char_poly=char, rational_roots=tuple(exact), other_roots=tuple(disks)
     )

@@ -97,7 +97,9 @@ def test_one_reader_of_left_and_right_masks():
 
 def test_one_isolation_loop():
     """_isolate is the one loop that takes a Yun factor through Durand–Kerner:
-    nothing else in the package or the scripts calls its steps."""
+    nothing else in the package or the scripts calls its steps.  Its snaps
+    pick fractions on integers (_nearest_fraction): nothing in spectra calls
+    limit_denominator."""
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     steps = ("_start", "_durand_kerner", "_radii", "_certified", "_snapped_roots")
     assert [
@@ -107,4 +109,9 @@ def test_one_isolation_loop():
         if not (path.name == "spectra.py" and getattr(top, "name", None) == "_isolate")
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and _spelling(node.func) in steps
+    ] == []
+    spectra = ast.parse((Path(la.__file__).parent / "spectra.py").read_text())
+    assert [
+        node.lineno for node in ast.walk(spectra)
+        if isinstance(node, ast.Call) and _spelling(node.func) == "limit_denominator"
     ] == []

@@ -4,6 +4,7 @@ sympy (and mpmath, which sympy requires) are oracles only: the package never
 imports them, and these tests are skipped when sympy is missing.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -72,12 +73,19 @@ def assert_one_root_per_disk(factor, exact, disks):
     its other roots: together one entry per root."""
     poly = to_sympy(factor)
     assert len(set(exact)) + len(disks) == poly.degree()
-    assert all(linalg.poly_eval(factor, root) == 0 for root in exact)
+    assert all(linalg.poly_eval(factor, root.numerator, root.denominator) == 0 for root in exact)
     for i, a in enumerate(disks):
         assert a.certified_real() or a.certified_nonreal()
         for b in disks[i + 1 :]:
             assert (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.bound + b.bound) ** 2
     assert len(exact) + sum(d.certified_real() for d in disks) == poly.count_roots()
+    assert_each_disk_holds_one_root(factor, disks)
+
+
+def assert_each_disk_holds_one_root(factor, disks):
+    """Every disk holds exactly one root of the square-free factor, per
+    sympy's real-root count on real disks and mpmath's roots elsewhere."""
+    poly = to_sympy(factor)
     if not disks:
         return
     # Nonreal roots are approximated far below every radius: the working
@@ -119,6 +127,30 @@ def test_roots_match_sympy(poly):
     for factor, _ in square_free_factors(poly):
         if len(factor) > 2:
             assert_one_root_per_disk(factor, *_isolate(factor))
+
+
+@st.composite
+def block_polynomials(draw):
+    """1–3 products of factors drawn from one pool of up to 3, so that the
+    arguments share factors, as the blocks of a direct sum of copies do."""
+    pool = draw(st.lists(factors(), min_size=1, max_size=3))
+    picks = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=1, max_size=3)
+    return [product(draw(picks)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_polynomials())
+def test_roots_of_blocks_match_roots_of_their_product(polys):
+    # the arguments' factors, refined against each other, give the roots of
+    # the product: the same exact roots and multiplicities, the same number
+    # of disks of each multiplicity, and one root of the product in each disk
+    whole = product([(poly, 1) for poly in polys])
+    roots, disks = rational_roots(*polys)
+    want_roots, want_disks = rational_roots(whole)
+    assert roots == want_roots
+    assert Counter(d.multiplicity for d in disks) == Counter(d.multiplicity for d in want_disks)
+    square_free = to_sympy(whole).sqf_part().all_coeffs()
+    assert_each_disk_holds_one_root([Fraction(int(c.p), int(c.q)) for c in reversed(square_free)], disks)
 
 
 def test_forty_digit_rational_roots():

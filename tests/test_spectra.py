@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
@@ -199,6 +199,43 @@ def test_irrational_roots_are_certified_numerically():
     assert result.sigma_in_nonneg_reals() is False
 
 
+def test_modulus_bounds_of_an_exact_disk():
+    # [[3, −1], [1, 3]] in m2-regular has σ = {3 ± i}, each in a disk of
+    # radius 0 centred on an integer: |3 ± i| = √10 is bracketed at a scale
+    # of 2^CERTIFY_BITS, not at the centre's denominator 1
+    result = la.spectrum(la.builtin("m2-regular"), vec([3, -1, 1, 3]))
+    assert [(d.re, d.im, d.bound) for d in result.other_roots] == [(3, -1, 0), (3, 1, 0)]
+    for disk in result.other_roots:
+        low, high = disk.modulus_bounds()
+        assert low**2 <= 10 <= high**2 and high - low == F(1, 2**spectra.CERTIFY_BITS)
+    radius = result.spectral_radius()
+    assert abs(radius.value - 10**0.5) <= radius.error < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40) | st.integers(0, 300).map(lambda p: 1 << p),
+       st.integers(1, 10**20))
+@example(1, 2, 1)  # ties: limit_denominator keeps the convergent, here 0 and 1
+@example(3, 2, 1)
+@example(-5, 2, 1)
+@example(6, 4, 1)  # not in lowest terms
+@example(3 << 64, 2 << 64, 5)
+def test_nearest_fraction_matches_limit_denominator(n, d, bound):
+    s, t = spectra._nearest_fraction(n, d, bound)
+    assert F(s, t) == F(n, d).limit_denominator(bound)
+    assert 0 < t <= bound and math.gcd(s, t) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=8), rationals)
+def test_poly_eval_is_the_scaled_value(q, x):
+    # t^d·q(s/t) on integers, against Horner on fractions
+    value = F(0)
+    for c in reversed(q):
+        value = value * x + c
+    assert linalg.poly_eval(q, x.numerator, x.denominator) == value * x.denominator ** (len(q) - 1)
+
+
 def test_rational_roots_helper():
     # (λ − 1/2)²·(λ + 3) = λ³ + 2λ² − 11/4·λ + 3/4
     coeffs = [F(3, 4), F(-11, 4), F(2), F(1)]
@@ -247,6 +284,42 @@ def test_each_yun_factor_is_isolated_once(monkeypatch):
     assert isolated == [[-1, -1, 1]]
 
 
+def test_factors_shared_by_blocks_are_isolated_once(monkeypatch):
+    # (λ² − λ − 1)(λ − 1) and λ² − λ − 1: refined to λ² − λ − 1 of
+    # multiplicity 2 and λ − 1, read off; one isolation in all
+    isolated = []
+    isolate = spectra._isolate
+    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
+    golden = [F(-1), F(-1), F(1)]
+    roots, disks = rational_roots(expand(golden, [F(-1), F(1)]), golden)
+    assert roots == [(F(1), 1)]
+    assert [(d.certified_real(), d.multiplicity) for d in disks] == [(True, 2), (True, 2)]
+    assert isolated == [[-1, -1, 1]]
+    assert rational_roots(expand(golden, golden, [F(-1), F(1)])) == (roots, disks)
+    # two m2-regular copies holding the golden element: (λ² − λ − 1)⁴
+    isolated.clear()
+    alg = la.lp_sum([la.builtin("m2-regular")] * 2)
+    result = la.spectrum(alg, vec([1, 1, 1, 0] * 2))
+    assert result.rational_roots == ()
+    assert [d.multiplicity for d in result.other_roots] == [4, 4]
+    assert isolated == [[-1, -1, 1]]
+
+
+def test_one_by_one_root_shared_with_a_larger_block():
+    # λ − 3 and (λ − 3)(λ² − λ − 8): 3 is read off the first and found
+    # exactly in the second's one Yun factor, and reported once
+    roots, disks = rational_roots([F(-3), F(1)], [F(24), F(-5), F(-4), F(1)])
+    assert roots == [(F(3), 2)]
+    assert [(d.certified_real(), d.multiplicity) for d in disks] == [(True, 1), (True, 1)]
+    # the same through spectrum: (3, 5) in ck2 has two 1×1 blocks, and
+    # [[2, 1], [1, 2]] in m2-regular two 2×2 blocks of polynomial
+    # (λ − 3)(λ − 1), whose roots are found by the snap
+    alg = la.lp_sum([la.builtin("ck2"), la.builtin("m2-regular")])
+    result = la.spectrum(alg, vec([3, 5, 2, 1, 1, 2]))
+    assert result.rational_roots == ((F(1), 2), (F(3), 3), (F(5), 1))
+    assert result.other_roots == ()
+
+
 def counting(monkeypatch, *names):
     """Wrap the functions of these names, spectra's or else linalg's;
     return their call counts."""
@@ -274,13 +347,14 @@ def test_all_rational_factor_needs_no_certificate(monkeypatch):
 
 
 def test_all_rational_factor_with_a_large_lead_snaps_early(monkeypatch):
-    # ∏_{k=2..8}(λ − 1/k) has the lead 8! = 40320, and the dim-48 sum of
-    # upper2 blocks a degree-15 Yun factor with a 45-bit lead whose roots are
-    # 1/2 … 1/16 and small integers.  Both leads exceed 2^p at the first
-    # level (p = 16), where fractions of denominator ≤ lead include the
-    # points themselves; with denominators ≤ 2^(p/2 − 1) the snap finds the
-    # roots after one Durand–Kerner level per non-linear factor, where
-    # climbing to a certificate took four and five levels in all
+    # ∏_{k=2..8}(λ − 1/k) has the lead 8! = 40320, and the characteristic
+    # polynomial of the dim-48 sum of upper2 blocks a degree-15 Yun factor
+    # with a 45-bit lead whose roots are 1/2 … 1/16 and small integers.  Both
+    # leads exceed 2^p at the first level (p = 16), where fractions of
+    # denominator ≤ lead include the points themselves; with denominators
+    # ≤ 2^(p/2 − 1) the snap finds the roots after one Durand–Kerner level
+    # per non-linear factor, where climbing to a certificate took four and
+    # five levels in all
     calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified")
     roots, disks = rational_roots(expand(*[[F(-1, k), F(1)] for k in range(2, 9)]))
     assert roots == [(F(1, k), 1) for k in range(8, 1, -1)] and disks == []
@@ -298,6 +372,11 @@ def test_all_rational_factor_with_a_large_lead_snaps_early(monkeypatch):
         (F(-2), 8), (F(-1), 6), (F(0), 6), *((F(1, k), 1) for k in range(16, 1, -1)), (F(1), 7), (F(2), 6)
     )
     assert result.other_roots == ()
+    # L_a is triangular, so spectrum reads every root off a 1×1 block
+    assert calls == {"_durand_kerner": 0, "_radii": 0, "_certified": 0}
+    # the product of the blocks' polynomials, factored as a whole
+    roots, disks = rational_roots(result.char_poly)
+    assert tuple(roots) == result.rational_roots and disks == []
     assert calls == {"_durand_kerner": 2, "_radii": 0, "_certified": 0}
 
 
@@ -454,7 +533,7 @@ def test_only_real_disks_give_candidates(monkeypatch):
     # although 0 and 1, the real parts of ±i and 1 ± 2i, are rational
     evaluations = []
     poly_eval = linalg.poly_eval
-    monkeypatch.setattr(linalg, "poly_eval", lambda p, x: evaluations.append(x) or poly_eval(p, x))
+    monkeypatch.setattr(linalg, "poly_eval", lambda q, s, t: evaluations.append(F(s, t)) or poly_eval(q, s, t))
     coeffs = [F(5), F(-2), F(6), F(-2), F(1)]
     roots, disks = rational_roots(coeffs)
     assert roots == []
