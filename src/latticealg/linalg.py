@@ -64,35 +64,30 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fractio
 def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:
     """Coefficients (ascending) of det(λI − A) for A = B/d, B an integer
     matrix and d a positive integer, computed exactly over ℤ: the product
-    of char_poly_blocks(b, d), divided by d^n."""
-    return monic_product(char_poly_blocks(b, d), d)
+    of char_poly_blocks(b), rescaled by monic_product."""
+    return monic_product(char_poly_blocks(b), d)
 
 
-def char_poly_blocks(b: Sequence[Sequence[int]], d: int) -> list[list[int]]:
-    """One integer polynomial per strongly connected block C of B's nonzero
-    pattern (_blocks): f_C(d·λ), ascending, for f_C = det(μI − B_C) from
-    _faddeev_leverrier, so its coefficients are f_k·d^k and its roots those
-    of det(λI − A_C) for A = B/d.
+def char_poly_blocks(b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """det(μI − B_C), ascending and monic over ℤ, for each strongly
+    connected block C of B's nonzero pattern (_blocks), by
+    _faddeev_leverrier.
 
     Ordered by its strongly connected components, B is block triangular:
     an entry off the diagonal blocks joins two components, and the
     components can be ordered so that every such edge runs one way.  So
-    det(λI − B) is the product of the det(λI − B_C), and the product of the
-    polynomials returned is det(dλI − B) = d^n·det(λI − A).
+    det(μI − B) is the product of the polynomials returned.
     """
-    out = []
-    for block in _blocks(b):
-        f = _faddeev_leverrier([[b[i][j] for j in block] for i in block])
-        out.append([c * d**k for k, c in enumerate(f)])
-    return out
+    return [_faddeev_leverrier([[b[i][j] for j in block] for i in block]) for block in _blocks(b)]
 
 
 def monic_product(blocks: Sequence[Sequence[int]], d: int) -> list[Fraction]:
-    """det(λI − A), ascending, from A's char_poly_blocks(b, d): their
-    product over ℤ divided by d^n."""
+    """det(λI − A), ascending, for A = B/d from B's char_poly_blocks(b):
+    their product P = det(μI − B) at μ = d·λ, divided by d^n, so that
+    coefficient k is P_k/d^(n−k)."""
     product = functools.reduce(_poly_mul, blocks, [1])
-    scale = d ** (len(product) - 1)
-    return [Fraction(c, scale) for c in product]
+    n = len(product) - 1
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(product)]
 
 
 def _faddeev_leverrier(b: Sequence[Sequence[int]]) -> list[int]:

@@ -13,29 +13,28 @@ characteristic polynomial.
 The characteristic polynomial is found block by block: in a direct sum L_a
 is block diagonal up to a permutation of the basis, and in a triangular
 algebra block triangular, so the determinant splits over the strongly
-connected blocks of L_a's nonzero pattern.  linalg.char_poly_blocks gives
-one integer polynomial per block; their product is kept only for
-char_poly.  A 1×1 block's root is read off.  Every other block polynomial
-is split by one pass of Yun's square-free factorization, and its factors
-are refined against those of the earlier blocks by gcds, so that each
-distinct factor, with its multiplicities summed, is isolated once.  A
-linear factor's root is read off.  Every other factor q is isolated by one
-loop: Durand–Kerner on Gaussian integers in units of 2^-p, doubling p from
-level to level.  After each level the fractions of small denominator
-nearest the points' real parts are tried, and if they are d distinct
-rationals on which q vanishes exactly, they are all of q's roots and
-nothing more is computed.  From CERTIFY_BITS on, the level is also
-certified: for a square-free q of degree d the disk
-|z − z_i| ≤ d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
+connected blocks of L_a's nonzero pattern.  With L_a = B/d for integer rows
+B, linalg.char_poly_blocks gives det(μI − B_C) per block C, monic over ℤ
+with roots μ = d·λ; their product is kept only for char_poly.  A 1×1
+block's root is read off.  Every other block polynomial is split by one
+pass of Yun's square-free factorization, and its factors are refined
+against those of the earlier blocks by gcds, so that each distinct factor,
+with its multiplicities summed, is isolated once.  A linear factor's root
+is read off.  Every other factor is made monic over ℤ (_isolate), so that
+its rational roots are integers, and isolated by one loop: Durand–Kerner on
+Gaussian integers in units of 2^-p, doubling p from level to level.  After
+each level the integers nearest the points' real parts are tried, and if
+they are distinct roots, they are all of them.  From CERTIFY_BITS on, the
+level is also certified: for a square-free monic q of degree n the disk
+|z − z_i| ≤ n·|q(z_i)| / |∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
-so its root is real; no tolerance decides realness.  Rational roots are read
-off the real disks: once a disk's radius is below 1/(2·lead²), the fraction
-of denominator ≤ lead nearest its centre is the only rational it can hold,
-and it is a root when it lies in the disk and q vanishes on it exactly.
-Fractions are picked and tested on integers: the nearest one by the
-continued-fraction rule of Fraction.limit_denominator, and the zero test as
-t^d·q(s/t) (linalg.poly_eval).
+so its root is real; no tolerance decides realness.  A real disk of radius
+below 1/2 holds at most one integer, the one nearest its centre, and that
+is a root when it lies in the disk and q vanishes on it exactly
+(linalg.poly_eval).  The roots and disks are then divided back by the
+factor's lead and by d (NumericRoot.divided), so the centres are exact
+rationals.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ from .projections import is_band_projection, is_order_idempotent
 # Durand–Kerner finds the roots at FIRST_BITS of precision below their size
 # bound, where its numbers are short, and doubles the precision until the
 # disks certify, trying from CERTIFY_BITS of absolute precision on.  Past
-# MAX_BITS a polynomial is refused: its roots are too close together, or its
-# leading coefficient too large, to isolate in bounded time.  SWEEPS bounds
-# the iterations at one precision.
+# MAX_BITS a polynomial is refused: its roots are too close together to
+# isolate in bounded time.  SWEEPS bounds the iterations at one precision.
 FIRST_BITS = 16
 CERTIFY_BITS = 128
 MAX_BITS = 1 << 12
@@ -70,7 +68,7 @@ class NumericRoot:
     """A root in the disk |z − (re + i·im)| ≤ bound that holds no other root
     of its square-free factor.
 
-    re and im are the exact dyadic centre and bound is an exact rational;
+    re and im are the exact rational centre and bound is an exact rational;
     value is the centre rounded to doubles and radius the bound rounded up.
     The predicates decide on the exact centre.  A disk centred on the real
     axis holds a real root, because the conjugate of its root lies in the
@@ -89,6 +87,13 @@ class NumericRoot:
     @property
     def radius(self) -> float:
         return float_above(self.bound)
+
+    def divided(self, c: int) -> NumericRoot:
+        """The disk scaled by 1/c for an integer c > 0: it holds λ/c and no
+        other root of the factor whose roots are scaled the same way."""
+        if c == 1:
+            return self
+        return NumericRoot(self.re / c, self.im / c, self.bound / c, self.multiplicity)
 
     def certified_real(self) -> bool:
         return self.im == 0
@@ -297,16 +302,15 @@ def _scaled_product(zs: Sequence[Gaussian], i: int) -> Gaussian:
 
 
 def _start(q: Sequence[int]) -> tuple[int, list[Gaussian]]:
-    """The first precision and d points on a circle whose radius is the
-    Fujiwara bound 2·max_k |a_k/a_d|^(1/(d−k)) (with a_0/2 for a_0), at angles
-    (k + 1/4)·2π/d: not symmetric about the real axis, so the iteration can
-    leave it.  The precision is FIRST_BITS finer than the bound, so that small
-    roots are not all rounded to 0."""
+    """The first precision and d points for the monic q of degree d, on a
+    circle whose radius is the Fujiwara bound 2·max_k |a_k|^(1/(d−k)) (with
+    a_0/2 for a_0), at angles (k + 1/4)·2π/d: not symmetric about the real
+    axis, so the iteration can leave it.  The precision is FIRST_BITS finer
+    than the bound, so that small roots are not all rounded to 0."""
     d = len(q) - 1
-    top = math.log2(q[-1])
     exponent = 1 + max(
         (
-            (math.log2(abs(c)) - top - (k == 0)) / (d - k)
+            (math.log2(abs(c)) - (k == 0)) / (d - k)
             for k, c in enumerate(q[:-1])
             if c
         ),
@@ -324,15 +328,14 @@ def _start(q: Sequence[int]) -> tuple[int, list[Gaussian]]:
 
 
 def _durand_kerner(q: Sequence[int], zs: list[Gaussian], p: int) -> None:
-    """Iterate z_i ← z_i − q(z_i)/(lead·∏_{j≠i}(z_i − z_j)), rounded to the
-    grid 2^-p, until no step moves a point by more than one unit."""
-    lead = q[-1]
+    """Iterate z_i ← z_i − q(z_i)/∏_{j≠i}(z_i − z_j) for the monic q, rounded
+    to the grid 2^-p, until no step moves a point by more than one unit."""
     for _ in range(SWEEPS):
         moved = False
         for i, (x, y) in enumerate(zs):
             qr, qi = _scaled_value(q, (x, y), p)
             pr, pi = _scaled_product(zs, i)
-            den = 2 * lead * (pr * pr + pi * pi)
+            den = 2 * (pr * pr + pi * pi)
             if den == 0:  # two points coincide on the grid: separate them
                 zs[i] = (x, y + 1)
                 moved = True
@@ -347,29 +350,31 @@ def _durand_kerner(q: Sequence[int], zs: list[Gaussian], p: int) -> None:
 
 def _radii(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[int]]:
     """Upper bounds, in units of 2^-2p, on the Weierstrass radii
-    d·|q(z_i)| / |lead·∏_{j≠i}(z_i − z_j)|; None if two points coincide."""
-    d, lead = len(q) - 1, q[-1]
+    d·|q(z_i)| / |∏_{j≠i}(z_i − z_j)| of the monic q; None if two points
+    coincide."""
+    d = len(q) - 1
     out = []
     for i in range(d):
         qr, qi = _scaled_value(q, zs[i], p)
         pr, pi = _scaled_product(zs, i)
-        den = lead * lead * (pr * pr + pi * pi)
+        den = pr * pr + pi * pi
         if den == 0:
             return None
-        # radius·2^(2p) = d·|Q|·2^p / (lead·|P|) for Q, P as scaled above.
+        # radius·2^(2p) = d·|Q|·2^p / |P| for Q, P as scaled above.
         square = -(-(d * d * (qr * qr + qi * qi) << (2 * p)) // den)
         root = math.isqrt(square)
         out.append(root if root * root == square else root + 1)
     return out
 
 
-def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p: int) -> bool:
+def _certified(zs: Sequence[Gaussian], radii: Sequence[int], p: int) -> bool:
     """Disks pairwise disjoint, each centred on the real axis or missing it,
-    and the real ones narrower than 1/(2·lead²)."""
+    and the real ones of radius below 1/2, so that each holds at most one
+    integer."""
     unit = 1 << p
     for i, ((x, y), r) in enumerate(zip(zs, radii)):
         if y == 0:
-            if 2 * q[-1] ** 2 * r >= unit * unit:
+            if 2 * r >= unit * unit:
                 return False
         elif abs(y) * unit <= r:
             return False
@@ -379,101 +384,70 @@ def _certified(q: Sequence[int], zs: Sequence[Gaussian], radii: Sequence[int], p
     return True
 
 
-def _nearest_fraction(n: int, d: int, bound: int) -> tuple[int, int]:
-    """(s, t) in lowest terms with 0 < t ≤ bound: the fraction nearest n/d
-    (d > 0) among those of denominator ≤ bound, as
-    Fraction.limit_denominator picks it, on integers.
+def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[int]]:
+    """All roots of the square-free monic q of degree d, exactly, when the
+    points zs show them integers; else None.
 
-    The convergents p1/q1 of n/d's continued fraction are taken while their
-    denominators fit; if the expansion ends first, n/d itself fits.  Else
-    the answer is p1/q1 or the semiconvergent (p0 + k·p1)/(q0 + k·q1) with
-    the largest k that fits, whichever is nearer, p1/q1 on a tie: that is,
-    p1/q1 when 2·r·(q0 + k·q1) ≤ d for the remainder r the expansion
-    stopped at.  Every quantity scales with a common factor of n and d, so
-    n/d need not be in lowest terms.
-    """
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, rem = n, d
-    while rem:
-        a = num // rem
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, rem = rem, num - a * rem
-    else:
-        return p1, q1
-    k = (bound - q0) // q1
-    if 2 * rem * (q0 + k * q1) <= d:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
-
-
-def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional[list[Fraction]]:
-    """All roots of the square-free q of degree d, exactly, when the points
-    zs show them rational; else None.
-
-    The fractions of denominator ≤ min(lead, 2^(p/2 − 1)) nearest the
-    points' real parts (_nearest_fraction) must be d distinct rationals on
-    each of which q vanishes exactly (linalg.poly_eval).  Distinctness is
+    The integers nearest the points' real parts must be d distinct integers
+    on each of which q vanishes exactly (linalg.poly_eval).  Distinctness is
     checked before any evaluation, and the evaluations run one at a time,
     so a failed snap stops at its first non-root.  A polynomial of degree d
     has no more than d roots, so these are all of them, however far the
-    points were from converged.  Fractions of denominator ≤ 2^(p/2 − 1) lie
-    at least 4 grid units apart, so a point within 2 units of such a root
-    snaps to it; with a bound of 2^p or more, the nearest fraction would be
-    the dyadic point itself.
+    points were from converged.
     """
-    unit, bound = 1 << p, min(q[-1], 1 << (p // 2 - 1))
-    snapped = {_nearest_fraction(x, unit, bound) for x, _ in zs}
-    if len(snapped) < len(zs) or any(linalg.poly_eval(q, s, t) for s, t in snapped):
+    half = 1 << (p - 1)
+    snapped = {(x + half) >> p for x, _ in zs}
+    if len(snapped) < len(zs) or any(linalg.poly_eval(q, s, 1) for s in snapped):
         return None
-    return sorted(Fraction(s, t) for s, t in snapped)
+    return sorted(snapped)
 
 
 def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
-    """The roots of the square-free primitive integer q of degree ≥ 2: the
-    rational ones exactly, the others in certified disjoint disks.
+    """The roots of the square-free primitive integer q of degree n ≥ 2 with
+    leading coefficient c > 0: the rational ones exactly, the others in
+    certified disjoint disks.
 
-    Durand–Kerner runs from _start, one level per precision p.  After each
-    level q is done when _snapped_roots shows all its roots rational.  From
-    CERTIFY_BITS on, the centres whose disks meet the real axis are snapped
-    onto it and the disks are certified (_certified).  A real disk is
-    narrower than 1/(2·lead²), and a rational root of q in lowest terms has
-    a denominator dividing lead, so the fraction s/t of denominator ≤ lead
-    nearest the centre (_nearest_fraction) is the only rational the disk
-    can hold: it is returned as a root when it lies in the disk and
-    linalg.poly_eval(q, s, t) vanishes, and the disk is kept otherwise.  If
-    the disks fail, p doubles and the iteration continues from the current
-    points; past MAX_BITS q is refused.
+    The loop runs on the monic integer q̃(μ) = c^(n−1)·q(μ/c), whose roots
+    are c times q's, so its rational roots are integers.  Durand–Kerner runs
+    from _start, one level per precision p.  After each level q̃ is done
+    when _snapped_roots shows all its roots integers.  From CERTIFY_BITS on,
+    the centres whose disks meet the real axis are snapped onto it and the
+    disks are certified (_certified).  A real disk is narrower than 1, so
+    the integer s nearest its centre is the only one it can hold: s is a
+    root when it lies in the disk and linalg.poly_eval(q̃, s, 1) vanishes,
+    and the disk is kept otherwise.  If the disks fail, p doubles and the
+    iteration continues from the current points; past MAX_BITS q is
+    refused.  The roots and disks found are divided by c.
     """
-    lead = q[-1]
+    c, n = q[-1], len(q) - 1
+    q = [a * c ** (n - 1 - k) for k, a in enumerate(q[:-1])] + [1]
     p, zs = _start(q)
     while True:
         _durand_kerner(q, zs, p)
         exact = _snapped_roots(q, zs, p)
         if exact is not None:
-            return exact, []
+            return [Fraction(s, c) for s in exact], []
         radii = _radii(q, zs, p) if p >= CERTIFY_BITS else None
         if radii is not None:
             unit = 1 << p
             snapped = [(x, 0) if abs(y) * unit <= r else (x, y) for (x, y), r in zip(zs, radii)]
             if snapped != zs:
                 radii = _radii(q, snapped, p)
-            if radii is not None and _certified(q, snapped, radii, p):
+            if radii is not None and _certified(snapped, radii, p):
                 found, disks = [], []
                 for (x, y), r in zip(snapped, radii):
                     if y == 0:
-                        # s/t lies in the disk when |s/t − x/unit| ≤ r/unit²
-                        s, t = _nearest_fraction(x, unit, lead)
-                        if abs(s * unit - x * t) * unit <= r * t and linalg.poly_eval(q, s, t) == 0:
-                            found.append(Fraction(s, t))
+                        # s lies in the disk when |s − x/unit| ≤ r/unit²
+                        s = (x + unit // 2) >> p
+                        if abs(s * unit - x) * unit <= r and linalg.poly_eval(q, s, 1) == 0:
+                            found.append(Fraction(s, c))
                             continue
-                    disks.append(NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1))
+                    disk = NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
+                    disks.append(disk.divided(c))
                 return found, disks
         if 2 * p > MAX_BITS:
             raise CapExceededError(
-                f"isolating the roots of a degree-{len(q) - 1} factor "
+                f"isolating the roots of a degree-{n} factor "
                 f"needs more than {MAX_BITS} bits"
             )
         zs = [(x << p, y << p) for x, y in zs]
@@ -487,14 +461,17 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     v, scale = integer_form(algebra, a)
     kernel = algebra.integer_tensor
     d = scale * kernel.den
-    blocks = linalg.char_poly_blocks(kernel.left_matrix(v), d)  # one per block of L_a
+    blocks = linalg.char_poly_blocks(kernel.left_matrix(v))  # det(μI − B_C) per block
     monic = linalg.monic_product(blocks, d)  # det(λI − L_a)
     n = algebra.dim
     sign = Fraction(-1) ** n
     char = tuple(sign * c for c in monic)  # det(L_a − λI)
-    exact, disks = rational_roots(*blocks)
+    exact, disks = rational_roots(*blocks)  # the roots μ = d·λ
     result = SpectrumResult(
-        element=a, char_poly=char, rational_roots=tuple(exact), other_roots=tuple(disks)
+        element=a,
+        char_poly=char,
+        rational_roots=tuple((root / d, m) for root, m in exact),
+        other_roots=tuple(disk.divided(d) for disk in disks),
     )
     if result.multiplicity_total() != n:
         raise MathViolationError("root multiplicities do not sum to the dimension")

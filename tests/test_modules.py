@@ -97,8 +97,9 @@ def test_one_reader_of_left_and_right_masks():
 
 def test_one_isolation_loop():
     """_isolate is the one loop that takes a Yun factor through Durand–Kerner:
-    nothing else in the package or the scripts calls its steps.  Its snaps
-    pick fractions on integers (_nearest_fraction): nothing in spectra calls
+    nothing else in the package or the scripts calls its steps.  It runs on
+    a monic integer polynomial, whose rational roots are integers, so its
+    snaps round to integers and pick no fractions: nothing in spectra calls
     limit_denominator."""
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     steps = ("_start", "_durand_kerner", "_radii", "_certified", "_snapped_roots")

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latticealg as la
 from latticealg import linalg
 from latticealg.spectra import _isolate, rational_roots, square_free_factors
+from test_spectra import group_algebra, q9_element
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -154,8 +156,10 @@ def test_roots_of_blocks_match_roots_of_their_product(polys):
 
 
 def test_forty_digit_rational_roots():
-    # (x − p/q)(x − p′/q′)(x² − 2) with 40-digit numerators and denominators:
-    # the real disks must be narrower than 1/(2·lead²) with lead = q·q′
+    # (x − p/q)(x − p′/q′)(x² − 2) with 40-digit numerators and denominators,
+    # one square-free factor of lead c = q·q′: it is isolated as the monic
+    # polynomial whose roots are c times its own, so the rational roots are
+    # found as the 80-digit integers p·q′ and p′·q, then divided by c
     r1 = Fraction(1234567890123456789012345678901234567891, 9876543210987654321098765432109876543211)
     r2 = Fraction(-3141592653589793238462643383279502884197, 2718281828459045235360287471352662497757)
     quadratic = [Fraction(-2), Fraction(0), Fraction(1)]
@@ -168,6 +172,18 @@ def test_forty_digit_rational_roots():
         assert disk.certified_real() and sign * disk.re > 0
         low, high = abs(disk.re) - disk.bound, abs(disk.re) + disk.bound
         assert 0 < low and low**2 <= 2 <= high**2
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_group_algebra_disks_hold_one_root_each(n):
+    # ℓ¹(ℤ_n) at a q9 element: the disks, isolated for det(μI − B_C) and
+    # divided by the lead of each factor and by d, each hold one root of the
+    # square-free part of char_poly, and the exact roots are sympy's
+    result = la.spectrum(group_algebra(n), q9_element(n))
+    char_poly = list(result.char_poly)
+    assert dict(result.rational_roots) == linear_factor_roots(char_poly)
+    square_free = to_sympy(char_poly).sqf_part().all_coeffs()
+    assert_each_disk_holds_one_root([Fraction(int(c.p), int(c.q)) for c in reversed(square_free)], result.other_roots)
 
 
 def test_close_roots_get_disjoint_disks():

@@ -2,13 +2,14 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
@@ -16,6 +17,7 @@ from latticealg import ApproxReal, GridSpec, InputError, linalg, spectra, vec
 from latticealg.spectra import rational_roots, square_free_factors
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+UNITAL_NAMES = [n for n in la.BUILTIN_NAMES if la.builtin(n).has_identity()]
 
 
 def F(*args):
@@ -47,6 +49,19 @@ def expand(*factors):
             for k in range(len(poly) + len(factor) - 1)
         ]
     return poly
+
+
+def group_algebra(n):
+    """ℓ¹(ℤ_n): b_g∗b_h = b_{g+h mod n}, with identity b_0."""
+    tensor = {(g, h, (g + h) % n): 1 for g in range(n) for h in range(n)}
+    identity = vec([1] + [0] * (n - 1))
+    return la.AlgebraSpec(dim=n, tensor=tensor, norm=la.NormSpec(kind="one"), identity=identity)
+
+
+def q9_element(n):
+    """n coordinates s/t with s in −9..9 and t in 1..9, from random.Random(5)."""
+    rng = random.Random(5)
+    return vec([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
 
 
 @st.composite
@@ -212,20 +227,6 @@ def test_modulus_bounds_of_an_exact_disk():
     assert abs(radius.value - 10**0.5) <= radius.error < 1e-15
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40) | st.integers(0, 300).map(lambda p: 1 << p),
-       st.integers(1, 10**20))
-@example(1, 2, 1)  # ties: limit_denominator keeps the convergent, here 0 and 1
-@example(3, 2, 1)
-@example(-5, 2, 1)
-@example(6, 4, 1)  # not in lowest terms
-@example(3 << 64, 2 << 64, 5)
-def test_nearest_fraction_matches_limit_denominator(n, d, bound):
-    s, t = spectra._nearest_fraction(n, d, bound)
-    assert F(s, t) == F(n, d).limit_denominator(bound)
-    assert 0 < t <= bound and math.gcd(s, t) == 1
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=8), rationals)
 def test_poly_eval_is_the_scaled_value(q, x):
@@ -234,6 +235,39 @@ def test_poly_eval_is_the_scaled_value(q, x):
     for c in reversed(q):
         value = value * x + c
     assert linalg.poly_eval(q, x.numerator, x.denominator) == value * x.denominator ** (len(q) - 1)
+
+
+def test_spectrum_of_a_multiple_divides_the_disks():
+    # golden/7 has golden's integer rows B and d = 7, so rational_roots
+    # isolates the same block polynomials and spectrum divides their disks by
+    # 7: the result is golden's disks divided by 7, field by field
+    alg = la.builtin("m2-regular")
+    golden = la.spectrum(alg, vec([1, 1, 1, 0]))
+    seventh = la.spectrum(alg, vec([F(1, 7), F(1, 7), F(1, 7), 0]))
+    assert seventh.other_roots == tuple(disk.divided(7) for disk in golden.other_roots)
+
+
+@st.composite
+def integer_elements(draw):
+    """(algebra, coordinates, k): a unital builtin or the lp_sum of two, an
+    integer element, and k in 2..9 coprime to the element's content, so that
+    a/k has the integer form (a, k)."""
+    names = draw(st.lists(st.sampled_from(UNITAL_NAMES), min_size=1, max_size=2))
+    alg = la.builtin(names[0]) if len(names) == 1 else la.lp_sum([la.builtin(n) for n in names])
+    coords = draw(st.lists(st.integers(-4, 4), min_size=alg.dim, max_size=alg.dim))
+    k = draw(st.integers(2, 9))
+    assume(math.gcd(k, *coords) == 1)
+    return alg, coords, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_elements())
+def test_spectrum_of_a_multiple_is_divided_exactly(case):
+    alg, coords, k = case
+    whole = la.spectrum(alg, vec(coords))
+    part = la.spectrum(alg, vec([F(c, k) for c in coords]))
+    assert part.rational_roots == tuple((root / k, m) for root, m in whole.rational_roots)
+    assert part.other_roots == tuple(disk.divided(k) for disk in whole.other_roots)
 
 
 def test_rational_roots_helper():
@@ -349,21 +383,19 @@ def test_all_rational_factor_needs_no_certificate(monkeypatch):
 def test_all_rational_factor_with_a_large_lead_snaps_early(monkeypatch):
     # ∏_{k=2..8}(λ − 1/k) has the lead 8! = 40320, and the characteristic
     # polynomial of the dim-48 sum of upper2 blocks a degree-15 Yun factor
-    # with a 45-bit lead whose roots are 1/2 … 1/16 and small integers.  Both
-    # leads exceed 2^p at the first level (p = 16), where fractions of
-    # denominator ≤ lead include the points themselves; with denominators
-    # ≤ 2^(p/2 − 1) the snap finds the roots after one Durand–Kerner level
-    # per non-linear factor, where climbing to a certificate took four and
-    # five levels in all
+    # with a 45-bit lead whose roots are 1/2 … 1/16 and small integers.
+    # Each factor is isolated as the monic polynomial whose roots are the
+    # lead times its own: integers, which the snap finds after one
+    # Durand–Kerner level per non-linear factor
     calls = counting(monkeypatch, "_durand_kerner", "_radii", "_certified")
     roots, disks = rational_roots(expand(*[[F(-1, k), F(1)] for k in range(2, 9)]))
     assert roots == [(F(1, k), 1) for k in range(8, 1, -1)] and disks == []
     assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0}
-    # denominators above 2^(16/2 − 1) = 128 snap at the second level
+    # three denominators above 200, and a lead of 201·203·301: the first level too
     calls.update(dict.fromkeys(calls, 0))
     roots, disks = rational_roots(expand([F(-100, 201), F(1)], [F(-150, 203), F(1)], [F(75, 301), F(1)]))
     assert roots == [(F(-75, 301), 1), (F(100, 201), 1), (F(150, 203), 1)] and disks == []
-    assert calls == {"_durand_kerner": 2, "_radii": 0, "_certified": 0}
+    assert calls == {"_durand_kerner": 1, "_radii": 0, "_certified": 0}
     calls.update(dict.fromkeys(calls, 0))
     alg = la.lp_sum([la.builtin("upper2")] * 16)
     parts = [[k % 5 - 2, F(k, 3), F(1, k + 1)] for k in range(16)]
@@ -380,6 +412,14 @@ def test_all_rational_factor_with_a_large_lead_snaps_early(monkeypatch):
     assert calls == {"_durand_kerner": 2, "_radii": 0, "_certified": 0}
 
 
+
+def test_snap_rounds_to_the_nearest_integer():
+    # μ² − μ − 6 = (μ − 3)(μ + 2): points a grid unit below 3 and above −2
+    # round to the roots, and a point past 3.5 rounds to 4, no root
+    unit = 1 << 16
+    assert spectra._snapped_roots([-6, -1, 1], [(3 * unit - 1, 0), (-2 * unit + 1, 5)], 16) == [-2, 3]
+    assert spectra._snapped_roots([-6, -1, 1], [(3 * unit + unit // 2 + 1, 0), (-2 * unit, 0)], 16) is None
+
 def test_linear_factor_is_read_off(monkeypatch):
     # (λ − 7/3)²(λ + 4): Yun factors 3λ − 7 and λ + 4, both linear
     calls = counting(monkeypatch, "_isolate", "_start", "_durand_kerner", "poly_eval")
@@ -390,11 +430,23 @@ def test_linear_factor_is_read_off(monkeypatch):
 
 
 def test_linear_factor_with_a_huge_lead_is_exact():
-    # 3^1400·λ − 1: the lead has 2,219 bits, so a certified real disk would
-    # have to be narrower than 2^-4438, past MAX_BITS; read off, the root
-    # needs no disk
+    # 3^1400·λ − 1: the lead has 2,219 bits; read off, the root needs no disk
     roots, disks = rational_roots([F(-1), F(3**1400)])
     assert roots == [(F(1, 3**1400), 1)] and disks == []
+
+
+def test_huge_lead_does_not_raise_the_precision(monkeypatch):
+    # 3^1400·λ² − 2 is isolated as μ² − 2·3^1400, whose real disks certify
+    # once narrower than 1: at the levels p = 16, 32, 64 and 128, where a
+    # rule on the lead would need 2^-4438, past MAX_BITS.  Divided by the
+    # lead, the disks hold ±√2/3^700
+    calls = counting(monkeypatch, "_durand_kerner")
+    roots, disks = rational_roots([F(-2), F(0), F(3**1400)])
+    assert roots == [] and [d.certified_real() for d in disks] == [True, True]
+    for disk, sign in zip(disks, (-1, 1)):
+        low, high = sign * disk.re - disk.bound, sign * disk.re + disk.bound
+        assert 0 < low and low**2 <= F(2, 3**1400) <= high**2
+    assert calls == {"_durand_kerner": 4}
 
 
 def test_mixed_factor_keeps_its_disks(monkeypatch):
@@ -413,6 +465,22 @@ def test_mixed_factor_keeps_its_disks(monkeypatch):
     assert calls == {"_start": 1, "_isolate": 1}
     exact, isolated = spectra._isolate([2, -2, -1, 1])
     assert exact == [F(1)] and sorted(isolated, key=lambda d: d.re) == disks
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_isolation_runs_on_monic_polynomials(monkeypatch, n):
+    # spectrum passes the blocks' det(μI − B_C), monic over ℤ, and _isolate
+    # makes any other factor monic, so the loop sees no leading coefficient
+    # but 1; its real disks certify once their radius is below 1/2, at
+    # CERTIFY_BITS
+    leads, levels = [], []
+    start, durand_kerner = spectra._start, spectra._durand_kerner
+    monkeypatch.setattr(spectra, "_start", lambda q: leads.append(q[-1]) or start(q))
+    monkeypatch.setattr(spectra, "_durand_kerner", lambda q, zs, p: levels.append(p) or durand_kerner(q, zs, p))
+    result = la.spectrum(group_algebra(n), q9_element(n))
+    assert result.multiplicity_total() == n and result.other_roots
+    assert leads and set(leads) == {1}
+    assert max(levels) <= spectra.CERTIFY_BITS
 
 
 def test_square_free_factorization():
