@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import itertools
 
 import latticealg as la
 from latticealg import GridSpec
@@ -37,7 +38,7 @@ def survey(name: str, max_resolution: int) -> None:
         found = la.search_band_projections(alg, grid)
         if n == 2:
             at_two = found
-        coords = {p.coords for p in found}
+        coords = {hit.element.coords for hit in found}
         fresh = coords - previous
         previous |= coords
         print(
@@ -46,12 +47,13 @@ def survey(name: str, max_resolution: int) -> None:
         )
     if at_two is None:
         at_two = la.search_band_projections(alg, GridSpec.from_resolution(2))
-    two_sided = [p for p in at_two if None not in la.side_masks(alg, p)]
-    report = la.commutation_check(alg, two_sided)
-    print(
-        f"left-and-right members at N=2: {len(report.core_members)}, "
-        f"pairwise commuting: {report.core_commutes}"
+    # The hits carry supp L_a and supp R_a, so the two-sided members need no
+    # second reading, and the script asks only whether they commute.
+    two_sided = [hit.element for hit in at_two if None not in (hit.left, hit.right)]
+    commuting = all(
+        alg.multiply(a, b) == alg.multiply(b, a) for a, b in itertools.combinations(two_sided, 2)
     )
+    print(f"left-and-right members at N=2: {len(two_sided)}, pairwise commuting: {commuting}")
     print()
 
 

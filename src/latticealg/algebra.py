@@ -94,7 +94,9 @@ class IntegerTensor:
     by contracting the tensor with itself, and AlgebraSpec.multiply and
     basis_product read `pairs`, the one product index of the tensor.  The
     exact solves take their integer rows from here too: the identity solve
-    from `second`, spectra and inverses from left_matrix.
+    from `second`, spectra and inverses from left_matrix.  The grid search
+    reads column_form, the columns of L_l·R_r as quadratic forms, each
+    built the first time it is asked for and kept.
     """
 
     def __init__(self, algebra: "AlgebraSpec") -> None:
@@ -112,6 +114,7 @@ class IntegerTensor:
             self.first[i].append((j, k, big_c))
             self.second[j].append((i, k, big_c))
             self.pairs.setdefault((i, j), []).append((k, big_c))
+        self._forms: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
 
     def left_column(self, v: Sequence[int], q: int) -> list[int]:
         """D·(v ∗ b_q): column q of L_v."""
@@ -140,6 +143,33 @@ class IntegerTensor:
                 for k, big_c in terms:
                     out[k] += f * big_c
         return out
+
+    def column_form(self, q: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """Column q of D²·L_l·R_r as a quadratic form: [(i, j, [(k, C)])],
+        whose entry k is Σ C·l_i·r_j.
+
+        C = Σ_r C_qjr·C_irk, since D·(b_q ∗ r) has entry Σ_j C_qjr·r_j at r
+        (right_column) and l ∗ b_r has entry Σ_i l_i·C_irk at k: the same
+        column as product(l, right_column(r, q)), with no associativity and
+        no sign assumed.  Terms that cancel to 0 are dropped, and the terms
+        are grouped by (i, j), so that an evaluation skips l_i·r_j = 0 as
+        product does.  A form costs up to n times one direct evaluation of
+        the column, so it is built the first time it is asked for and kept.
+        """
+        form = self._forms.get(q)
+        if form is None:
+            terms: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(
+                lambda: defaultdict(int)
+            )
+            for j, r, c_qjr in self.first[q]:
+                for i, k, c_irk in self.second[r]:
+                    terms[i, j][k] += c_qjr * c_irk
+            form = self._forms[q] = [
+                (i, j, nonzero)
+                for (i, j), by_k in terms.items()
+                if (nonzero := [(k, c) for k, c in by_k.items() if c])
+            ]
+        return form
 
     def associativity_failures(self) -> list[TensorKey]:
         """The basis triples (i, j, k) with (b_i b_j) b_k ≠ b_i (b_j b_k), sorted.

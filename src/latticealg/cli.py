@@ -48,7 +48,6 @@ from .projections import (
     classify,
     enumerate_order_idempotents,
     search_band_projections,
-    side_masks,
 )
 from .report import (
     build_report,
@@ -289,8 +288,9 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     grid = GridSpec.from_resolution(config.grid)
     # The grid search runs first: 2^m ≤ (N+1)^dim for the m atoms of A_e,
     # so its cap also bounds the enumeration of the 2^m order idempotents.
-    certified = search_band_projections(algebra, grid)
-    core = [p for p in certified if None not in side_masks(algebra, p)]
+    hits = search_band_projections(algebra, grid)
+    certified = [hit.element for hit in hits]
+    core = [hit.element for hit in hits if None not in (hit.left, hit.right)]
     payload: dict[str, Any] = {"name": algebra.name, "dim": algebra.dim}
     lines = [f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"]
     if algebra.has_identity():

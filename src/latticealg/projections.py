@@ -8,7 +8,10 @@ Four classes of positive elements are distinguished:
   BP_r  right band projections: x ↦ x∗a is one.
 
 BP_l ∩ BP_r ⊆ BP always; each operator is a band projection exactly when
-it is a 0/1 mask (mask_support), and side_masks reads L_a and R_a.  With a
+it is a 0/1 mask (mask_support), and side_masks reads L_a and R_a.  The grid
+search gives all three verdicts from one walk: it reads L_a·R_a off the
+column forms the integer kernel keeps (IntegerTensor.column_form), and
+reads L_a and R_a of each hit with mask_support.  With a
 positive identity BP_l ⊆ OI and BP_r ⊆ OI (evaluate the mask at e); the
 converse, and so BP_l = OI = BP_r, needs a nonnegative associative tensor,
 which classify does not check: with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 =
@@ -26,13 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraSpec, IntegerForm, integer_form
+from .algebra import AlgebraSpec, IntegerForm, IntegerTensor, integer_form
 from .center import ck_representation, in_identity_ideal, norm_e
 from .errors import (
     CapExceededError,
     InputError,
     MathViolationError,
-    NoIdentityError,
     NotBandProjectionError,
     NotOrderIdempotentError,
 )
@@ -79,6 +81,12 @@ def mask_support(
     matrix L_l·R_r — and must be 0 or e_q; q is in the support when it is
     e_q.  The columns are tested in order and the first failing one
     returns None.
+
+    This evaluates each column directly and builds nothing, which is what
+    a single element wants: is_band_projection (and check_bp_spectrum
+    through it), classify and side_masks.  The grid search reads L_a·R_a
+    off column forms instead, which pay only when many points share them;
+    the tests check it against this routine.
     """
     kernel = algebra.integer_tensor
     unit = 1
@@ -156,17 +164,28 @@ class ProjectionClassification:
 
 
 def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassification:
-    """Run every membership predicate on a; is_oi is None without identity."""
-    try:
-        oi: Optional[bool] = is_order_idempotent(algebra, a)
-    except NoIdentityError:
-        oi = None
-    left, right = side_masks(algebra, a)
+    """Every membership verdict on a; is_oi is None without identity.
+
+    The verdicts of is_order_idempotent, is_band_projection and side_masks,
+    from one positivity test and one integer form: BP from the two-sided
+    mask_support, BP_l and BP_r from the one-sided ones.
+    """
+    nonnegative = a.is_positive()
+    oi: Optional[bool] = None
+    if algebra.has_identity():
+        e = algebra.require_identity()
+        oi = nonnegative and (e - a).is_positive() and algebra.multiply(a, a) == a
+    bp = left = right = None
+    if nonnegative:
+        form = integer_form(algebra, a)
+        bp = mask_support(algebra, form, form)
+        left = mask_support(algebra, form, None)
+        right = mask_support(algebra, None, form)
     return ProjectionClassification(
         element=a,
-        nonnegative=a.is_positive(),
+        nonnegative=nonnegative,
         is_oi=oi,
-        is_bp=is_band_projection(algebra, a),
+        is_bp=bp is not None,
         is_left_bp=left is not None,
         is_right_bp=right is not None,
     )
@@ -351,12 +370,57 @@ class GridSpec:
         return len(self.values) ** dim
 
 
-def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[LatticeElement]:
+class GridHit(NamedTuple):
+    """A grid point in BP, with supp L_a and supp R_a, each None when that
+    operator is not a 0/1 mask (as side_masks reads them)."""
+
+    element: LatticeElement
+    left: Optional[frozenset[int]]
+    right: Optional[frozenset[int]]
+
+
+def _square_is_mask(
+    kernel: IntegerTensor, forms: list, v: Sequence[int], unit: int
+) -> bool:
+    """mask_support(v, v) is not None, read off the column forms: column q
+    of D²·L_v·R_v is Σ C·v_i·v_j over kernel.column_form(q), taken from the
+    kernel when a point first reaches column q and kept in the search's own
+    list, as asking the kernel for every column costs about a tenth of the
+    walk."""
+    n = kernel.dim
+    for q in range(n):
+        terms = forms[q]
+        if terms is None:
+            terms = forms[q] = kernel.column_form(q)
+        col = [0] * n
+        for i, j, by_k in terms:
+            f = v[i] * v[j]
+            if f:
+                for k, c in by_k:
+                    col[k] += f * c
+        if col[q] != unit and col[q] != 0:
+            return False
+        col[q] = 0
+        if any(col):
+            return False
+    return True
+
+
+def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHit]:
     """Exhaustively certify band projections on a rational grid.
 
-    Returns exactly the grid points passing is_band_projection, in
-    lexicographic grid order.  This is a search aid, not an enumeration of
-    BP(A): the class may contain whole rays that no finite grid exhausts.
+    Returns a GridHit for exactly the grid points passing is_band_projection,
+    in lexicographic grid order, each with the supports of L_a and R_a that
+    mask_support reads on the integer point already at hand: BP, BP_l and
+    BP_r from one walk.  This is a search aid, not an enumeration of BP(A):
+    the class may contain whole rays that no finite grid exhausts.
+
+    Column q of L_a·R_a is read off IntegerTensor.column_form(q), the
+    integers mask_support computes, in the same column order and with the
+    same early exit.  A form costs up to n direct evaluations of its column
+    and pays only when many points share it, so a grid of one point (one
+    nonnegative value) is decided by mask_support, and the zero point, a
+    hit with empty masks, reads no column at all.
     """
     check_grid_size(len(grid.values), algebra.dim)
     # Points with a negative coordinate are not positive, and dropping them
@@ -364,9 +428,21 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[Lattic
     values = [v for v in grid.values if v >= 0]
     scale = math.lcm(*(v.denominator for v in values))
     by_int = {v.numerator * (scale // v.denominator): v for v in values}
+    kernel = algebra.integer_tensor
+    unit = (scale * kernel.den) ** 2
+    forms: list = [None] * algebra.dim
     found = []
     for point in itertools.product(by_int, repeat=algebra.dim):
         form = (point, scale)
-        if mask_support(algebra, form, form) is not None:
-            found.append(LatticeElement(tuple(by_int[x] for x in point)))
+        if any(point):
+            if len(by_int) == 1:
+                hit = mask_support(algebra, form, form) is not None
+            else:
+                hit = _square_is_mask(kernel, forms, point, unit)
+            if not hit:
+                continue
+            left, right = mask_support(algebra, form, None), mask_support(algebra, None, form)
+        else:
+            left = right = frozenset()  # L_0 = R_0 = 0, the empty mask: no column to read
+        found.append(GridHit(LatticeElement(tuple(by_int[x] for x in point)), left, right))
     return found

@@ -12,16 +12,16 @@ from typing import Optional, Sequence, Union
 
 from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
-from .errors import NotBandProjectionError
+from .errors import CapExceededError, NotBandProjectionError
 from .fixtures import BuiltinMeta
 from .inner import GammaSet, enumerate_inner, is_inner, validate_family
 from .lattice import ApproxReal, LatticeElement, format_scalar
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
+    GRID_POINT_CAP,
     GridSpec,
     enumerate_order_idempotents,
     search_band_projections,
-    side_masks,
 )
 from .spectra import SpectrumResult, spectrum
 
@@ -117,6 +117,15 @@ def _labels(algebra: AlgebraSpec, meta: Optional[BuiltinMeta]) -> list[str]:
 
 def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> str:
     """One markdown document covering structure, classes, center, spectra, inner."""
+    # The band projection section walks this fixed grid, and its cap also
+    # bounds the 2^m order idempotents listed (2^m ≤ 3^dim); refuse first.
+    grid = GridSpec.from_resolution(2)
+    grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
+    if grid.size(algebra.dim) > GRID_POINT_CAP:
+        raise CapExceededError(
+            f"the report's band projection grid {grid_str}^{algebra.dim} has "
+            f"{grid.size(algebra.dim)} points; the limit is {GRID_POINT_CAP}"
+        )
     labels = _labels(algebra, meta)
     lines: list[str] = [f"# Algebra report: {algebra.name or 'unnamed'}", ""]
     if meta is not None:
@@ -159,27 +168,25 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
     )
     lines.append("")
 
-    grid = GridSpec.from_resolution(2)
-    certified = search_band_projections(algebra, grid)
+    hits = search_band_projections(algebra, grid)
     oi = enumerate_order_idempotents(algebra) if report.has_identity else []
     if report.has_identity:
         lines += ["## Order idempotents", "", f"{len(oi)} elements (complete enumeration):"]
         lines += [f"- {fmt_element(p)}" for p in oi]
         lines.append("")
-    grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
     lines += [
         f"## Band projections over the grid {grid_str}",
         "",
-        f"{len(certified)} certified members (a search aid, not an enumeration —",
+        f"{len(hits)} certified members (a search aid, not an enumeration —",
         "the class may contain whole rays):",
     ]
     # The enumeration is complete, so membership in it decides OI exactly.
     oi_members = set(oi)
-    for p in certified:
+    for p, left, right in hits:
         tags = []
         if p in oi_members:
             tags.append("order idempotent")
-        if None not in side_masks(algebra, p):
+        if None not in (left, right):
             tags.append("left+right")
         lines.append(f"- {fmt_element(p)}" + (f" — {', '.join(tags)}" if tags else ""))
     lines.append("")

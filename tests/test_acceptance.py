@@ -265,7 +265,7 @@ def test_criterion_8_equivalences_and_spectra():
     certified = 0
     for name in UNITAL:
         alg = la.builtin(name)
-        for p in la.search_band_projections(alg, grid):
+        for p, _left, _right in la.search_band_projections(alg, grid):
             check = la.check_equivalences(alg, p)
             assert check.all_equal, (name, p, check.verdicts)
             assert la.check_bp_spectrum(alg, p).ok, (name, p)

@@ -357,3 +357,20 @@ def test_classify_refuses_large_grids_before_building(tmp_path, capsys, target, 
     assert code == 2
     assert out == ""
     assert err == f"error: {message}; the limit is 250000\n"
+
+
+def test_report_names_its_own_grid_when_refusing(tmp_path, capsys):
+    """report walks the fixed grid {0, 1/2, 1}; at dim 12 it has 3¹² points,
+    past the grid limit, and the refusal names that grid, not a --grid."""
+    rows = [[i, i, i, 1] for i in range(12)]
+    path = tmp_path / "diag12.json"
+    path.write_text(json.dumps({"dim": 12, "tensor": rows}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the report's band projection grid {0, 1/2, 1}^12 has 531441 points; "
+        "the limit is 250000\n"
+    )

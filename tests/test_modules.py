@@ -95,6 +95,26 @@ def test_one_reader_of_left_and_right_masks():
     ] == ["side_masks"]
 
 
+def test_only_the_grid_walk_reads_column_forms():
+    """A column form costs up to n direct evaluations of its column, so only
+    the grid walk, where many points share one, reads them: nothing in the
+    package or the scripts calls column_form but _square_is_mask, and only
+    search_band_projections calls that."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    callers = {"column_form": "_square_is_mask", "_square_is_mask": "search_band_projections"}
+    assert [
+        f"{path.name}:{node.lineno} in {getattr(top, 'name', 'module')}"
+        for path in sorted(Path(la.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _spelling(node.func) in callers
+        and not (
+            path.name == "projections.py"
+            and getattr(top, "name", None) == callers[_spelling(node.func)]
+        )
+    ] == []
+
+
 def test_one_isolation_loop():
     """_isolate is the one loop that takes a Yun factor through Durand–Kerner:
     nothing else in the package or the scripts calls its steps.  It runs on

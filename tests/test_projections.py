@@ -22,6 +22,7 @@ from latticealg import (
     vec,
 )
 from latticealg import projections
+from latticealg.algebra import IntegerTensor
 from latticealg.cli import main
 from latticealg.operators import is_band_projection_op, left_mult, mult_op, right_mult
 from latticealg.report import fmt_element
@@ -135,7 +136,7 @@ def test_report_oi_tag_equals_the_predicate(alg):
     rows = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("- ")]
     hits = la.search_band_projections(alg, GridSpec.from_resolution(2))
     assert len(rows) == len(hits)
-    for row, p in zip(rows, hits):
+    for row, (p, _left, _right) in zip(rows, hits):
         assert row.split(" — ")[0] == f"- {fmt_element(p)}"
         assert ("order idempotent" in row) == la.is_order_idempotent(alg, p)
 
@@ -211,7 +212,7 @@ def test_negative_elements_fail_all_bp_predicates():
 
 def test_left_right_intersection_inside_bp(unital_algebra):
     grid = GridSpec.from_resolution(2)
-    for p in la.search_band_projections(unital_algebra, grid):
+    for p, _left, _right in la.search_band_projections(unital_algebra, grid):
         c = la.classify(unital_algebra, p)
         assert c.is_bp
         assert_inclusions_of_every_tensor(unital_algebra, c)
@@ -223,7 +224,7 @@ def test_unital_left_right_bp_equals_oi(unital_algebra):
         assert la.is_left_bp(unital_algebra, p)
         assert la.is_right_bp(unital_algebra, p)
     grid = GridSpec.from_resolution(2)
-    for p in la.search_band_projections(unital_algebra, grid):
+    for p, _left, _right in la.search_band_projections(unital_algebra, grid):
         c = la.classify(unital_algebra, p)
         assert (c.is_left_bp and c.is_right_bp) == c.is_oi
 
@@ -250,7 +251,7 @@ def test_oi_boolean_rejects_non_idempotent():
 def test_band_projections_commute():
     alg = la.builtin("m3-reflection")
     grid = GridSpec.from_resolution(2)
-    candidates = la.search_band_projections(alg, grid)
+    candidates = [hit.element for hit in la.search_band_projections(alg, grid)]
     report = la.commutation_check(alg, candidates)
     assert report.core_commutes
     assert report.core_members
@@ -289,7 +290,7 @@ def test_grid_search_cap():
 
 def test_grid_search_is_sorted_and_certified():
     alg = la.builtin("upper2")
-    found = la.search_band_projections(alg, GridSpec.from_resolution(2))
+    found = [hit.element for hit in la.search_band_projections(alg, GridSpec.from_resolution(2))]
     assert found == sorted(found, key=lambda p: p.coords)
     assert vec([0, "1/2", 0]).coords in {p.coords for p in found}
     for p in found:
@@ -411,4 +412,70 @@ def test_grid_search_equals_reference_filtered_grid(name, grid):
     expected = [
         p for p in map(LatticeElement, grid.points(alg.dim)) if reference_predicates(alg, p)[0]
     ]
-    assert la.search_band_projections(alg, grid) == expected
+    assert [hit.element for hit in la.search_band_projections(alg, grid)] == expected
+
+
+_GRID_VALUES = [Fraction(v) for v in ("0", "1", "-1", "1/2", "-2/3", "2", "1/3")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras_and_elements(), st.lists(st.sampled_from(_GRID_VALUES), max_size=2))
+def test_grid_walk_matches_fraction_reference(case, extra):
+    """Every hit of the walk on the column forms, with its masks, is what the
+    Fraction route finds on every grid point, on tensors that may be
+    negative or not associative; the grid mixes the element's coordinates
+    (so that hits occur) with values that may be negative."""
+    alg, a = case
+    grid = GridSpec.from_values(list(a.coords[:2]) + extra)
+    expected = [
+        (p, *reference_side_masks(alg, p))
+        for p in map(LatticeElement, grid.points(alg.dim))
+        if reference_predicates(alg, p)[0]
+    ]
+    assert [tuple(hit) for hit in la.search_band_projections(alg, grid)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_and_elements(), st.randoms(use_true_random=False))
+def test_column_form_is_the_column_of_l_times_r(case, rng):
+    """column_form(q) holds column q of D²·L_l·R_r for any l and r, not only
+    for l = r as the walk uses it: the same integers as l ∗ (b_q ∗ r)."""
+    alg, a = case
+    kernel = alg.integer_tensor
+    l, _ = projections.integer_form(alg, a)
+    r = [rng.choice([0, 1, -2, 3]) for _ in range(alg.dim)]
+    for q in range(alg.dim):
+        col = [0] * alg.dim
+        for i, j, by_k in kernel.column_form(q):
+            for k, c in by_k:
+                col[k] += c * l[i] * r[j]
+        assert col == kernel.product(l, kernel.right_column(r, q))
+
+
+def test_column_forms_are_built_once_per_kernel(monkeypatch):
+    """A search asks for each column form at most once and a later search
+    gets the same objects back; single predicates and a one-point grid
+    build none."""
+    original = IntegerTensor.column_form
+    calls = []
+
+    def counting(self, q):
+        form = original(self, q)
+        calls.append((q, form))
+        return form
+
+    monkeypatch.setattr(IntegerTensor, "column_form", counting)
+    alg = la.builtin("upper2-pair")
+    for x in alg.elements.values():
+        la.is_band_projection(alg, x)
+        la.classify(alg, x)
+    la.search_band_projections(alg, GridSpec.from_values([-1, "1/2"]))
+    assert calls == []
+    la.search_band_projections(alg, GridSpec.from_resolution(2))
+    first = dict(calls)
+    assert len(first) == len(calls) and first
+    calls.clear()
+    la.search_band_projections(alg, GridSpec.from_resolution(3))
+    again = dict(calls)
+    assert len(again) == len(calls)
+    assert all(again[q] is first[q] for q in again.keys() & first.keys())

@@ -549,7 +549,7 @@ def test_check_bp_spectrum_cases():
 
 
 def test_check_bp_spectrum_all_grid_bps(unital_algebra):
-    for p in la.search_band_projections(unital_algebra, GridSpec.from_resolution(2)):
+    for p, _left, _right in la.search_band_projections(unital_algebra, GridSpec.from_resolution(2)):
         assert la.check_bp_spectrum(unital_algebra, p).ok
 
 
