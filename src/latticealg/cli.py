@@ -12,38 +12,48 @@ mathematical law or verification failed, 2 bad input, 3 an internal
 error (a bug in latticealg, reported on one stderr line).  The environment
 variable LATTICEALG_CAP overrides the default inner cap on |Λ|² when
 --cap is not given.
+
+Each command computes first and renders after: cmd_NAME returns the exit
+code and the values it computed, and two renderers read them, NAME_payload
+for --format json (written by io.dump_json: two-space indent, sorted keys,
+ASCII escapes) and NAME_lines for text, which markdown is built from.
+run() calls only the renderer the format needs, so no command pays for
+output it does not print.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence, Union
 
-from .algebra import AlgebraSpec
-from .center import ck_representation, identity_ideal
+from .algebra import AlgebraSpec, AxiomReport
+from .center import CKRepresentation, ck_representation, identity_ideal
 from .errors import InputError, MathViolationError
 from .fixtures import BUILTIN_NAMES, BuiltinMeta, builtin, builtin_meta
 from .inner import (
     ENUM_CAP_DEFAULT,
+    BooleanLawsReport,
     GammaSet,
+    ProjectionFamily,
     boolean_laws,
     enumerate_inner,
     inner_bp,
     is_inner,
     validate_family,
 )
-from .io import element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
-from .lattice import LatticeElement, format_scalar
-from .operators import diagonal_mask_operator
+from .io import dump_json, element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
+from .lattice import ApproxReal, LatticeElement, format_scalar
+from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
+    GridHit,
     GridSpec,
+    ProjectionClassification,
     check_grid_size,
     classify,
     enumerate_order_idempotents,
@@ -59,7 +69,7 @@ from .report import (
     fmt_spectrum,
     fmt_subset_count,
 )
-from .spectra import spectrum
+from .spectra import SpectrumResult, spectrum
 
 COMMANDS = ("verify", "classify", "center", "spectrum", "inner", "report")
 
@@ -239,10 +249,23 @@ def _resolve_family(
 # -- commands ------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+def _header(algebra: AlgebraSpec) -> str:
+    return f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"
+
+
+# The algebra and its axiom report.
+_Verified = tuple[AlgebraSpec, AxiomReport]
+
+
+def cmd_verify(config: RunConfig) -> tuple[int, _Verified]:
     algebra, _meta = _resolve_algebra(config)
     report = algebra.verify_axioms()
-    payload: dict[str, Any] = {
+    return (0 if report.ok else 1), (algebra, report)
+
+
+def verify_payload(result: _Verified) -> dict[str, Any]:
+    algebra, report = result
+    return {
         "name": algebra.name,
         "dim": algebra.dim,
         "nonnegative": report.nonnegative,
@@ -257,8 +280,12 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         "submultiplicativity_detail": report.submultiplicativity_detail,
         "ok": report.ok,
     }
+
+
+def verify_lines(result: _Verified) -> list[str]:
+    algebra, report = result
     lines = [
-        f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})",
+        _header(algebra),
         f"tensor nonnegativity: {'pass' if report.nonnegative else 'FAIL ' + str(report.negative_entries[:3])}",
         f"associativity: {'pass' if report.associative else 'FAIL ' + str(report.associativity_failures[:3])}",
     ]
@@ -277,10 +304,21 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         f" — {report.submultiplicativity_detail}"
     )
     lines.append(f"result: {'PASS' if report.ok else 'FAIL'}")
-    return (0 if report.ok else 1), payload, lines
+    return lines
 
 
-def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+# The algebra, the grid, the order idempotents (None without identity), the
+# grid hits, and (name, element, verdicts) for each named element.
+_Classified = tuple[
+    AlgebraSpec,
+    GridSpec,
+    Optional[list[LatticeElement]],
+    list[GridHit],
+    list[tuple[str, LatticeElement, ProjectionClassification]],
+]
+
+
+def cmd_classify(config: RunConfig) -> tuple[int, _Classified]:
     if config.grid <= 0:
         raise InputError("grid resolution must be positive")
     algebra, _meta = _resolve_algebra(config)
@@ -289,50 +327,73 @@ def cmd_classify(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     # The grid search runs first: 2^m ≤ (N+1)^dim for the m atoms of A_e,
     # so its cap also bounds the enumeration of the 2^m order idempotents.
     hits = search_band_projections(algebra, grid)
-    certified = [hit.element for hit in hits]
-    core = [hit.element for hit in hits if None not in (hit.left, hit.right)]
-    payload: dict[str, Any] = {"name": algebra.name, "dim": algebra.dim}
-    lines = [f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"]
-    if algebra.has_identity():
-        oi = enumerate_order_idempotents(algebra)
-        payload["order_idempotents"] = [element_to_wire(p) for p in oi]
+    oi = enumerate_order_idempotents(algebra) if algebra.has_identity() else None
+    named = [
+        (name, x, classify(algebra, x)) for name, x in _named_elements(algebra, config.elements)
+    ]
+    return 0, (algebra, grid, oi, hits, named)
+
+
+def _two_sided(hits: list[GridHit]) -> list[LatticeElement]:
+    return [hit.element for hit in hits if None not in (hit.left, hit.right)]
+
+
+def classify_payload(result: _Classified) -> dict[str, Any]:
+    algebra, grid, oi, hits, named = result
+    return {
+        "name": algebra.name,
+        "dim": algebra.dim,
+        "order_idempotents": None if oi is None else [element_to_wire(p) for p in oi],
+        "grid": [format_scalar(v) for v in grid.values],
+        "band_projections_on_grid": [element_to_wire(hit.element) for hit in hits],
+        "left_and_right_on_grid": [element_to_wire(p) for p in _two_sided(hits)],
+        "elements": {
+            name: {
+                "coords": element_to_wire(x),
+                "nonnegative": c.nonnegative,
+                "is_oi": c.is_oi,
+                "is_bp": c.is_bp,
+                "is_left_bp": c.is_left_bp,
+                "is_right_bp": c.is_right_bp,
+            }
+            for name, x, c in named
+        },
+    }
+
+
+def classify_lines(result: _Classified) -> list[str]:
+    algebra, grid, oi, hits, named = result
+    lines = [_header(algebra)]
+    if oi is None:
+        lines.append("order idempotents: not applicable (no identity)")
+    else:
         lines.append(f"order idempotents ({len(oi)}, complete):")
         lines += [f"  {fmt_element(p)}" for p in oi]
-    else:
-        payload["order_idempotents"] = None
-        lines.append("order idempotents: not applicable (no identity)")
     grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
-    payload["grid"] = [format_scalar(v) for v in grid.values]
-    payload["band_projections_on_grid"] = [element_to_wire(p) for p in certified]
-    payload["left_and_right_on_grid"] = [element_to_wire(p) for p in core]
-    lines.append(f"band projections over grid {grid_str} ({len(certified)} certified):")
-    lines += [f"  {fmt_element(p)}" for p in certified]
+    core = _two_sided(hits)
+    lines.append(f"band projections over grid {grid_str} ({len(hits)} certified):")
+    lines += [f"  {fmt_element(hit.element)}" for hit in hits]
     lines.append(f"left-and-right band projections among them ({len(core)}):")
     lines += [f"  {fmt_element(p)}" for p in core]
-    named = _named_elements(algebra, config.elements)
-    verdicts = {}
     if named:
         lines.append("named elements:")
-    for name, x in named:
-        c = classify(algebra, x)
-        verdicts[name] = {
-            "coords": element_to_wire(x),
-            "nonnegative": c.nonnegative,
-            "is_oi": c.is_oi,
-            "is_bp": c.is_bp,
-            "is_left_bp": c.is_left_bp,
-            "is_right_bp": c.is_right_bp,
-        }
+    for name, x, c in named:
         oi_str = "n/a" if c.is_oi is None else ("yes" if c.is_oi else "no")
         lines.append(
             f"  {name} = {fmt_element(x)}: OI {oi_str} / BP {'yes' if c.is_bp else 'no'}"
             f" / left {'yes' if c.is_left_bp else 'no'} / right {'yes' if c.is_right_bp else 'no'}"
         )
-    payload["elements"] = verdicts
-    return 0, payload, lines
+    return lines
 
 
-def cmd_center(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+# The algebra, its atoms, the band projection onto A_e, and a demo element
+# with its parts in A_e and in the complement band.
+_Centered = tuple[
+    AlgebraSpec, CKRepresentation, OperatorMatrix, list[int], list[int], tuple[LatticeElement, ...]
+]
+
+
+def cmd_center(config: RunConfig) -> tuple[int, _Centered]:
     algebra, _meta = _resolve_algebra(config)
     basis, projection = identity_ideal(algebra)
     rep = ck_representation(algebra)
@@ -342,8 +403,12 @@ def cmd_center(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         tuple(Fraction((-1) ** i * (i + 1)) for i in range(algebra.dim))
     )
     demo_e = projection.apply(demo)
-    demo_d = demo - demo_e
-    payload: dict[str, Any] = {
+    return 0, (algebra, rep, projection, inside, outside, (demo, demo_e, demo - demo_e))
+
+
+def center_payload(result: _Centered) -> dict[str, Any]:
+    algebra, rep, projection, inside, outside, (demo, demo_e, demo_d) = result
+    return {
         "name": algebra.name,
         "support": inside,
         "complement_support": outside,
@@ -355,8 +420,12 @@ def cmd_center(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
             "x_d": element_to_wire(demo_d),
         },
     }
+
+
+def center_lines(result: _Centered) -> list[str]:
+    algebra, rep, projection, inside, outside, (demo, demo_e, demo_d) = result
     lines = [
-        f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})",
+        _header(algebra),
         f"A_e support coordinates: {', '.join(map(str, inside))}",
         f"complement band coordinates: {', '.join(map(str, outside)) if outside else '(none)'}",
         f"atoms ({rep.n_points} points of K):",
@@ -367,10 +436,17 @@ def cmd_center(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
         f"decomposition demo: x = {fmt_element(demo)} splits as x_e = {fmt_element(demo_e)}"
         f" plus x_d = {fmt_element(demo_d)} (x_d disjoint from e)"
     )
-    return 0, payload, lines
+    return lines
 
 
-def cmd_spectrum(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+# The algebra and, per named element, its spectrum and spectral radius.
+_Spectra = tuple[
+    AlgebraSpec,
+    list[tuple[str, LatticeElement, SpectrumResult, Union[Fraction, ApproxReal]]],
+]
+
+
+def cmd_spectrum(config: RunConfig) -> tuple[int, _Spectra]:
     algebra, meta = _resolve_algebra(config)
     names = config.elements
     if not names and meta is not None and meta.spectrum_elements:
@@ -378,16 +454,22 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
     named = _named_elements(algebra, names)
     if not named:
         raise InputError("no elements to analyze: the algebra file names none and no --element given")
-    payload: dict[str, Any] = {"name": algebra.name, "elements": {}}
-    lines = [f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})"]
+    spectra = []
     for name, x in named:
         result = spectrum(algebra, x)
-        radius = result.spectral_radius()
+        spectra.append((name, x, result, result.spectral_radius()))
+    return 0, (algebra, spectra)
+
+
+def spectrum_payload(result: _Spectra) -> dict[str, Any]:
+    algebra, spectra = result
+    elements: dict[str, Any] = {}
+    for name, x, spec, radius in spectra:
         entry: dict[str, Any] = {
             "coords": element_to_wire(x),
-            "char_poly": [scalar_to_wire(c) for c in result.char_poly],
+            "char_poly": [scalar_to_wire(c) for c in spec.char_poly],
             "rational_roots": [
-                {"root": scalar_to_wire(r), "multiplicity": m} for r, m in result.rational_roots
+                {"root": scalar_to_wire(r), "multiplicity": m} for r, m in spec.rational_roots
             ],
             "numeric_roots": [
                 {
@@ -396,105 +478,144 @@ def cmd_spectrum(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
                     "radius": repr(root.radius),
                     "multiplicity": root.multiplicity,
                 }
-                for root in result.other_roots
+                for root in spec.other_roots
             ],
         }
         if isinstance(radius, Fraction):
             entry["spectral_radius"] = scalar_to_wire(radius)
         else:
             entry["spectral_radius"] = {"value": repr(radius.value), "error": repr(radius.error)}
-        payload["elements"][name] = entry
+        elements[name] = entry
+    return {"name": algebra.name, "elements": elements}
+
+
+def spectrum_lines(result: _Spectra) -> list[str]:
+    algebra, spectra = result
+    lines = [_header(algebra)]
+    for name, x, spec, radius in spectra:
         lines += [
             f"{name} = {fmt_element(x)}:",
-            f"  char poly: {fmt_poly(result.char_poly)}",
-            f"  spectrum: {fmt_spectrum(result)}",
+            f"  char poly: {fmt_poly(spec.char_poly)}",
+            f"  spectrum: {fmt_spectrum(spec)}",
             f"  spectral radius: {fmt_radius(radius)}",
         ]
-    return 0, payload, lines
+    return lines
 
 
-def cmd_inner(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+# The algebra, the member names, the family, the distinct (Γ, P_Γ); for
+# --gamma: Γ, P_Γ, the complement Γ̄ and the laws against it (else None);
+# and per named mask its name, the mask and a witness Γ (None: not inner).
+_Inner = tuple[
+    AlgebraSpec,
+    list[str],
+    ProjectionFamily,
+    list[tuple[GammaSet, OperatorMatrix]],
+    Optional[tuple[GammaSet, OperatorMatrix, GammaSet, BooleanLawsReport]],
+    list[tuple[str, OperatorMatrix, Optional[GammaSet]]],
+]
+
+
+def cmd_inner(config: RunConfig) -> tuple[int, _Inner]:
     cap = _inner_cap(config)
     algebra, meta = _resolve_algebra(config)
     names, members = _resolve_family(algebra, meta, config)
     family = validate_family(algebra, members)
+    enumerated = enumerate_inner(algebra, family, cap=cap)
+    chosen = None
+    if config.gamma is not None:
+        gamma = _parse_gamma(config.gamma, len(family))
+        matrix = inner_bp(algebra, family, gamma)
+        comp = gamma.complement()
+        chosen = (gamma, matrix, comp, boolean_laws(algebra, family, gamma, comp))
+    verdicts = []
+    for name, x in _named_elements(algebra, config.elements):
+        mask = diagonal_mask_operator(x)
+        if mask is None or x.is_zero():
+            continue
+        verdicts.append((name, mask, is_inner(algebra, family, mask, cap=cap)))
+    return 0, (algebra, names, family, enumerated, chosen, verdicts)
+
+
+def inner_payload(result: _Inner) -> dict[str, Any]:
+    algebra, names, family, enumerated, chosen, verdicts = result
     payload: dict[str, Any] = {
         "name": algebra.name,
         "family": {n: element_to_wire(x) for n, x in zip(names, family.members)},
         "family_names": names,
         "family_valid": True,
+        "distinct_inner": [
+            {"gamma": gamma.sorted_pairs(), "matrix": operator_to_wire(matrix)}
+            for gamma, matrix in enumerated
+        ],
+        "is_inner": {
+            name: None if witness is None else witness.sorted_pairs()
+            for name, _mask, witness in verdicts
+        },
     }
+    if chosen is not None:
+        gamma, matrix, _comp, laws = chosen
+        payload["gamma"] = gamma.sorted_pairs()
+        payload["gamma_projection"] = operator_to_wire(matrix)
+        payload["boolean_laws_vs_complement_ok"] = laws.ok
+    return payload
+
+
+def inner_lines(result: _Inner) -> list[str]:
+    algebra, names, family, enumerated, chosen, verdicts = result
     lines = [
-        f"algebra: {algebra.name or '<unnamed>'} (dim {algebra.dim})",
+        _header(algebra),
         f"family ({len(family)} members): valid — orthogonal, all in BP_l ∩ BP_r",
     ]
     lines += [f"  {n} = {fmt_element(x)}" for n, x in zip(names, family.members)]
-    enumerated = enumerate_inner(algebra, family, cap=cap)
     subsets = fmt_subset_count(len(family))
-    payload["distinct_inner"] = [
-        {"gamma": gamma.sorted_pairs(), "matrix": operator_to_wire(matrix)}
-        for gamma, matrix in enumerated
-    ]
     lines.append(f"distinct inner projections: {len(enumerated)} out of {subsets} Γ-subsets")
     lines += [
         f"  Γ = {fmt_gamma(gamma)} ↦ {fmt_projection_matrix(matrix)}"
         for gamma, matrix in enumerated
     ]
-    if config.gamma is not None:
-        gamma = _parse_gamma(config.gamma, len(family))
-        matrix = inner_bp(algebra, family, gamma)
-        payload["gamma"] = gamma.sorted_pairs()
-        payload["gamma_projection"] = operator_to_wire(matrix)
-        comp = gamma.complement()
-        laws = boolean_laws(algebra, family, gamma, comp)
-        payload["boolean_laws_vs_complement_ok"] = laws.ok
+    if chosen is not None:
+        gamma, matrix, comp, laws = chosen
         lines.append(f"P_Γ for Γ = {fmt_gamma(gamma)}: {fmt_projection_matrix(matrix)}")
         lines.append(
             f"Boolean laws against the complement Γ̄ = {fmt_gamma(comp)}: "
             f"{'pass' if laws.ok else 'FAIL'}"
         )
-    verdicts: dict[str, Any] = {}
-    for name, x in _named_elements(algebra, config.elements):
-        mask = diagonal_mask_operator(x)
-        if mask is None or x.is_zero():
-            continue
-        witness = is_inner(algebra, family, mask, cap=cap)
-        verdicts[name] = None if witness is None else witness.sorted_pairs()
+    for name, mask, witness in verdicts:
         verdict_str = (
             f"inner via Γ = {fmt_gamma(witness)}" if witness is not None else "NOT inner"
         )
         lines.append(f"{name} as mask {fmt_projection_matrix(mask)}: {verdict_str}")
-    payload["is_inner"] = verdicts
-    return 0, payload, lines
+    return lines
 
 
-def cmd_report(config: RunConfig) -> tuple[int, dict[str, Any], list[str]]:
+def cmd_report(config: RunConfig) -> tuple[int, str]:
     if config.builtin_name or config.input_path:
         algebra, meta = _resolve_algebra(config)
-        doc = build_report(algebra, meta)
-    else:
-        docs = [build_report(builtin(n), builtin_meta(n)) for n in BUILTIN_NAMES]
-        doc = "\n---\n\n".join(docs)
-    return 0, {"markdown": doc}, [doc.rstrip("\n")]
+        return 0, build_report(algebra, meta)
+    return 0, "\n---\n\n".join(build_report(builtin(n), builtin_meta(n)) for n in BUILTIN_NAMES)
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-    "center": cmd_center,
-    "spectrum": cmd_spectrum,
-    "inner": cmd_inner,
-    "report": cmd_report,
+# command: (computation, JSON renderer, text renderer).  The report is
+# markdown already and is printed as it is in text and markdown: no lines.
+_DISPATCH: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
+    "verify": (cmd_verify, verify_payload, verify_lines),
+    "classify": (cmd_classify, classify_payload, classify_lines),
+    "center": (cmd_center, center_payload, center_lines),
+    "spectrum": (cmd_spectrum, spectrum_payload, spectrum_lines),
+    "inner": (cmd_inner, inner_payload, inner_lines),
+    "report": (cmd_report, lambda doc: {"markdown": doc}, None),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered output)."""
-    code, payload, lines = _DISPATCH[config.command](config)
+    compute, payload, render_lines = _DISPATCH[config.command]
+    code, result = compute(config)
     if config.out_format == "json":
-        return code, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.command == "report":
-        return code, payload["markdown"]
+        return code, dump_json(payload(result)) + "\n"
+    if render_lines is None:
+        return code, result
+    lines = render_lines(result)
     if config.out_format == "markdown":
         title = f"# latticealg {config.command}"
         body = "\n".join(f"- {line}" if not line.startswith(" ") else f"  {line}" for line in lines)

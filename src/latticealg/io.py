@@ -11,6 +11,9 @@ scalars; operators are flat row-major arrays; an algebra file is
       "identity": [...],                              # optional
       "elements": {"name": [...], ...}                # optional
     }
+
+Command output in JSON is written by dump_json: two-space indent, sorted
+keys, ASCII escapes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -171,6 +175,60 @@ def load_algebra(path: Union[str, Path]) -> AlgebraSpec:
         raise InputError(f"{p} is not valid JSON: {exc}") from None
     algebra = algebra_from_dict(data)
     return algebra if algebra.name else dataclasses.replace(algebra, name=p.stem)
+
+
+def dump_json(value: Any) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    With indent, json falls back to its pure-Python encoder; this writes the
+    same text with one join per container.  It takes dicts with str keys,
+    lists, tuples, str, int, bool and None, and raises TypeError on anything
+    else (floats included: output scalars are exact strings or ints).
+    """
+    return _dump(value, "\n")
+
+
+def _dump(value: Any, newline: str) -> str:
+    """value as JSON; newline is "\n" plus the indent of the line it starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = []
+        for v in value:
+            # Elements and operators are lists of ints and strs: no call for those.
+            if type(v) is int:
+                items.append(int.__repr__(v))
+            elif type(v) is str:
+                items.append(encode_basestring_ascii(v))
+            else:
+                items.append(_dump(v, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return (
+            "{" + inner
+            + ("," + inner).join(
+                encode_basestring_ascii(k) + ": " + _dump(v, inner)
+                for k, v in sorted(value.items())
+            )
+            + newline + "}"
+        )
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_algebra(algebra: AlgebraSpec, path: Union[str, Path]) -> None:

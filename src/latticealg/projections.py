@@ -422,10 +422,11 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHi
     nonnegative value) is decided by mask_support, and the zero point, a
     hit with empty masks, reads no column at all.
     """
-    check_grid_size(len(grid.values), algebra.dim)
     # Points with a negative coordinate are not positive, and dropping them
-    # keeps the rest in lexicographic order.
+    # keeps the rest in lexicographic order; only the points walked count
+    # towards the cap.
     values = [v for v in grid.values if v >= 0]
+    check_grid_size(len(values), algebra.dim)
     scale = math.lcm(*(v.denominator for v in values))
     by_int = {v.numerator * (scale // v.denominator): v for v in values}
     kernel = algebra.integer_tensor

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import latticealg as la
-from latticealg.cli import _build_parser, main
+from latticealg.cli import COMMANDS, _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +237,41 @@ def test_markdown_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "builtin:ck2", "--format", "markdown")
     assert code == 0
     assert out.startswith("# latticealg verify")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendered a format that was not asked for")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "builtin:upper2", "--element", "p", "--element", "E12"],
+        ["inner", "builtin:m2-regular", "--gamma", "(0,0),(1,1)", "--element", "E11"],
+        ["spectrum", "builtin:upper2"],
+    ],
+)
+def test_only_the_asked_format_is_rendered(capsys, monkeypatch, argv):
+    with monkeypatch.context() as m:
+        for name in ("element_to_wire", "operator_to_wire"):
+            m.setattr(f"latticealg.cli.{name}", _refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+    with monkeypatch.context() as m:
+        for name in ("fmt_element", "fmt_projection_matrix", "fmt_poly"):
+            m.setattr(f"latticealg.cli.{name}", _refuse)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_output_is_indented_and_sorted(capsys, command):
+    for name in la.BUILTIN_NAMES:
+        code, out, _ = run_cli(capsys, command, f"builtin:{name}", "--format", "json")
+        if code == 2:  # center and spectrum refuse noid3: no identity, no elements
+            assert out == ""
+        else:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):

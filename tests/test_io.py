@@ -4,11 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import InputError, OperatorMatrix, vec
 from latticealg.cli import main
 from latticealg.io import (
+    dump_json,
     norm_from_wire,
     norm_to_wire,
     scalar_from_wire,
@@ -139,3 +142,32 @@ def test_integer_past_the_digit_limit(tmp_path, capsys):
 def test_largest_dim_is_accepted():
     alg = la.algebra_from_dict({"dim": la.MAX_DIM, "tensor": [[0, 0, 0, 1]]})
     assert alg.dim == la.MAX_DIM
+
+
+# Strings mix ASCII, control characters and non-ASCII text; ints reach past
+# 64 bits on both signs.
+_texts = st.text(st.characters(max_codepoint=0x2FFFF, exclude_categories=("Cs",)))
+_scalars = st.none() | st.booleans() | st.integers() | st.integers(-(10**30), 10**30) | _texts
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_values)
+@example([True, 1, False, 0, None])
+@example({"\x00\n": [], "é": {}, "": [[], {}, [[{}]]], "\u2603": ("x", (1, -(10**40)))})
+def test_dump_json_is_json_dumps_indented_and_sorted(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], {"a": [float("nan")]}, {1: 2}, {"a": {None: 1}}, {(1,): 2}, set(), Fraction(1, 2)],
+)
+def test_dump_json_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        dump_json(value)

@@ -288,6 +288,19 @@ def test_grid_search_cap():
         la.search_band_projections(alg, GridSpec.from_resolution(50))
 
 
+def test_grid_cap_counts_only_the_points_walked():
+    """Points with a negative coordinate are dropped before the cap is
+    checked: {-1, 1/2} on dim 32 walks one point, not 2^32."""
+    dim = 32
+    alg = AlgebraSpec(dim=dim, tensor={(i, i, i): Fraction(2) for i in range(dim)})
+    hits = la.search_band_projections(alg, GridSpec.from_values([-1, "1/2"]))
+    everything = frozenset(range(dim))
+    assert hits == [(vec(["1/2"] * dim), everything, everything)]  # L_a·R_a = I
+    assert la.search_band_projections(alg, GridSpec.from_values([-2, "-1/3"])) == []
+    with pytest.raises(CapExceededError, match="^grid has 4294967296 points"):
+        la.search_band_projections(alg, GridSpec.from_values(["-1/2", 0, 1]))
+
+
 def test_grid_search_is_sorted_and_certified():
     alg = la.builtin("upper2")
     found = [hit.element for hit in la.search_band_projections(alg, GridSpec.from_resolution(2))]
