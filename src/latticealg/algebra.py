@@ -27,15 +27,16 @@ TensorKey = tuple[int, int, int]
 # bounds the work verify does for any tensor: the n forced rows of the
 # identity solve (n + 1 exact columns each), the n identity-check columns of
 # n coordinates and the per-coordinate output.  At 64 an empty tensor
-# verifies in about 0.02 s in-process and 0.15–0.26 s as a CLI subprocess on
-# a shared 2-core Xeon; the limit is four times the largest dimension the
+# verifies in under 0.01 s in-process and about 0.16 s as a CLI subprocess
+# on a shared 2-core Xeon; the limit is four times the largest dimension the
 # benchmark generates (16) and ten times the largest builtin (6).
 MAX_DIM = 64
 # The most integer products IntegerTensor.associativity_failures may make,
 # counted before it makes any.  A dense tensor of dim n needs 2n⁵: in-process
-# on the same machine, dim 16 (2.1M products) loads and verifies in about
-# 1 s, dim 20 (6.4M) in 2.3 s and dim 24 (15.9M) in 5.2 s; dim 25 (19.5M) is
-# refused in 0.3 s, most of it reading the file.
+# on the same machine (`verify` on a file with all n³ entries in
+# {1, 2, 3, 1/2, 2/3}), dim 16 (2.1M products) loads and verifies in
+# 0.7–1.2 s, dim 20 (6.4M) in 2.1–3.6 s and dim 24 (15.9M) in 5.8–8.7 s;
+# dim 25 (19.5M) is refused in 0.1 s, most of it reading the file.
 MAX_ASSOCIATIVITY_PRODUCTS = 1 << 24
 
 
@@ -246,12 +247,13 @@ class AlgebraSpec:
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise InputError(f"dimension must be positive, got {self.dim}")
+        n = self.dim
         clean: dict[TensorKey, Fraction] = {}
         for key, value in self.tensor.items():
             i, j, k = key
-            if not all(0 <= t < self.dim for t in (i, j, k)):
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"tensor index {key} out of range for dim {self.dim}")
-            q = as_scalar(value)
+            q = value if isinstance(value, Fraction) else as_scalar(value)
             if q != 0:
                 clean[(i, j, k)] = q
         object.__setattr__(self, "tensor", MappingProxyType(clean))

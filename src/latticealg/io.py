@@ -27,7 +27,7 @@ from typing import Any, Optional, Union
 
 from .algebra import MAX_DIM, AlgebraSpec
 from .errors import InputError
-from .lattice import LatticeElement, NormSpec, as_scalar, format_scalar
+from .lattice import LatticeElement, NormSpec, as_scalar, digit_limit_error, format_scalar
 from .operators import OperatorMatrix
 
 Wire = Union[int, str]
@@ -139,7 +139,7 @@ def algebra_from_dict(data: Any) -> AlgebraSpec:
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError(f"tensor entry {entry!r} must be [i, j, k, coeff]")
         i, j, k, c = entry
-        if not all(_is_int(t) for t in (i, j, k)):
+        if not (_is_int(i) and _is_int(j) and _is_int(k)):
             raise InputError(f"tensor indices in {entry!r} must be integers")
         if (i, j, k) in tensor:
             raise InputError(f"tensor entry {entry!r} repeats the indices ({i}, {j}, {k})")
@@ -183,9 +183,14 @@ def dump_json(value: Any) -> str:
     With indent, json falls back to its pure-Python encoder; this writes the
     same text with one join per container.  It takes dicts with str keys,
     lists, tuples, str, int, bool and None, and raises TypeError on anything
-    else (floats included: output scalars are exact strings or ints).
+    else (floats included: output scalars are exact strings or ints).  An
+    int past Python's digit limit raises CapExceededError, so that every
+    JSON written here can be read back.
     """
-    return _dump(value, "\n")
+    try:
+        return _dump(value, "\n")
+    except ValueError:  # int.__repr__ past the digit limit
+        raise digit_limit_error() from None
 
 
 def _dump(value: Any, newline: str) -> str:

@@ -12,39 +12,105 @@ general-p norm, which returns a float with a proved error bound.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import DimensionMismatchError, InputError
+from .errors import CapExceededError, DimensionMismatchError, InputError
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 
+def int_digit_limit() -> int:
+    """Python's limit on the digits of an int converted from or to text: 0
+    when there is none (interpreters before 3.10.7 have none)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def digit_limit_error() -> CapExceededError:
+    """The refusal for an exact result that has an integer past int_digit_limit()."""
+    return CapExceededError(
+        f"an exact result has an integer of more than {int_digit_limit()} digits, "
+        "the most Python converts to text"
+    )
+
+
+# The decimal form with an exponent that Fraction(text) accepts: sign,
+# integer part, fractional part, exponent.  Fraction builds 10**|exponent|
+# and the scaled numerator and denominator before it normalizes, so a large
+# exponent costs time and memory even when the value is small.
+_EXPONENT_FORM = re.compile(
+    r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?e([-+]?\d+(?:_\d+)*)",
+    re.IGNORECASE,
+)
+
+
+def _exponent_too_long(text: str, limit: int) -> bool:
+    """Whether Fraction(text) would build an integer of more than `limit`
+    digits from the exponent of a decimal form: 10**|exp|, the numerator
+    times 10**exp, or the denominator times 10**-exp."""
+    m = _EXPONENT_FORM.fullmatch(text)
+    if m is None:
+        return False
+    whole, fraction = m[1].replace("_", ""), (m[2] or "").replace("_", "")
+    if len(whole) > limit or len(fraction) > limit:
+        return False  # Fraction refuses these digits itself, before the exponent
+    exp = int(m[3])
+    numerator = len((whole + fraction).lstrip("0")) + exp
+    return max(numerator, len(fraction) - exp + 1, abs(exp) + 1) > limit
+
+
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce int / "num/den" string / Fraction to an exact Fraction.
 
-    Floats are rejected: they would silently poison exact predicates.
+    The wire's canonical strings "n", "-n" and "n/d" (ASCII digits, d ≠ 0)
+    are read with int(); any other string goes through Fraction(text),
+    after a check that its exponent, if any, makes no integer longer than
+    int_digit_limit() digits.  Floats are rejected: they would silently
+    poison exact predicates.
     """
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        try:
+            if digits.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit():
+                    n, d = int(num), int(den)
+                    if d:
+                        return Fraction(n, d)
+            text = value.strip().replace("−", "-")  # tolerate unicode minus
+            limit = int_digit_limit()
+            if limit and _exponent_too_long(text, limit):
+                raise InputError(
+                    f"cannot parse scalar {value!r}: its exponent makes an integer "
+                    f"of more than {limit} digits"
+                )
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
+    # str, bool and int before Fraction: isinstance against the abstract
+    # numbers.Rational behind Fraction is slow for anything but a Fraction.
     if isinstance(value, bool):
         raise InputError(f"not a scalar: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip().replace("−", "-")  # tolerate unicode minus
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
+    if isinstance(value, Fraction):
+        return value
     raise InputError(f"not an exact scalar: {value!r} (floats are rejected)")
 
 
 def format_scalar(q: Fraction) -> str:
     """Render a Fraction in the wire format "num/den" (integers plain)."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # an integer past int_digit_limit()
+        raise digit_limit_error() from None
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ rk_oracle so the two can be checked against each other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,6 +180,13 @@ def op_inf(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
     )
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(v, d) with values = v/d, d the lcm of the denominators."""
+    pairs = [q.as_integer_ratio() for q in values]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
 def rk_oracle(s: OperatorMatrix, t: OperatorMatrix, x: LatticeElement) -> LatticeElement:
     """(S ∨ T)(x) for x ≥ 0 straight from the supremum formula.
 
@@ -189,43 +195,35 @@ def rk_oracle(s: OperatorMatrix, t: OperatorMatrix, x: LatticeElement) -> Lattic
     objective is linear in u, so the supremum over the box is attained at
     a vertex and the enumeration is exact.
 
-    The vertices are walked in Gray-code order.  The objective is
-    T·x + (S − T)·u, and consecutive vertices differ in one coordinate i,
-    so each step adds or subtracts the column (S − T)[:, i]·x_i and updates
-    the coordinatewise maximum in O(n); the walk starts at u = 0, i.e. at
-    T·x, and runs on integers over one common denominator.  Every vertex
-    is still visited and no entrywise maximum of S and T is taken, so the
-    result stays independent of op_sup.
+    At the vertex with u_i = x_i for i ∈ U, coordinate k of the objective
+    is (T·x)_k + Σ_{i∈U} (S − T)_ki·x_i.  With S, T and x each scaled to
+    integers over its own lcm denominator, the list of all 2^n such sums
+    for one k is built by doubling: start from [(T·x)_k] and, for each i,
+    append every sum so far plus the step (S − T)_ki·x_i, zero steps
+    included.  The coordinate's value is the list's maximum.  Every vertex
+    is still evaluated and no entrywise maximum of S and T is taken, so
+    the result stays independent of op_sup.
     """
     if s.dim != t.dim or s.dim != x.dim:
         raise DimensionMismatchError("operator/vector dimension mismatch")
-    if not x.is_positive():
+    xs, x_den = _over_lcm(x.coords)
+    if min(xs) < 0:
         raise InputError("rk_oracle requires x >= 0")
     n = x.dim
     if n > RK_DIM_CAP:
         raise CapExceededError(f"rk_oracle enumerates 2^{n} vertices; cap is dim <= {RK_DIM_CAP}")
-    start = [sum((a * b for a, b in zip(row, x.coords)), Fraction(0)) for row in t.entries]
-    steps = [
-        [(s_row[i] - t_row[i]) * x_i for s_row, t_row in zip(s.entries, t.entries)]
-        for i, x_i in enumerate(x.coords)
-    ]
-    den = math.lcm(*(q.denominator for q in itertools.chain(start, *steps)))
-
-    def scaled(values: list[Fraction]) -> list[int]:
-        return [q.numerator * (den // q.denominator) for q in values]
-
-    current = scaled(start)
-    best = list(current)
-    columns = [scaled(step) for step in steps]
-    u = 0  # bit i set: u_i = x_i
-    for g in range(1, 1 << n):
-        bit = g & -g  # the Gray code flips the lowest set bit of the step count
-        u ^= bit
-        sign = 1 if u & bit else -1
-        for k, c in enumerate(columns[bit.bit_length() - 1]):
-            current[k] += sign * c
-            if current[k] > best[k]:
-                best[k] = current[k]
+    s_flat, s_den = _over_lcm([v for row in s.entries for v in row])
+    t_flat, t_den = _over_lcm([v for row in t.entries for v in row])
+    # Everything below is over the common denominator s_den·t_den·x_den.
+    best = []
+    for k in range(0, n * n, n):
+        s_row, t_row = s_flat[k : k + n], t_flat[k : k + n]
+        sums = [s_den * sum(b * x_i for b, x_i in zip(t_row, xs))]
+        for a, b, x_i in zip(s_row, t_row, xs):
+            step = (t_den * a - s_den * b) * x_i
+            sums += [w + step for w in sums]
+        best.append(max(sums))
+    den = s_den * t_den * x_den
     return LatticeElement(tuple(Fraction(b, den) for b in best))
 
 

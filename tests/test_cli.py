@@ -9,6 +9,7 @@ import pytest
 
 import latticealg as la
 from latticealg.cli import COMMANDS, _build_parser, main
+from latticealg.lattice import as_scalar, int_digit_limit
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,36 @@ def test_atoms_that_are_not_delta_orthogonal_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: atoms 0, 0 violate a_i∗a_j = δ_ij·a_i: got (1, 1)\n"
+
+
+def long_diagonal(tmp_path, digits):
+    """b0∗b0 = b0, b1∗b1 = b1, and an element x of two `digits`-digit integers."""
+    x = [int("7" * digits), int("3" * digits)]
+    path = tmp_path / "long.json"
+    tensor = [[0, 0, 0, 1], [1, 1, 1, 1]]
+    path.write_text(json.dumps({"dim": 2, "tensor": tensor, "elements": {"x": x}}))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "markdown"])
+def test_results_past_the_digit_limit_exit_2(tmp_path, capsys, fmt):
+    # The reader accepts 4,000-digit coordinates; the characteristic
+    # polynomial's constant term has about 8,000 digits.
+    path = long_diagonal(tmp_path, 4000)
+    code, out, err = run_cli(capsys, "spectrum", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {int_digit_limit()} digits" in err
+
+
+def test_json_near_the_digit_limit_reads_back(tmp_path, capsys):
+    path = long_diagonal(tmp_path, 2000)
+    code, out, _ = run_cli(capsys, "spectrum", str(path), "--format", "json")
+    assert code == 0
+    entry = json.loads(out)["elements"]["x"]
+    x0, x1 = int("7" * 2000), int("3" * 2000)
+    assert [as_scalar(c) for c in entry["char_poly"]] == [x0 * x1, -(x0 + x1), 1]
 
 
 def test_report_runs_deterministically(capsys):

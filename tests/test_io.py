@@ -1,6 +1,7 @@
 """Wire formats and file round-trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from latticealg.io import (
     scalar_from_wire,
     scalar_to_wire,
 )
+from latticealg.lattice import as_scalar, int_digit_limit
 
 
 def test_scalar_wire():
@@ -134,6 +136,65 @@ def test_integer_past_the_digit_limit(tmp_path, capsys):
     with pytest.raises(InputError):
         la.load_algebra(path)
     assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def fraction_path(text):
+    """What as_scalar made of a string before the canonical forms were read
+    with int(): Fraction(text), or the InputError text it raised."""
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"cannot parse scalar {text!r}: {exc}"
+
+
+_numerals = st.integers(-(10**40), 10**40).map(str)
+_canonical = _numerals | st.builds(
+    lambda n, d: f"{n}/{d}", st.integers(-(10**40), 10**40), st.integers(0, 10**40)
+)
+_decorated = st.builds(
+    lambda pre, body, post: pre + body + post,
+    st.sampled_from(["", " ", "\t", "\n ", "+", "-", "−", "\u00a0", "--"]),
+    _canonical
+    | st.builds(lambda a, b: f"{a}.{b}", st.integers(0, 999), st.integers(0, 999))
+    | st.builds(lambda a, e: f"{a}e{e}", _numerals, st.integers(-40, 40))
+    | st.builds(lambda a, e: f"{a}.5E+{e}", st.integers(0, 99), st.integers(0, 40))
+    | st.sampled_from(["1_000", "1_0/3_0", "1__0", "_1", "1_", ".5", "5.", "1/0", "-0/00", "0/0"])
+    | st.sampled_from(["١٢", "١/٢", "５", "²", "1/-2", "1 / 2", "1/+2", "", "/", "e5", "1e"])
+    | st.sampled_from(["7" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301, "7" * 4300]),
+    st.sampled_from(["", " ", "\n", "\u2003"]),
+)
+
+
+@given(_canonical | _decorated | st.text(max_size=12))
+@example("7" * 4301)
+@example("1/0")
+def test_as_scalar_matches_the_fraction_path(text):
+    expected = fraction_path(text)
+    if isinstance(expected, Fraction):
+        got = as_scalar(text)
+        assert got == expected
+        assert type(got.numerator) is int and type(got.denominator) is int
+    else:
+        with pytest.raises(InputError) as info:
+            as_scalar(text)
+        assert str(info.value) == expected
+
+
+def test_exponents_past_the_digit_limit_are_refused(tmp_path, capsys):
+    limit = int_digit_limit()
+    assert as_scalar(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert as_scalar(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    for text in (f"1e{limit}", f"-1e-{limit}", f"12e{limit - 1}", f"0.5e-{limit}", "1e10000000"):
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            as_scalar(text)
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1, "tensor": [[0, 0, 0, "1e10000000"]]}')
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

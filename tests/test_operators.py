@@ -1,6 +1,7 @@
 """Operator matrices, Riesz–Kantorovich suprema, multiplication operators."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,8 +94,8 @@ def test_rk_oracle_matches_entrywise_sup(s, t, x):
 
 
 def reference_rk_oracle(s, t, x):
-    """The vertex enumeration before the Gray-code walk: S·u + T·(x − u)
-    by two Fraction mat-vecs at each of the 2^n vertices."""
+    """The vertex enumeration on Fractions: S·u + T·(x − u) by two mat-vecs
+    at each of the 2^n vertices."""
     best = None
     for mask in itertools.product((False, True), repeat=x.dim):
         u = vec([c if keep else 0 for c, keep in zip(x.coords, mask)])
@@ -117,6 +118,41 @@ def sparse_positive_vectors(dim):
 def test_rk_oracle_matches_vertex_reference(case):
     s, t, x = case
     assert la.rk_oracle(s, t, x) == reference_rk_oracle(s, t, x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(6, operators.RK_DIM_CAP).flatmap(
+        lambda n: st.tuples(matrices(n), matrices(n), sparse_positive_vectors(n))
+    )
+)
+def test_rk_oracle_matches_entrywise_sup_up_to_the_cap(case):
+    s, t, x = case
+    assert la.rk_oracle(s, t, x) == la.op_sup(s, t).apply(x)
+
+
+def test_rk_oracle_does_not_take_the_entrywise_sup(monkeypatch):
+    # The enumeration answers the same with op_sup unavailable, so the two
+    # routes stay independent of each other.
+    rng = random.Random(22)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    cases = []
+    for n in range(1, operators.RK_DIM_CAP + 1):
+        s = OperatorMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+        t = OperatorMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+        x = vec([abs(entry()) if i % 3 else 0 for i in range(n)])
+        cases.append((s, t, x))
+    expected = [la.op_sup(s, t).apply(x) for s, t, x in cases]
+
+    def refuse(*args):
+        raise AssertionError("rk_oracle took the entrywise supremum")
+
+    monkeypatch.setattr(operators, "op_sup", refuse)
+    monkeypatch.setattr(la, "op_sup", refuse)
+    assert [la.rk_oracle(s, t, x) for s, t, x in cases] == expected
 
 
 @settings(max_examples=30, deadline=None)
