@@ -51,7 +51,7 @@ def survey(name: str, max_resolution: int) -> None:
     # second reading, and the script asks only whether they commute.
     two_sided = [hit.element for hit in at_two if None not in (hit.left, hit.right)]
     commuting = all(
-        alg.multiply(a, b) == alg.multiply(b, a) for a, b in itertools.combinations(two_sided, 2)
+        alg.product_is(a, b, alg.multiply(b, a)) for a, b in itertools.combinations(two_sided, 2)
     )
     print(f"left-and-right members at N=2: {len(two_sided)}, pairwise commuting: {commuting}")
     print()

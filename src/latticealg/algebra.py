@@ -37,6 +37,15 @@ MAX_DIM = 64
 # {1, 2, 3, 1/2, 2/3}), dim 16 (2.1M products) loads and verifies in
 # 0.7–1.2 s, dim 20 (6.4M) in 2.1–3.6 s and dim 24 (15.9M) in 5.8–8.7 s;
 # dim 25 (19.5M) is refused in 0.1 s, most of it reading the file.
+# A product is charged 1 + w²/32 when the kernel's largest entry has w
+# 64-bit words: 1 up to 5 words.  On dense dim-6 and dim-10 tensors of
+# random b-bit entries the check takes, relative to 8-bit entries, 3.1× at
+# b = 512 (charge 3), 7.0× at 1024 (9), 17× at 2048 (33), 45–50× at 4096
+# (129) and 500× at 16384 (2049), so the charge is never far below the cost
+# and overstates it only where the entries are long.  A dim-3 tensor whose
+# 27 entries are 1/(10⁴²⁹⁹ + 2k + 1) has a common denominator of 116,059
+# digits and 5,801-word entries; it is refused in about 0.5 s as a CLI
+# subprocess, most of it the lcm.
 MAX_ASSOCIATIVITY_PRODUCTS = 1 << 24
 
 
@@ -93,9 +102,10 @@ class IntegerTensor:
     integer vector (integer_form), and the columns below are integers scaled
     by a known power of L·D.  Associativity is checked on the same integers
     by contracting the tensor with itself, and AlgebraSpec.multiply and
-    basis_product read `pairs`, the one product index of the tensor.  The
-    exact solves take their integer rows from here too: the identity solve
-    from `second`, spectra and inverses from left_matrix.  The grid search
+    basis_product read `pairs`, the one product index of the tensor; so
+    does product_is, which decides x∗y = z without building the product.
+    The exact solves take their integer rows from here too: the identity
+    solve from `second`, spectra and inverses from left_matrix.  The grid search
     reads column_form, the columns of L_l·R_r as quadratic forms, each
     built the first time it is asked for and kept.
     """
@@ -145,6 +155,14 @@ class IntegerTensor:
                     out[k] += f * big_c
         return out
 
+    def product_is(self, x: "IntegerForm", y: "IntegerForm", z: "IntegerForm") -> bool:
+        """x ∗ y = z for elements in integer form, with no Fraction built:
+        with x = v/L_x, y = w/L_y and z = u/L_z, D·(v ∗ w)·L_z = u·L_x·L_y·D
+        coordinate by coordinate."""
+        (v, x_scale), (w, y_scale), (u, z_scale) = x, y, z
+        scale = x_scale * y_scale * self.den
+        return all(c * z_scale == t * scale for c, t in zip(self.product(v, w), u))
+
     def column_form(self, q: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
         """Column q of D²·L_l·R_r as a quadratic form: [(i, j, [(k, C)])],
         whose entry k is Σ C·l_i·r_j.
@@ -183,16 +201,25 @@ class IntegerTensor:
         with middle index r), not n³ products.  Both sides are sparse dicts
         over (i, j, k, s); associativity extends bilinearly from the basis, so
         the list is empty exactly when the product is associative.  Past
-        MAX_ASSOCIATIVITY_PRODUCTS products the check is refused before it starts.
+        MAX_ASSOCIATIVITY_PRODUCTS products, each weighted by the length of
+        the kernel's largest entry, the check is refused before it starts.
         """
-        work = sum(
+        count = sum(
             len(self.first[r]) + len(self.second[r])
             for terms in self.pairs.values()
             for r, _ in terms
         )
+        # Each product is charged for the length of the largest entry (see
+        # MAX_ASSOCIATIVITY_PRODUCTS): 1 + w²/32 for entries of w 64-bit words.
+        bits = max(
+            (abs(c).bit_length() for terms in self.pairs.values() for _, c in terms), default=0
+        )
+        words = (bits + 63) // 64
+        work = (1 + words * words // 32) * count
         if work > MAX_ASSOCIATIVITY_PRODUCTS:
+            size = f" ({count} products of {words}-word entries)" if work > count else ""
             raise CapExceededError(
-                f"the associativity check needs {work} tensor products; "
+                f"the associativity check needs {work} tensor products{size}; "
                 f"the limit is {MAX_ASSOCIATIVITY_PRODUCTS}"
             )
         lhs: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
@@ -283,6 +310,14 @@ class AlgebraSpec:
         w, y_scale = integer_form(self, y)
         scale = x_scale * y_scale * kernel.den
         return LatticeElement(tuple(Fraction(c, scale) for c in kernel.product(v, w)))
+
+    def product_is(self, x: LatticeElement, y: LatticeElement, z: LatticeElement) -> bool:
+        """x ∗ y = z, decided on the integer kernel (IntegerTensor.product_is)
+        without building x ∗ y: the test for every product identity, where
+        multiply is for when the value of the product is needed."""
+        return self.integer_tensor.product_is(
+            integer_form(self, x), integer_form(self, y), integer_form(self, z)
+        )
 
     def basis_product(self, i: int, j: int) -> LatticeElement:
         """b_i ∗ b_j directly from the tensor."""

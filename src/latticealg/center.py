@@ -134,9 +134,13 @@ def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
     construction.  Only the tensor decides their products, so
     δ-orthogonality (a_i ∗ a_j = δ_ij · a_i for every pair) is checked
     exactly; by bilinearity it proves the coordinate map multiplicative on
-    all of A_e.  Raises InputError if either check fails, since that would
-    mean the input is not a lattice algebra (nonnegative associative tensor
-    with positive identity) to begin with.
+    all of A_e.  The check reads the kernel's product index and builds no
+    product: the atoms for i, j ∈ supp(e) are e_i·b_i and e_j·b_j, whose
+    product is e_i·e_j·Σ_k (C_ijk/D)·b_k, and e_i > 0, so it is δ_ij·e_i·b_i
+    exactly when e_j·C_ijk = D·[i = j]·[k = i] for every k.  Raises
+    InputError if either check fails, naming the first failing pair and its
+    product, since that would mean the input is not a lattice algebra
+    (nonnegative associative tensor with positive identity) to begin with.
     """
     e = algebra.require_identity()
     if not e.is_positive():
@@ -147,10 +151,13 @@ def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
         coords = [Fraction(0)] * algebra.dim
         coords[i] = e.coords[i]
         atoms.append(LatticeElement(tuple(coords)))
-    zero = algebra.zero()
-    for (t, a), (s, b) in itertools.product(enumerate(atoms), repeat=2):
-        product = algebra.multiply(a, b)
-        if product != (a if s == t else zero):
+    kernel = algebra.integer_tensor
+    for (t, i), (s, j) in itertools.product(enumerate(support), repeat=2):
+        # e_j·C_ijk = D·[i = j]·[k = i], both sides times the denominator of e_j.
+        e_j = e.coords[j]
+        scaled = [(k, e_j.numerator * c) for k, c in kernel.pairs.get((i, j), ())]
+        if scaled != ([(i, kernel.den * e_j.denominator)] if i == j else []):
+            product = algebra.multiply(atoms[t], atoms[s])
             raise InputError(f"atoms {t}, {s} violate a_i∗a_j = δ_ij·a_i: got {product}")
     return CKRepresentation(atoms=tuple(atoms), support=support, identity=e)
 
@@ -262,5 +269,5 @@ def inverse_closed_check(algebra: AlgebraSpec, a: LatticeElement) -> InverseClos
         invertible=True,
         inverse=inv,
         inverse_in_ideal=in_identity_ideal(algebra, inv),
-        two_sided=(algebra.multiply(a, inv) == e and algebra.multiply(inv, a) == e),
+        two_sided=(algebra.product_is(a, inv, e) and algebra.product_is(inv, a, e)),
     )

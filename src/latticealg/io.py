@@ -34,7 +34,7 @@ Wire = Union[int, str]
 
 
 def scalar_to_wire(q: Fraction) -> Wire:
-    return int(q) if q.denominator == 1 else format_scalar(q)
+    return q.numerator if q.denominator == 1 else format_scalar(q)
 
 
 def scalar_from_wire(value: Any) -> Fraction:

@@ -311,8 +311,9 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
     linalg.solve finds by fraction-free elimination.  In a unital
     finite-dimensional algebra a right inverse is automatically two-sided
     (L_a·L_y = I forces L_y·L_a = I for square matrices, and x ↦ L_x is
-    injective when an identity exists); both sides are still verified by
-    multiplication.
+    injective when an identity exists); both sides are still verified, a∗y = e
+    and y∗a = e on the integer kernel (IntegerTensor.product_is) with no
+    product built.
     """
     e = algebra.require_identity()
     kernel = algebra.integer_tensor
@@ -323,6 +324,7 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
         return None
     factor = Fraction(scale * kernel.den, e_scale)
     inv = LatticeElement(tuple(factor * c for c in z))
-    if algebra.multiply(a, inv) != e or algebra.multiply(inv, a) != e:
-        return None
-    return inv
+    a_form, inv_form, e_form = (v, scale), integer_form(algebra, inv), (u, e_scale)
+    if kernel.product_is(a_form, inv_form, e_form) and kernel.product_is(inv_form, a_form, e_form):
+        return inv
+    return None

@@ -11,7 +11,7 @@ BP_l ∩ BP_r ⊆ BP always; each operator is a band projection exactly when
 it is a 0/1 mask (mask_support), and side_masks reads L_a and R_a.  The grid
 search gives all three verdicts from one walk: it reads L_a·R_a off the
 column forms the integer kernel keeps (IntegerTensor.column_form), and
-reads L_a and R_a of each hit with mask_support.  With a
+reads L_a and R_a of each hit off the kernel's linear columns.  With a
 positive identity BP_l ⊆ OI and BP_r ⊆ OI (evaluate the mask at e); the
 converse, and so BP_l = OI = BP_r, needs a nonnegative associative tensor,
 which classify does not check: with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 =
@@ -55,17 +55,41 @@ def check_grid_size(values: int, dim: int) -> None:
 
 
 def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
-    """p² = p and 0 ≤ p ≤ e, all tested exactly.
+    """p² = p and 0 ≤ p ≤ e, all tested exactly: the order coordinate by
+    coordinate, and p∗p = p on the integer kernel (IntegerTensor.product_is)
+    with no product built.
 
     Raises NoIdentityError when the algebra has no identity — the notion
     is undefined there, and callers that want a soft answer use classify().
     """
     e = algebra.require_identity()
-    return (
-        p.is_positive()
-        and (e - p).is_positive()
-        and algebra.multiply(p, p) == p
-    )
+    if not (p.is_positive() and p.leq(e)):
+        return False
+    form = integer_form(algebra, p)
+    return algebra.integer_tensor.product_is(form, form, form)
+
+
+def _linear_mask(
+    columns: list[list[tuple[int, int, int]]], v: Sequence[int], unit: int
+) -> Optional[frozenset[int]]:
+    """supp(M) when M is unit times a 0/1 diagonal mask, else None, for the
+    integer operator M whose column q is Σ v_i·C·e_k over columns[q] =
+    [(i, k, C)]: D·L_v from kernel.second, D·R_v from kernel.first.  The
+    columns are tested in order and the first failing one returns None."""
+    n = len(columns)
+    support = []
+    for q, entries in enumerate(columns):
+        col = [0] * n
+        for i, k, c in entries:
+            col[k] += v[i] * c
+        if col[q] == unit:
+            support.append(q)
+        elif col[q] != 0:
+            return None
+        col[q] = 0
+        if any(col):
+            return None
+    return frozenset(support)
 
 
 def mask_support(
@@ -85,23 +109,19 @@ def mask_support(
     This evaluates each column directly and builds nothing, which is what
     a single element wants: is_band_projection (and check_bp_spectrum
     through it), classify and side_masks.  The grid search reads L_a·R_a
-    off column forms instead, which pay only when many points share them;
-    the tests check it against this routine.
+    off column forms instead, which pay only when many points share them,
+    and L_a and R_a of each hit with _linear_mask, as this routine does;
+    the tests check both against this routine.
     """
     kernel = algebra.integer_tensor
-    unit = 1
-    if left is not None:
-        unit *= left[1] * kernel.den
-    if right is not None:
-        unit *= right[1] * kernel.den
+    if right is None:
+        return _linear_mask(kernel.second, left[0], left[1] * kernel.den)
+    if left is None:
+        return _linear_mask(kernel.first, right[0], right[1] * kernel.den)
+    unit = left[1] * right[1] * kernel.den**2
     support = []
     for q in range(algebra.dim):
-        if left is None:
-            col = kernel.right_column(right[0], q)
-        elif right is None:
-            col = kernel.left_column(left[0], q)
-        else:
-            col = kernel.product(left[0], kernel.right_column(right[0], q))
+        col = kernel.product(left[0], kernel.right_column(right[0], q))
         if col[q] == unit:
             support.append(q)
         elif col[q] != 0:
@@ -167,20 +187,24 @@ def classify(algebra: AlgebraSpec, a: LatticeElement) -> ProjectionClassificatio
     """Every membership verdict on a; is_oi is None without identity.
 
     The verdicts of is_order_idempotent, is_band_projection and side_masks,
-    from one positivity test and one integer form: BP from the two-sided
-    mask_support, BP_l and BP_r from the one-sided ones.
+    from one positivity test and one integer form: OI from a ≤ e and
+    IntegerTensor.product_is, BP from the two-sided mask_support, BP_l and
+    BP_r from the one-sided ones.  No product is built.
     """
     nonnegative = a.is_positive()
     oi: Optional[bool] = None
-    if algebra.has_identity():
-        e = algebra.require_identity()
-        oi = nonnegative and (e - a).is_positive() and algebra.multiply(a, a) == a
     bp = left = right = None
     if nonnegative:
         form = integer_form(algebra, a)
         bp = mask_support(algebra, form, form)
         left = mask_support(algebra, form, None)
         right = mask_support(algebra, None, form)
+    if algebra.has_identity():
+        oi = (
+            nonnegative
+            and a.leq(algebra.require_identity())
+            and algebra.integer_tensor.product_is(form, form, form)
+        )
     return ProjectionClassification(
         element=a,
         nonnegative=nonnegative,
@@ -276,8 +300,8 @@ def check_equivalences(algebra: AlgebraSpec, p: LatticeElement) -> EquivalenceCh
     e = algebra.require_identity()
     if not is_band_projection(algebra, p):
         raise NotBandProjectionError(f"{p} is not a band projection")
-    cond_ii = algebra.multiply(p, p) == p
-    cond_i = cond_ii and p.is_positive() and (e - p).is_positive()  # is_order_idempotent, one product
+    cond_ii = algebra.product_is(p, p, p)
+    cond_i = cond_ii and p.is_positive() and p.leq(e)  # is_order_idempotent
     cond_iii = in_identity_ideal(algebra, p)
 
     def positive_inverse_at(lam: Fraction) -> bool:
@@ -324,23 +348,27 @@ class CommutationReport:
 def commutation_check(
     algebra: AlgebraSpec, candidates: Sequence[LatticeElement]
 ) -> CommutationReport:
-    """Check a∗b = b∗a on candidates ∩ BP_l ∩ BP_r; hunt a non-commuting BP pair."""
+    """Check a∗b = b∗a on candidates ∩ BP_l ∩ BP_r; hunt a non-commuting BP pair.
+
+    a∗b and b∗a share the scale L_a·L_b·D, so they are equal exactly when
+    the kernel's integer products of the integer forms are.
+    """
+    kernel = algebra.integer_tensor
+
+    def noncommuting(pool: list[LatticeElement]):
+        vectors = [integer_form(algebra, a)[0] for a in pool]
+        for (a, v), (b, w) in itertools.combinations(zip(pool, vectors), 2):
+            if kernel.product(v, w) != kernel.product(w, v):
+                yield a, b
+
     core = [a for a in candidates if None not in side_masks(algebra, a)]
-    failures = []
-    for a, b in itertools.combinations(core, 2):
-        if algebra.multiply(a, b) != algebra.multiply(b, a):
-            failures.append((a, b))
-    witness = None
+    failures = list(noncommuting(core))
     bps = [a for a in candidates if is_band_projection(algebra, a)]
-    for a, b in itertools.combinations(bps, 2):
-        if algebra.multiply(a, b) != algebra.multiply(b, a):
-            witness = (a, b)
-            break
     return CommutationReport(
         core_members=core,
         core_commutes=not failures,
         core_failures=failures,
-        noncommuting_bp_pair=witness,
+        noncommuting_bp_pair=next(noncommuting(bps), None),
     )
 
 
@@ -410,17 +438,19 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHi
     """Exhaustively certify band projections on a rational grid.
 
     Returns a GridHit for exactly the grid points passing is_band_projection,
-    in lexicographic grid order, each with the supports of L_a and R_a that
-    mask_support reads on the integer point already at hand: BP, BP_l and
-    BP_r from one walk.  This is a search aid, not an enumeration of BP(A):
-    the class may contain whole rays that no finite grid exhausts.
+    in lexicographic grid order, each with the supports of L_a and R_a read
+    on the integer point already at hand: BP, BP_l and BP_r from one walk.
+    This is a search aid, not an enumeration of BP(A): the class may
+    contain whole rays that no finite grid exhausts.
 
     Column q of L_a·R_a is read off IntegerTensor.column_form(q), the
     integers mask_support computes, in the same column order and with the
-    same early exit.  A form costs up to n direct evaluations of its column
-    and pays only when many points share it, so a grid of one point (one
-    nonnegative value) is decided by mask_support, and the zero point, a
-    hit with empty masks, reads no column at all.
+    same early exit.  supp L_a and supp R_a of a hit are read off the
+    linear columns kernel.second[q] and kernel.first[q] by _linear_mask,
+    as the one-sided mask_support reads them.  A form costs up to n direct
+    evaluations of its column and pays only when many points share it, so
+    a grid of one point (one nonnegative value) is decided by mask_support,
+    and the zero point, a hit with empty masks, reads no column at all.
     """
     # Points with a negative coordinate are not positive, and dropping them
     # keeps the rest in lexicographic order; only the points walked count
@@ -430,19 +460,20 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHi
     scale = math.lcm(*(v.denominator for v in values))
     by_int = {v.numerator * (scale // v.denominator): v for v in values}
     kernel = algebra.integer_tensor
-    unit = (scale * kernel.den) ** 2
+    side_unit = scale * kernel.den
+    unit = side_unit**2
     forms: list = [None] * algebra.dim
     found = []
     for point in itertools.product(by_int, repeat=algebra.dim):
-        form = (point, scale)
         if any(point):
             if len(by_int) == 1:
-                hit = mask_support(algebra, form, form) is not None
+                hit = mask_support(algebra, (point, scale), (point, scale)) is not None
             else:
                 hit = _square_is_mask(kernel, forms, point, unit)
             if not hit:
                 continue
-            left, right = mask_support(algebra, form, None), mask_support(algebra, None, form)
+            left = _linear_mask(kernel.second, point, side_unit)
+            right = _linear_mask(kernel.first, point, side_unit)
         else:
             left = right = frozenset()  # L_0 = R_0 = 0, the empty mask: no column to read
         found.append(GridHit(LatticeElement(tuple(by_int[x] for x in point)), left, right))

@@ -442,6 +442,85 @@ def test_multiply_matches_fraction_reference(data):
             assert alg.basis_product(i, j) == fraction_product(alg, b_i, b_j)
 
 
+@st.composite
+def product_identity_cases(draw):
+    """(alg, x, y, z): a random tensor of dim 1–4 with negative entries,
+    usually not associative, and z drawn as x∗y, as x∗y with one
+    coordinate changed, or at random."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    tensor = draw(st.dictionaries(st.tuples(index, index, index), coefficients, max_size=3 * n))
+    alg = AlgebraSpec(dim=n, tensor=tensor)
+    elements = st.lists(coefficients, min_size=n, max_size=n).map(vec)
+    x, y = draw(elements), draw(elements)
+    shape = draw(st.sampled_from(["product", "changed", "random"]))
+    if shape == "random":
+        return alg, x, y, draw(elements)
+    z = list(fraction_product(alg, x, y).coords)
+    if shape == "changed":
+        k = draw(index)
+        z[k] += draw(coefficients.filter(bool))
+    return alg, x, y, vec(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_identity_cases())
+def test_product_is_matches_the_fraction_reference(case):
+    """product_is decides x∗y = z on integers; multiply, whose value is
+    compared here, is the Fraction reference."""
+    alg, x, y, z = case
+    assert alg.product_is(x, y, z) == (alg.multiply(x, y) == z)
+
+
+def test_product_is_builds_no_product(monkeypatch):
+    alg = la.builtin("upper2")
+    x, y = vec(["1/2", 3, 2]), vec([2, "-1/3", "1/5"])
+    xy = alg.multiply(x, y)
+    monkeypatch.setattr(AlgebraSpec, "multiply", lambda *args: pytest.fail("multiply called"))
+    assert alg.product_is(x, y, xy)
+    assert not alg.product_is(x, y, xy + vec([0, 0, "1/7"]))
+    assert not alg.product_is(y, x, xy)
+
+
+def test_long_denominators_are_refused_before_any_product(monkeypatch):
+    """The product count is weighted by the length of the kernel's entries,
+    so a tensor of 27 short entries 1/(10⁴²⁹⁹ + 2k + 1), whose common
+    denominator has 116,059 digits and whose contraction would run for
+    seconds, is refused before a single product is made."""
+    keys = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    tensor = {key: Fraction(1, 10**4299 + 2 * t + 1) for t, key in enumerate(keys)}
+    alg = AlgebraSpec(dim=3, tensor=tensor)
+
+    def refuse(*args):
+        raise AssertionError("product made")
+
+    monkeypatch.setattr(AlgebraSpec, "multiply", refuse)
+    monkeypatch.setattr(algebra_module.IntegerTensor, "product", refuse)
+    monkeypatch.setattr(algebra_module.IntegerTensor, "left_column", refuse)
+    monkeypatch.setattr(algebra_module.IntegerTensor, "right_column", refuse)
+    with pytest.raises(
+        la.CapExceededError,
+        match=r"^the associativity check needs \d+ tensor products "
+        r"\(486 products of 5801-word entries\); the limit is 16777216$",
+    ):
+        alg.verify_axioms()
+
+
+@pytest.mark.parametrize("bits", [1, 64, 320, 321])
+def test_products_of_long_entries_are_charged_more(monkeypatch, bits):
+    """The associative b0∗b0 = C·b0 + b1 needs 4 products (the two entries
+    ending in b0 meet the two that start at b0 or have it in the middle).
+    Entries of up to five 64-bit words are charged one each, so the limit on
+    short entries is unchanged; a sixth word makes the charge 1 + 36//32 = 2."""
+    alg = AlgebraSpec(dim=2, tensor={(0, 0, 0): Fraction(2**bits - 1), (0, 0, 1): Fraction(1)})
+    monkeypatch.setattr(algebra_module, "MAX_ASSOCIATIVITY_PRODUCTS", 4)
+    if bits <= 320:
+        assert alg.integer_tensor.associativity_failures() == []
+    else:
+        with pytest.raises(la.CapExceededError, match=r"needs 8 tensor products \(4 products of 6"):
+            alg.integer_tensor.associativity_failures()
+
+
 def test_associativity_through_cancellation():
     # b0∗b0 = 2b0 − b1, b0∗b2 = b1, b1∗b2 = 2b1: (b0 b0) b2 = 2b1 − 2b1 = 0 =
     # b0 (b0 b2), so (0, 0, 2) holds only because two terms cancel

@@ -1,5 +1,6 @@
 """The order ideal A_e generated by the identity: bands, atoms, truncations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import InputError, vec
+
+from test_algebra import rescaled_builtin, sheared
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 positives = st.fractions(min_value=0, max_value=30, max_denominator=6)
@@ -75,6 +78,66 @@ def test_ck_representation_invariants(unital_algebra):
             expected = a if i == j else unital_algebra.zero()
             assert unital_algebra.multiply(a, b) == expected
     assert total == e
+
+
+def reference_ck_failure(alg):
+    """The pairwise check by multiplication: the message for the first atom
+    pair (t, s) with a_t∗a_s ≠ δ_ts·a_t, or None when every pair passes."""
+    e = alg.require_identity()
+    atoms = [
+        vec([e.coords[i] if r == i else 0 for r in range(alg.dim)]) for i in sorted(e.support())
+    ]
+    for (t, a), (s, b) in itertools.product(enumerate(atoms), repeat=2):
+        product = alg.multiply(a, b)
+        if product != (a if s == t else alg.zero()):
+            return f"atoms {t}, {s} violate a_i∗a_j = δ_ij·a_i: got {product}"
+    return None
+
+
+UNITAL_BUILTINS = [n for n in la.BUILTIN_NAMES if la.builtin(n).has_identity()]
+_CHANGES = [Fraction(v) for v in ("0", "1", "-1", "1/2", "2")]
+
+
+@st.composite
+def unital_tensors(draw):
+    """A unital builtin, relabelled and rescaled, perhaps in a sheared basis
+    b'_a = b_a + t·b_b, where e may have negative coordinates or atoms that
+    are not δ-orthogonal; perhaps with one entry changed, which may keep the
+    identity and break the atoms."""
+    name = draw(st.sampled_from(UNITAL_BUILTINS))
+    n = la.builtin(name).dim
+    order = draw(st.permutations(range(n)))
+    scales = draw(st.lists(st.fractions(1, 4, max_denominator=4), min_size=n, max_size=n))
+    alg = rescaled_builtin(name, order, scales)
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        alg = sheared(alg, a, b, draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)])))
+    if draw(st.booleans()):
+        index = st.integers(0, n - 1)
+        tensor = dict(alg.tensor)
+        tensor[draw(st.tuples(index, index, index))] = draw(st.sampled_from(_CHANGES))
+        alg = la.AlgebraSpec(dim=n, tensor=tensor)
+    return alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(unital_tensors())
+def test_ck_representation_matches_the_pairwise_reference(alg):
+    """The integer check on the product index gives the verdict, and on a
+    failure the message, of multiplying every pair of atoms."""
+    if not alg.has_identity():
+        return
+    if not alg.require_identity().is_positive():
+        with pytest.raises(InputError, match="identity is not positive"):
+            la.ck_representation(alg)
+        return
+    failure = reference_ck_failure(alg)
+    if failure is None:
+        assert la.ck_representation(alg).identity == alg.require_identity()
+    else:
+        with pytest.raises(InputError) as raised:
+            la.ck_representation(alg)
+        assert str(raised.value) == failure
 
 
 def test_ck_coordinates_are_multiplicative():

@@ -326,6 +326,29 @@ def test_console_script_entrypoint():
     assert "result: PASS" in proc.stdout
 
 
+def test_package_runs_as_a_module(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticealg", "verify", "builtin:ck2"], capture_output=True
+    )
+    code, out, err = run_cli(capsys, "verify", "builtin:ck2")
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+def test_long_denominators_exit_2_before_the_contraction(tmp_path, capsys):
+    # 27 entries 1/(10⁴²⁹⁹ + 2k + 1): a common denominator of 116,059 digits
+    keys = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    rows = [[*key, f"1/{10**4299 + 2 * t + 1}"] for t, key in enumerate(keys)]
+    path = tmp_path / "long-denominators.json"
+    path.write_text(json.dumps({"dim": 3, "tensor": rows}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the associativity check needs 511083918 tensor products "
+        "(486 products of 5801-word entries); the limit is 16777216\n"
+    )
+
+
 def test_file_input_round_trip(tmp_path, capsys):
     alg = la.builtin("m3-reflection")
     path = tmp_path / "m3.json"

@@ -128,6 +128,37 @@ def test_oi_enumeration_makes_no_product(monkeypatch, unital_algebra):
 
 @pytest.mark.parametrize(
     "alg",
+    [la.builtin(n) for n in UNITAL_BLOCKS]
+    + [permuted_unital_sum(seed) for seed in range(4)]
+    + [la.algebra_from_dict(HALVING)],
+    ids=lambda alg: alg.name,
+)
+def test_oi_and_inverse_verdicts_make_no_product(monkeypatch, alg):
+    """classify, the OI list, the atom check, is_order_idempotent and
+    invert_element decide their product identities on the integer kernel."""
+    e = alg.require_identity()
+    named = list(alg.elements.values()) + [e, e.scale(2), alg.zero()]
+    multiply = AlgebraSpec.multiply
+    calls = []
+
+    def counted_multiply(self, x, y):
+        calls.append((x, y))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(AlgebraSpec, "multiply", counted_multiply)
+    oi = la.enumerate_order_idempotents(alg)
+    la.ck_representation(alg)
+    assert all(la.is_order_idempotent(alg, p) for p in oi)
+    assert all(la.classify(alg, p).is_oi for p in oi)
+    for x in named:
+        la.classify(alg, x)
+    assert la.invert_element(alg, e) == e
+    assert la.invert_element(alg, e.scale(2)) == e.scale(Fraction(1, 2))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "alg",
     [la.builtin(n) for n in UNITAL_BLOCKS] + [la.algebra_from_dict(HALVING)],
     ids=lambda alg: alg.name,
 )
@@ -413,6 +444,22 @@ def test_side_masks_match_the_fraction_route_on_lp_sums(seed):
     for _ in range(60):
         a = vec([rng.choice(coords) for _ in range(alg.dim)])
         assert la.side_masks(alg, a) == reference_side_masks(alg, a), a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_hit_masks_equal_mask_support_on_lp_sums(seed):
+    """The search reads supp L_a and supp R_a off the kernel's linear
+    columns; each hit's masks are what the one-sided mask_support reads."""
+    rng = random.Random(seed)
+    blocks = ("ck2", "ck3", "upper2", "m2-regular", "noid3", "m3-reflection")
+    alg = la.lp_sum([la.builtin(n) for n in rng.sample(blocks, rng.randint(1, 2))])
+    grid = GridSpec.from_values([0, Fraction(1, 2), 1, 2])
+    hits = la.search_band_projections(alg, grid)
+    assert hits
+    for a, left, right in hits:
+        form = projections.integer_form(alg, a)
+        assert left == projections.mask_support(alg, form, None), a
+        assert right == projections.mask_support(alg, None, form), a
 
 
 @pytest.mark.parametrize(
