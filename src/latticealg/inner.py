@@ -12,8 +12,9 @@ distinct two-sided multiplications are pairwise disjoint bands).
 validate_family and find_families record supp L_{p_α} and supp R_{p_α}
 of every member as projections.side_masks reads them.  Each summand
 L_{p_α}R_{p_β} is a product of those 0/1 diagonal masks, hence the mask
-on their intersection, and summand_supports checks that the nonzero
-summand supports are pairwise disjoint.  So P_Γ is the mask of the union
+on their intersection; the family derives these summand supports once
+(ProjectionFamily.summand_supports) and checks that the nonzero ones are
+pairwise disjoint.  So P_Γ is the mask of the union
 of Γ's supports, the image of Γ ↦ P_Γ is exactly the 2^k unions of the
 k nonzero supports, and "M is inner" is a subset test on supp(M).  After
 validation only inner_bp's independent audit computes a product, and no
@@ -24,6 +25,7 @@ its image; a band projection need not be of this form at all — the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Sequence
@@ -52,6 +54,27 @@ class ProjectionFamily:
 
     def __getitem__(self, index: int) -> LatticeElement:
         return self.members[index]
+
+    @functools.cached_property
+    def summand_supports(self) -> tuple[frozenset[int], ...]:
+        """supp(L_{p_α}R_{p_β}) = left[α] ∩ right[β] for every (α, β) ∈ Λ×Λ,
+        in sorted pair order: a product of two masks is the mask on the
+        intersection.  Derived once per family from the recorded masks.
+        The nonzero supports must be pairwise disjoint (on an associative
+        tensor L_{p_α}L_{p_γ} = L_{p_α∗p_γ} = 0 for α ≠ γ makes them so); an
+        overlap raises MathViolationError, on every access."""
+        supports: list[frozenset[int]] = []
+        covered: set[int] = set()
+        for a, b in _sorted_pairs(len(self)):
+            support = self.left[a] & self.right[b]
+            if covered & support:
+                raise MathViolationError(
+                    f"summand ({a},{b}) overlaps another summand on coordinates "
+                    f"{sorted(covered & support)}"
+                )
+            covered |= support
+            supports.append(support)
+        return tuple(supports)
 
 
 @dataclass(frozen=True)
@@ -151,26 +174,13 @@ def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
 
 
 def summand_supports(family: ProjectionFamily) -> list[frozenset[int]]:
-    """supp(L_{p_α}R_{p_β}) = left[α] ∩ right[β] for every (α, β) ∈ Λ×Λ,
-    in sorted pair order: a product of two masks is the mask on the
-    intersection.  The nonzero supports must be pairwise disjoint (on an
-    associative tensor L_{p_α}L_{p_γ} = L_{p_α∗p_γ} = 0 for α ≠ γ makes
-    them so); an overlap raises MathViolationError."""
-    supports: list[frozenset[int]] = []
-    covered: set[int] = set()
-    for a, b in _sorted_pairs(len(family)):
-        support = family.left[a] & family.right[b]
-        if covered & support:
-            raise MathViolationError(
-                f"summand ({a},{b}) overlaps another summand on coordinates "
-                f"{sorted(covered & support)}"
-            )
-        covered |= support
-        supports.append(support)
-    return supports
+    """The family's summand supports (ProjectionFamily.summand_supports), in
+    sorted pair order, as a list: computed on the family's first call and
+    read back on every later one."""
+    return list(family.summand_supports)
 
 
-def _gamma_union(supports: list[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
+def _gamma_union(supports: Sequence[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
     """supp P_Γ; the pair (α, β) sits at α·|Λ| + β in the sorted pair order."""
     n = gamma.n_members
     return frozenset().union(*(supports[a * n + b] for a, b in gamma.pairs))
@@ -198,7 +208,7 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
     never produce silent output.
     """
     _require_family_size(family, gamma)
-    union = _gamma_union(summand_supports(family), gamma)
+    union = _gamma_union(family.summand_supports, gamma)
     covered: set[int] = set()
     for a, b in gamma.sorted_pairs():
         support = mult_op(algebra, family[a], family[b]).as_mask()
@@ -243,7 +253,7 @@ def boolean_laws(
     """
     _require_family_size(family, gamma)
     _require_family_size(family, delta)
-    supports = summand_supports(family)
+    supports = family.summand_supports
     u = _gamma_union(supports, gamma)
     v = _gamma_union(supports, delta)
     full = _gamma_union(supports, GammaSet.full(gamma.n_members))
@@ -263,20 +273,27 @@ def enumerate_inner(
     Γ ↦ P_Γ is exactly the 2^k masks of unions of the k nonzero supports.
     The witness of a union is the set of its nonzero summands — the first
     Γ in bit-mask order over the sorted pair list that produces it — and
-    the results come in the order of their witnesses.  No Γ walk runs; the
-    cap still refuses families with |Λ|² > cap, and so bounds k.
+    the results come in the order of their witnesses.  The (witness, union)
+    list is built by doubling: starting from (∅, ∅), each nonzero summand in
+    sorted pair order appends every entry so far extended by its pair and
+    its support, so entry number `bits` holds the summands of `bits` and
+    each union is one set operation.  Each P_Γ is an OperatorMatrix.mask,
+    which records its union.  No Γ walk runs; the cap still refuses
+    families with |Λ|² > cap, and so bounds k.
     """
     _check_cap(len(family), cap)
     pairs = _sorted_pairs(len(family))
-    supports = summand_supports(family)
-    nonzero = [t for t, s in enumerate(supports) if s]
-    out: list[tuple[GammaSet, OperatorMatrix]] = []
-    for bits in range(1 << len(nonzero)):
-        chosen = [t for i, t in enumerate(nonzero) if bits >> i & 1]
-        gamma = GammaSet.of((pairs[t] for t in chosen), len(family))
-        union = frozenset().union(*(supports[t] for t in chosen))
-        out.append((gamma, OperatorMatrix.mask(algebra.dim, union)))
-    return out
+    subsets: list[tuple[frozenset[tuple[int, int]], frozenset[int]]] = [
+        (frozenset(), frozenset())
+    ]
+    for pair, support in zip(pairs, family.summand_supports):
+        if support:
+            step = frozenset((pair,))
+            subsets += [(chosen | step, union | support) for chosen, union in subsets]
+    return [
+        (GammaSet(chosen, len(family)), OperatorMatrix.mask(algebra.dim, union))
+        for chosen, union in subsets
+    ]
 
 
 def is_inner(
@@ -296,7 +313,7 @@ def is_inner(
     if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
     _check_cap(len(family), cap)
-    supports = summand_supports(family)
+    supports = family.summand_supports
     if m.dim != algebra.dim:
         return None
     inside = [t for t, s in enumerate(supports) if s and s <= target]

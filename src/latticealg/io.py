@@ -55,7 +55,17 @@ def element_from_wire(data: Any) -> LatticeElement:
 
 
 def operator_to_wire(t: OperatorMatrix) -> list[Wire]:
-    return [scalar_to_wire(v) for row in t.entries for v in row]
+    """The entries row-major.  A mask built by OperatorMatrix.mask is
+    written from the support it recorded: 1 at i·(n + 1) for i in it, 0
+    elsewhere, the same list with no entry read."""
+    support = t._support
+    if support is None:
+        return [scalar_to_wire(v) for row in t.entries for v in row]
+    n = t.dim
+    out: list[Wire] = [0] * (n * n)
+    for i in support:
+        out[i * (n + 1)] = 1
+    return out
 
 
 def operator_from_wire(data: Any, dim: Optional[int] = None) -> OperatorMatrix:

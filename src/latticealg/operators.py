@@ -11,6 +11,7 @@ rk_oracle so the two can be checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +27,20 @@ RK_DIM_CAP = 12
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An exact rational matrix as an operator on R^n (rows = output coords)."""
+    """An exact rational matrix as an operator on R^n (rows = output coords).
+
+    A matrix built by `mask` also keeps the support it was built from, which
+    as_mask returns without reading the entries; equality and hashing still
+    compare `entries` only.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    # supp(M) when `mask` built M; None (the class default) for any other matrix.
+    _support = None
 
     def __post_init__(self) -> None:
         n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+        if n == 0 or set(map(len, self.entries)) != {n}:
             raise InputError("operator matrix must be square and nonempty")
 
     @property
@@ -64,25 +72,34 @@ class OperatorMatrix:
     @staticmethod
     def mask(n: int, support: AbstractSet[int]) -> "OperatorMatrix":
         """The band projection of R^n onto the coordinates in `support`
-        (a subset of range(n)): the 0/1 diagonal mask, built from one
-        shared 0 and one shared 1."""
-        zero, one = Fraction(0), Fraction(1)
-        zero_row = (zero,) * n
-        return OperatorMatrix(
-            tuple(
-                zero_row[:i] + (one,) + zero_row[i + 1 :] if i in support else zero_row
-                for i in range(n)
-            )
-        )
+        (a subset of range(n)): the 0/1 diagonal mask.  Its rows are the
+        dimension's shared zero row and unit rows (_mask_rows), so a mask
+        costs one tuple of n references.  The matrix records the support
+        it was built from, so as_mask and io.operator_to_wire read the
+        support instead of the n² entries."""
+        coords, zero_row, unit_rows = _mask_rows(n)
+        support = frozenset(support)
+        if not support <= coords:
+            support &= coords
+        rows = [zero_row] * n
+        for i in support:
+            rows[i] = unit_rows[i]
+        m = OperatorMatrix(tuple(rows))
+        object.__setattr__(m, "_support", support)
+        return m
 
     def as_mask(self) -> Optional[frozenset[int]]:
         """supp(M) when M is a 0/1 diagonal mask, and None otherwise.
 
-        Entrywise, 0 ≤ M ≤ I forces the off-diagonal entries to 0 and the
-        diagonal into [0, 1]; M² = M then forces the diagonal into {0, 1}.
-        So M is a mask exactly when it is a band projection operator, and
-        the test runs in O(n²) without a matrix product.
+        A matrix built by `mask` returns the support it recorded.  Any other
+        matrix is scanned: entrywise, 0 ≤ M ≤ I forces the off-diagonal
+        entries to 0 and the diagonal into [0, 1]; M² = M then forces the
+        diagonal into {0, 1}.  So M is a mask exactly when it is a band
+        projection operator, and the test runs in O(n²) without a matrix
+        product.
         """
+        if self._support is not None:
+            return self._support
         support = []
         for i, row in enumerate(self.entries):
             for j, v in enumerate(row):
@@ -108,15 +125,20 @@ class OperatorMatrix:
         """self ∘ other as matrices (apply other first)."""
         if other.dim != self.dim:
             raise DimensionMismatchError("operator dimension mismatch")
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for row, out_row in zip(self.entries, out):
-            for c, other_row in zip(row, other.entries):
+        # Each entry starts at its first term, not at a Fraction(0) plus it:
+        # an entry that is still the shared `zero` object has no term yet.
+        zero = Fraction(0)
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [zero] * len(row)
+            for c, terms in zip(row, sparse):
                 if c:
-                    for j, v in enumerate(other_row):
-                        if v:
-                            out_row[j] += c * v
-        return OperatorMatrix(tuple(map(tuple, out)))
+                    for j, v in terms:
+                        old = acc[j]
+                        acc[j] = c * v if old is zero else old + c * v
+            out.append(tuple(acc))
+        return OperatorMatrix(tuple(out))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self.compose(other)
@@ -161,6 +183,20 @@ class OperatorMatrix:
     def modulus(self) -> "OperatorMatrix":
         """|T|, which on a coordinatewise lattice is the entrywise absolute value."""
         return OperatorMatrix(tuple(tuple(abs(v) for v in row) for row in self.entries))
+
+
+# A process builds masks of a handful of dimensions; 16 slots keep each one's rows.
+@functools.lru_cache(maxsize=16)
+def _mask_rows(
+    n: int,
+) -> tuple[frozenset[int], tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """range(n) as a set, the zero row of length n and its n unit rows,
+    built from one 0 and one 1.  All three are immutable, so every mask of
+    dimension n shares them: n + 1 rows per dimension, not per mask."""
+    zero, one = Fraction(0), Fraction(1)
+    zero_row = (zero,) * n
+    units = tuple(zero_row[:i] + (one,) + zero_row[i + 1 :] for i in range(n))
+    return frozenset(range(n)), zero_row, units
 
 
 def op_sup(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
@@ -258,28 +294,34 @@ def regular_norm(t: OperatorMatrix, spec: NormSpec) -> Fraction:
 # -- multiplication operators -------------------------------------------
 
 
-def left_mult(algebra: AlgebraSpec, a: LatticeElement) -> OperatorMatrix:
-    """L_a: x ↦ a ∗ x as a matrix."""
+def _accumulate(
+    algebra: AlgebraSpec, a: LatticeElement, left: bool
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of L_a (left) or R_a: entry (k, q) of L_a sums a_i·c[i, q, k],
+    and entry (k, p) of R_a sums a_j·c[p, j, k].  Each entry starts at its
+    first term, not at a Fraction(0) plus it: an entry that is still the
+    shared `zero` object has no term yet."""
     if a.dim != algebra.dim:
         raise DimensionMismatchError("element dimension does not match algebra")
-    n = algebra.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (p, q, r), c in algebra.tensor.items():
-        if a.coords[p] != 0:
-            rows[r][q] += a.coords[p] * c
-    return OperatorMatrix(tuple(tuple(row) for row in rows))
+    n, coords, zero = algebra.dim, a.coords, Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for (p, q, k), c in algebra.tensor.items():
+        x, col = (coords[p], q) if left else (coords[q], p)
+        if x:
+            row = rows[k]
+            old = row[col]
+            row[col] = x * c if old is zero else old + x * c
+    return tuple(map(tuple, rows))
+
+
+def left_mult(algebra: AlgebraSpec, a: LatticeElement) -> OperatorMatrix:
+    """L_a: x ↦ a ∗ x as a matrix."""
+    return OperatorMatrix(_accumulate(algebra, a, left=True))
 
 
 def right_mult(algebra: AlgebraSpec, b: LatticeElement) -> OperatorMatrix:
     """R_b: x ↦ x ∗ b as a matrix."""
-    if b.dim != algebra.dim:
-        raise DimensionMismatchError("element dimension does not match algebra")
-    n = algebra.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (p, q, r), c in algebra.tensor.items():
-        if b.coords[q] != 0:
-            rows[r][p] += b.coords[q] * c
-    return OperatorMatrix(tuple(tuple(row) for row in rows))
+    return OperatorMatrix(_accumulate(algebra, b, left=False))
 
 
 def mult_op(algebra: AlgebraSpec, a: LatticeElement, b: LatticeElement) -> OperatorMatrix:
@@ -297,7 +339,7 @@ def check_mult_commutation(algebra: AlgebraSpec, a: LatticeElement, b: LatticeEl
 def diagonal_mask_operator(x: LatticeElement) -> Optional[OperatorMatrix]:
     """A 0/1 coordinate vector as the diagonal band projection onto its support,
     or None when the vector has other values."""
-    if not set(x.coords) <= {Fraction(0), Fraction(1)}:
+    if not all(c.denominator == 1 and c.numerator in (0, 1) for c in x.coords):
         return None
     return OperatorMatrix.mask(x.dim, x.support())
 

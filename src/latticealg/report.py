@@ -91,7 +91,10 @@ def fmt_projection_matrix(m: OperatorMatrix) -> str:
     support = m.as_mask()
     if support is None:
         raise NotBandProjectionError("only band projection operators are printed as masks")
-    return "diag(" + ", ".join("1" if i in support else "0" for i in range(m.dim)) + ")"
+    digits = ["0"] * m.dim
+    for i in support:
+        digits[i] = "1"
+    return "diag(" + ", ".join(digits) + ")"
 
 
 def fmt_gamma(gamma: GammaSet) -> str:

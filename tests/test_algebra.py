@@ -506,6 +506,30 @@ def test_long_denominators_are_refused_before_any_product(monkeypatch):
         alg.verify_axioms()
 
 
+def test_long_denominators_are_refused_before_the_lcm(monkeypatch):
+    """64 entries 1/(10⁴²⁹⁹ + 2k + 1) have distinct denominators of 913,984
+    bits in all, past MAX_DENOMINATOR_BITS: the kernel is refused before
+    their lcm is taken.  The dim-3 tensor of 27 such entries (385,587 bits)
+    is still built, and refused by the associativity count (above)."""
+    keys = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+    tensor = {key: Fraction(1, 10**4299 + 2 * t + 1) for t, key in enumerate(keys)}
+    alg = AlgebraSpec(dim=4, tensor=tensor)
+    monkeypatch.setattr(algebra_module.math, "lcm", lambda *args: pytest.fail("lcm taken"))
+    with pytest.raises(
+        la.CapExceededError,
+        match=r"^the tensor's distinct denominators have 913984 bits in all; the limit is 524288$",
+    ):
+        alg.integer_tensor
+
+
+def test_repeated_denominators_count_once():
+    # 125 entries 1/d with d of 5,000 bits: 5,000 bits in all, not 625,000
+    d = 2**4999 + 1
+    n = 5
+    tensor = {(i, j, k): Fraction(1, d) for i in range(n) for j in range(n) for k in range(n)}
+    assert AlgebraSpec(dim=n, tensor=tensor).integer_tensor.den == d
+
+
 @pytest.mark.parametrize("bits", [1, 64, 320, 321])
 def test_products_of_long_entries_are_charged_more(monkeypatch, bits):
     """The associative b0∗b0 = C·b0 + b1 needs 4 products (the two entries

@@ -335,6 +335,21 @@ def test_package_runs_as_a_module(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_long_denominators_exit_2_before_the_kernel(command, tmp_path, capsys):
+    # 64 entries 1/(10⁴²⁹⁹ + 2k + 1): distinct denominators of 913,984 bits
+    keys = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+    rows = [[*key, f"1/{10**4299 + 2 * t + 1}"] for t, key in enumerate(keys)]
+    path = tmp_path / "long-denominators.json"
+    path.write_text(json.dumps({"dim": 4, "tensor": rows, "elements": {"x": [1, 0, 0, 0]}}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the tensor's distinct denominators have 913984 bits in all; "
+        "the limit is 524288\n"
+    )
+
+
 def test_long_denominators_exit_2_before_the_contraction(tmp_path, capsys):
     # 27 entries 1/(10⁴²⁹⁹ + 2k + 1): a common denominator of 116,059 digits
     keys = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]

@@ -290,6 +290,26 @@ def test_enumerate_and_is_inner_match_reference_on_permuted_sums(seed):
     _check_against_reference(*permuted_lp_sum_family(seed))
 
 
+def matrix_units_family(n):
+    """M_n on the basis b_{n·i+j} = E_ij, with E_ij∗E_jk = E_ik, and the
+    family of its n diagonal matrix units E_ii."""
+    tensor = {
+        (n * i + j, n * j + k, n * i + k): Fraction(1)
+        for i, j, k in itertools.product(range(n), repeat=3)
+    }
+    alg = AlgebraSpec(dim=n * n, tensor=tensor, name=f"m{n}")
+    units = [vec([int(b == n * i + i) for b in range(n * n)]) for i in range(n)]
+    return alg, la.validate_family(alg, units)
+
+
+def test_enumerate_and_is_inner_match_reference_on_m3():
+    # each of the 9 summands E_ii·x·E_jj is the mask on the one coordinate
+    # E_ij, so all 2⁹ Γ give distinct P_Γ
+    alg, family = matrix_units_family(3)
+    assert len(la.enumerate_inner(alg, family)) == 512
+    _check_against_reference(alg, family)
+
+
 @pytest.mark.parametrize("name", ["noid3", "m2-regular", "upper2"])
 def test_boolean_laws_in_matrix_form(name):
     alg, family = builtin_family(name)
@@ -367,12 +387,14 @@ def _mult_op_off_diagonal(algebra, a, b):
     [
         # the true mask plus one off-diagonal entry: diagonal supports unchanged
         (lambda expected: _mult_op_off_diagonal, "not a 0/1 mask"),
+        # a true mult_op matrix that is not a mask: 2·P on the summand's support
+        (lambda expected: lambda algebra, a, b: mult_op(algebra, a.scale(2), b), "not a 0/1 mask"),
         # every summand is the whole of P_Γ: masks with the right union, overlapping
         (lambda expected: lambda algebra, a, b: expected, "overlaps"),
         # every summand is zero: disjoint masks whose union misses supp P_Γ
         (lambda expected: lambda algebra, a, b: OperatorMatrix.zero(algebra.dim), "differ"),
     ],
-    ids=["non-mask", "overlap", "short-union"],
+    ids=["non-mask", "scaled-mult-op", "overlap", "short-union"],
 )
 def test_inner_bp_audit_rejects_bad_summand_matrices(fake, message, capsys, monkeypatch):
     alg = la.builtin("m2-regular")

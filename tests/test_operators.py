@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import latticealg as la
 from latticealg import AlgebraSpec, CapExceededError, InputError, NormSpec, OperatorMatrix, vec
 from latticealg import operators
+from latticealg.io import operator_to_wire, scalar_to_wire
 from latticealg.operators import is_band_projection_op
 
 from fraction_linalg import solve as fraction_solve
@@ -191,6 +192,110 @@ def test_left_right_mult_on_upper2():
     both = la.mult_op(alg, a, a)
     for x in (vec([1, 1, 1]), vec([2, 0, 5])):
         assert both.apply(x) == alg.multiply(alg.multiply(a, x), a)
+
+
+def scanned_mask(m):
+    """supp(M) by reading every entry (None unless M is a 0/1 diagonal
+    mask), with no recorded support consulted."""
+    if not entrywise_mask_rule(m):
+        return None
+    return frozenset(i for i in range(m.dim) if m.entries[i][i] == 1)
+
+
+def triple_sum(s, t):
+    """S·T as the plain sum Σ_k S_ik·T_kj for every (i, j)."""
+    n = s.dim
+    return tuple(
+        tuple(sum((s.entries[i][k] * t.entries[k][j] for k in range(n)), Fraction(0))
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+# Small values of both signs, so that sums of terms often cancel to exactly 0.
+cancelling = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)])
+cancelling_coords = st.sampled_from([Fraction(v) for v in (-1, 0, 0, 1, 2)] + [Fraction(1, 2)])
+
+
+@st.composite
+def operator_layer_cases(draw):
+    """(alg, a, b, x): a random tensor of dims 1–5 with negative entries,
+    usually not associative, and elements whose products often have
+    entries that cancel to exactly 0."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    tensor = draw(st.dictionaries(st.tuples(index, index, index), cancelling, max_size=4 * n))
+    alg = AlgebraSpec(dim=n, tensor=tensor)
+    elements = st.lists(cancelling_coords, min_size=n, max_size=n).map(vec)
+    return alg, draw(elements), draw(elements), draw(elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_layer_cases())
+def test_operator_layer_matches_its_definitions(case):
+    """L_a, R_b, their composition and M_{a,b} against multiply (on the
+    integer kernel) and the plain triple sum; no associativity is assumed,
+    so M_{a,b}x is a∗(x∗b).  Every entry is a Fraction, and entries that
+    cancel read as 0 to as_mask."""
+    alg, a, b, x = case
+    left, right = la.left_mult(alg, a), la.right_mult(alg, b)
+    assert left.apply(x) == alg.multiply(a, x)
+    assert right.apply(x) == alg.multiply(x, b)
+    both = la.mult_op(alg, a, b)
+    assert both.apply(x) == alg.multiply(a, alg.multiply(x, b))
+    assert left.compose(right).entries == triple_sum(left, right) == both.entries
+    assert right.compose(left).entries == triple_sum(right, left)
+    for m in (left, right, both, right.compose(left)):
+        assert all(type(v) is Fraction for row in m.entries for v in row)
+        assert m.as_mask() == scanned_mask(m)
+
+
+def test_cancelled_entries_read_as_zero():
+    # L_a for a = b0 + b1: entry (1, 1) is c[0,1,1] + c[1,1,1] = 1 − 1 = 0
+    alg = AlgebraSpec(
+        dim=2, tensor={(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(1), (1, 1, 1): Fraction(-1)}
+    )
+    left = la.left_mult(alg, vec([1, 1]))
+    assert left == OperatorMatrix.diagonal([1, 0])
+    assert left.as_mask() == {0}
+    assert left.compose(left).as_mask() == {0}
+
+
+@st.composite
+def recorded_mask_results(draw):
+    """(name, M): a matrix built by mask, or by an operation on masks that
+    records nothing (compose, +, −, scale, modulus, diagonal, from_rows)."""
+    n = draw(st.integers(1, 6))
+    subsets = st.sets(st.integers(0, n - 1))
+    p, q = OperatorMatrix.mask(n, draw(subsets)), OperatorMatrix.mask(n, draw(subsets))
+    scale = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]))
+    bits = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    return draw(st.sampled_from([
+        ("mask", p),
+        ("compose", p.compose(q)),
+        ("add", p + q),
+        ("sub", p - q),
+        ("scale", p.scale(scale)),
+        ("modulus", (p - q).modulus()),
+        ("diagonal", OperatorMatrix.diagonal(bits)),
+        ("from_rows", OperatorMatrix.from_rows(p.entries)),
+    ]))
+
+
+@given(recorded_mask_results())
+def test_a_recorded_support_never_goes_stale(case):
+    _, m = case
+    assert m.as_mask() == scanned_mask(m)
+    assert operator_to_wire(m) == [scalar_to_wire(v) for row in m.entries for v in row]
+
+
+@pytest.mark.parametrize("name", la.BUILTIN_NAMES)
+def test_mult_op_supports_are_scanned(name):
+    alg = la.builtin(name)
+    elements = list(alg.elements.values()) + [alg.basis_element(i) for i in range(alg.dim)]
+    for a, b in itertools.product(elements, repeat=2):
+        m = la.mult_op(alg, a, b)
+        assert m.as_mask() == scanned_mask(m)
 
 
 def test_mult_commutation():

@@ -50,3 +50,20 @@ def test_build_reports_round_trip_every_builtin(tmp_path):
         assert (tmp_path / f"{name}.md").read_text() == want
         loaded = la.load_algebra(tmp_path / f"{name}.json")
         assert la.build_report(loaded, meta) == want
+
+
+def test_cli_digest_is_deterministic():
+    first = run_script("cli_digest.py", "--builtins", "upper2")
+    second = run_script("cli_digest.py", "--builtins", "upper2")
+    assert first.returncode == 0, first.stdout + first.stderr
+    assert first.stdout == second.stdout
+    lines = first.stdout.splitlines()
+    # 6 commands and 2 grids, 3 formats each; inner --gamma in 3 formats;
+    # inner --element for each named element
+    assert len(lines) == 8 * 3 + 3 + len(la.builtin("upper2").elements)
+    for line in lines:
+        sha_out, sha_err, code, command = line.split(" ", 3)
+        assert len(sha_out) == len(sha_err) == 64 and code in {"0", "1", "2"}
+        assert command.split(" ")[1] == "builtin:upper2"
+    assert any(line.endswith(" inner builtin:upper2 --gamma (0,0),(1,1) --format json")
+               for line in lines)
