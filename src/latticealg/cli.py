@@ -48,7 +48,7 @@ from .inner import (
     validate_family,
 )
 from .io import dump_json, element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
-from .lattice import ApproxReal, LatticeElement, format_scalar
+from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GridHit,
@@ -473,8 +473,8 @@ def spectrum_payload(result: _Spectra) -> dict[str, Any]:
             ],
             "numeric_roots": [
                 {
-                    "re": repr(root.value.real),
-                    "im": repr(root.value.imag),
+                    "re": format_real(root.re),
+                    "im": format_real(root.im),
                     "radius": repr(root.radius),
                     "multiplicity": root.multiplicity,
                 }

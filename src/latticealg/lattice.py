@@ -11,6 +11,7 @@ general-p norm, which returns a float with a proved error bound.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 import sys
@@ -244,6 +245,20 @@ def to_float(x: Fraction) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def format_real(x: Fraction, spec: str = "") -> str:
+    """format(to_float(x), spec), which is repr for the empty spec.  Outside
+    the range of doubles, where that reads ±inf, x itself: rounded by decimal
+    to the significant digits of spec, a "[+].<digits>g", or to 17 for the
+    empty spec."""
+    f = to_float(x)
+    if not math.isinf(f):
+        return format(f, spec)
+    spec = spec or ".17g"
+    context = decimal.Context(prec=int(spec[spec.index(".") + 1 : -1]), Emax=decimal.MAX_EMAX)
+    value = context.divide(decimal.Decimal(x.numerator), x.denominator)
+    return format(value.normalize(context), spec)
 
 
 def float_above(x: Fraction) -> float:

@@ -15,7 +15,7 @@ from .center import ck_representation, identity_ideal
 from .errors import CapExceededError, NotBandProjectionError
 from .fixtures import BuiltinMeta
 from .inner import GammaSet, enumerate_inner, is_inner, validate_family
-from .lattice import ApproxReal, LatticeElement, format_scalar
+from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
 from .operators import OperatorMatrix, diagonal_mask_operator
 from .projections import (
     GRID_POINT_CAP,
@@ -72,8 +72,9 @@ def fmt_spectrum(result: SpectrumResult) -> str:
         for root, mult in result.rational_roots
     ]
     for root in result.other_roots:
-        z = root.value
-        label = f"{z.real:.12g}" if root.certified_real() else f"{z.real:.12g}{z.imag:+.12g}i"
+        label = format_real(root.re, ".12g")
+        if not root.certified_real():
+            label += format_real(root.im, "+.12g") + "i"
         suffix = f" ± {root.radius:.3g}"
         parts.append(label + suffix + (f" (×{root.multiplicity})" if root.multiplicity > 1 else ""))
     return "{" + ", ".join(parts) + "}"

@@ -16,16 +16,22 @@ algebra block triangular, so the determinant splits over the strongly
 connected blocks of L_a's nonzero pattern.  With L_a = B/d for integer rows
 B, linalg.char_poly_blocks gives det(μI − B_C) per block C, monic over ℤ
 with roots μ = d·λ; their product is kept only for char_poly.  A 1×1
-block's root is read off.  Every other block polynomial is split by one
-pass of Yun's square-free factorization, and its factors are refined
+block's root is read off.  Equal block polynomials, such as the equal
+blocks of L_a on the copies of a direct sum, are factored once, with their
+multiplicities scaled by the count.  Every other block polynomial is split
+by one pass of Yun's square-free factorization, and its factors are refined
 against those of the earlier blocks by gcds, so that each distinct factor,
 with its multiplicities summed, is isolated once.  A linear factor's root
 is read off.  Every other factor is made monic over ℤ (_isolate), so that
 its rational roots are integers, and isolated by one loop: Durand–Kerner on
-Gaussian integers in units of 2^-p, doubling p from level to level.  After
-each level the integers nearest the points' real parts are tried, and if
-they are distinct roots, they are all of them.  From CERTIFY_BITS on, the
-level is also certified: for a square-free monic q of degree n the disk
+Gaussian integers in units of 2^-p, doubling p from level to level.  A
+quadratic starts at its roots, computed from its discriminant to
+CERTIFY_BITS, and the roots of its monic form lie at least 1 apart, so one
+level certifies them; a factor of higher degree starts on a circle at a
+coarse precision.  After each level the integers nearest the points' real
+parts are tried, and if they are distinct roots, they are all of them.
+From CERTIFY_BITS on, the level is also certified: for a square-free monic
+q of degree n the disk
 |z − z_i| ≤ n·|q(z_i)| / |∏_{j≠i}(z_i − z_j)| (the Weierstrass radius,
 bounded above by a rational) holds a root, and pairwise disjoint disks hold
 exactly one each.  A disk centred on the real axis is its own mirror image,
@@ -40,6 +46,7 @@ rationals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -54,7 +61,8 @@ from .projections import is_band_projection, is_order_idempotent
 
 # Durand–Kerner finds the roots at FIRST_BITS of precision below their size
 # bound, where its numbers are short, and doubles the precision until the
-# disks certify, trying from CERTIFY_BITS of absolute precision on.  Past
+# disks certify, trying from CERTIFY_BITS of absolute precision on.  A
+# quadratic needs no search: it starts at its roots, at CERTIFY_BITS.  Past
 # MAX_BITS a polynomial is refused: its roots are too close together to
 # isolate in bounded time.  SWEEPS bounds the iterations at one precision.
 FIRST_BITS = 16
@@ -202,24 +210,26 @@ def rational_roots(*polys: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     """All roots of the product of polys, with multiplicities: the rational
     ones exactly, the others as certified disks.
 
-    A linear argument's root is read off.  Every other argument is split by
-    square_free_factors, and its factors are refined against those of the
-    earlier arguments (_refine), so the factors left are pairwise coprime
-    and carry summed multiplicities.  A linear factor's root is read off;
-    every other factor is isolated once (_isolate).  Exact roots are merged
-    by value, so a root shared by two arguments is reported once.
+    Equal arguments are taken once, in first-seen order, with their count:
+    a linear one's root is read off, and every other argument is split by
+    square_free_factors, its multiplicities scaled by the count.  Its
+    factors are refined against those of the earlier arguments (_refine),
+    so the factors left are pairwise coprime and carry summed
+    multiplicities.  A linear factor's root is read off; every other factor
+    is isolated once (_isolate).  Exact roots are merged by value, so a root
+    shared by two arguments is reported once.
     """
     polys = [linalg.poly_trim(poly) for poly in polys]
     if not all(polys) or all(len(poly) == 1 for poly in polys):  # a constant product
         raise InputError("constant polynomial has no meaningful root set")
     found: dict[Fraction, int] = {}
     factors: list[tuple[list[int], int]] = []
-    for poly in polys:
+    for poly, count in Counter(map(tuple, polys)).items():
         if len(poly) == 2:
             root = Fraction(-poly[0], poly[1])
-            found[root] = found.get(root, 0) + 1
+            found[root] = found.get(root, 0) + count
         elif len(poly) > 2:
-            factors = _refine(factors, square_free_factors(poly))
+            factors = _refine(factors, [(f, m * count) for f, m in square_free_factors(poly)])
     disks: list[NumericRoot] = []
     for factor, multiplicity in factors:
         if len(factor) == 2:
@@ -327,6 +337,20 @@ def _start(q: Sequence[int]) -> tuple[int, list[Gaussian]]:
     return p, [(scaled(math.cos(a)), scaled(math.sin(a))) for a in angles]
 
 
+def _quadratic_start(q: Sequence[int]) -> tuple[int, list[Gaussian]]:
+    """CERTIFY_BITS and the roots of the monic μ² + bμ + c, rounded to the
+    grid 2^-p, from one isqrt of |Δ|·2^(2p) for the discriminant
+    Δ = b² − 4c: −b/2 ∓ √Δ/2 when Δ > 0, else −b/2 ∓ i·√−Δ/2."""
+    c, b = q[0], q[1]
+    p = CERTIFY_BITS
+    disc = b * b - 4 * c
+    half = (math.isqrt(abs(disc) << 2 * p) + 1) >> 1  # √|Δ|/2 in units of 2^-p
+    centre = -b << (p - 1)
+    if disc > 0:
+        return p, [(centre - half, 0), (centre + half, 0)]
+    return p, [(centre, -half), (centre, half)]
+
+
 def _durand_kerner(q: Sequence[int], zs: list[Gaussian], p: int) -> None:
     """Iterate z_i ← z_i − q(z_i)/∏_{j≠i}(z_i − z_j) for the monic q, rounded
     to the grid 2^-p, until no step moves a point by more than one unit."""
@@ -409,19 +433,21 @@ def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
 
     The loop runs on the monic integer q̃(μ) = c^(n−1)·q(μ/c), whose roots
     are c times q's, so its rational roots are integers.  Durand–Kerner runs
-    from _start, one level per precision p.  After each level q̃ is done
-    when _snapped_roots shows all its roots integers.  From CERTIFY_BITS on,
-    the centres whose disks meet the real axis are snapped onto it and the
-    disks are certified (_certified).  A real disk is narrower than 1, so
-    the integer s nearest its centre is the only one it can hold: s is a
-    root when it lies in the disk and linalg.poly_eval(q̃, s, 1) vanishes,
-    and the disk is kept otherwise.  If the disks fail, p doubles and the
-    iteration continues from the current points; past MAX_BITS q is
-    refused.  The roots and disks found are divided by c.
+    one level per precision p, from _start, or for a quadratic from its
+    roots at CERTIFY_BITS (_quadratic_start), which the first level only
+    polishes.  After each level q̃ is done when _snapped_roots shows all its
+    roots integers.  From CERTIFY_BITS on, the centres whose disks meet the
+    real axis are snapped onto it and the disks are certified (_certified).
+    A real disk is narrower than 1, so the integer s nearest its centre is
+    the only one it can hold: s is a root when it lies in the disk and
+    linalg.poly_eval(q̃, s, 1) vanishes, and the disk is kept otherwise.
+    If the disks fail, p doubles and the iteration continues from the
+    current points; past MAX_BITS q is refused.  The roots and disks found
+    are divided by c.
     """
     c, n = q[-1], len(q) - 1
     q = [a * c ** (n - 1 - k) for k, a in enumerate(q[:-1])] + [1]
-    p, zs = _start(q)
+    p, zs = _quadratic_start(q) if n == 2 else _start(q)
     while True:
         _durand_kerner(q, zs, p)
         exact = _snapped_roots(q, zs, p)

@@ -247,6 +247,53 @@ def test_json_near_the_digit_limit_reads_back(tmp_path, capsys):
     assert [as_scalar(c) for c in entry["char_poly"]] == [x0 * x1, -(x0 + x1), 1]
 
 
+def far_roots(tmp_path):
+    """e∗e = e, e∗x = x∗e = x, x∗x = 2e, with a = 10^1000·e + x, whose roots
+    10^1000 ± √2 are 2√2 apart, and c = 10^400·x, whose roots ±√2·10^400
+    lie past the range of doubles."""
+    path = tmp_path / "far.json"
+    tensor = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]
+    elements = {"a": [10**1000, 1], "c": [0, 10**400]}
+    path.write_text(json.dumps({"dim": 2, "tensor": tensor, "elements": elements}))
+    return path
+
+
+def test_far_cluster_is_isolated(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "spectrum", str(far_roots(tmp_path)), "--element", "a")
+    assert code == 0 and err == ""
+    assert "  spectrum: {1e+1000 ± 1.35e-39, 1e+1000 ± 1.35e-39}" in out.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["text", "markdown"])
+def test_centres_past_the_doubles_print_finite(tmp_path, capsys, fmt):
+    code, out, _ = run_cli(capsys, "spectrum", str(far_roots(tmp_path)), "--element", "c", "--format", fmt)
+    assert code == 0
+    assert "spectrum: {-1.41421356237e+400 ± 1.42e-39, 1.41421356237e+400 ± 1.42e-39}" in out
+    # the spectral radius is still read from doubles: sound, but unbounded
+    assert "spectral radius: inf ± inf" in out
+
+
+def test_centres_past_the_doubles_read_back_from_json(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "spectrum", str(far_roots(tmp_path)), "--element", "c", "--format", "json")
+    assert code == 0
+    roots = json.loads(out)["elements"]["c"]["numeric_roots"]
+    assert [(r["re"], r["im"]) for r in roots] == [
+        ("-1.414213562373095e+400", "0.0"),
+        ("1.414213562373095e+400", "0.0"),
+    ]
+
+
+def test_golden_spectrum_is_unchanged(capsys):
+    # the two equal blocks of L_golden are factored once
+    code, out, _ = run_cli(capsys, "spectrum", "builtin:m2-regular", "--element", "golden")
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "  char poly: λ^4 - 2·λ^3 - λ^2 + 2·λ + 1",
+        "  spectrum: {-0.61803398875 ± 3.79e-40 (×2), 1.61803398875 ± 3.79e-40 (×2)}",
+        "  spectral radius: 1.61803398875 ± 5.43e-17",
+    ]
+
+
 def test_report_runs_deterministically(capsys):
     outputs = []
     for _ in range(2):

@@ -17,7 +17,7 @@ from latticealg import (
     vec,
     zero,
 )
-from latticealg.lattice import norm
+from latticealg.lattice import format_real, norm
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -159,3 +159,24 @@ def test_norm_monotone_on_modulus(x, y):
     assert norm(x.sup(y), NormSpec(kind="one")) <= norm(x, NormSpec(kind="one")) + norm(
         y, NormSpec(kind="one")
     )
+
+
+@settings(max_examples=100)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["", ".12g", "+.12g"]))
+def test_format_real_in_range_formats_the_double(f, spec):
+    f += 0.0  # a Fraction has no −0
+    assert format_real(Fraction(f), spec) == format(f, spec)
+
+
+def test_format_real_past_the_doubles_rounds_the_exact_value():
+    # what a double would print as ±inf is rounded from the exact value, to
+    # 12 or, for repr, 17 significant digits, half to even
+    big = 10**400
+    assert format_real(Fraction(big)) == "1e+400"
+    assert format_real(Fraction(-15 * 10**399), "+.12g") == "-1.5e+400"
+    assert format_real(Fraction(2 * 10**308), ".12g") == "2e+308"
+    assert format_real(Fraction(big + 1, 3), ".12g") == "3.33333333333e+399"
+    assert format_real(Fraction(1234567890125 * big), ".12g") == "1.23456789012e+412"
+    assert format_real(Fraction(1234567890135 * big), ".12g") == "1.23456789014e+412"
+    assert format_real(Fraction(12345678901234567891 * big)) == "1.2345678901234568e+419"
+    assert format_real(Fraction(17, 10**400)) == "0.0"  # underflow is no overflow

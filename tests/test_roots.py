@@ -4,15 +4,16 @@ sympy (and mpmath, which sympy requires) are oracles only: the package never
 imports them, and these tests are skipped when sympy is missing.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg import linalg
+from latticealg import linalg, spectra
 from latticealg.spectra import _isolate, rational_roots, square_free_factors
 from test_spectra import group_algebra, q9_element
 
@@ -92,14 +93,16 @@ def assert_each_disk_holds_one_root(factor, disks):
         return
     # Nonreal roots are approximated far below every radius: the working
     # precision covers the disks' 2^-2p units and the roots' magnitudes.
+    # Real disks and disks of radius 0 need no approximations.
     bits = 64 + max(d.bound.denominator.bit_length() for d in disks)
     bits += max(c.numerator.bit_length() + c.denominator.bit_length() for c in factor)
     with mpmath.workprec(bits):
-        approximations = mpmath.polyroots(
-            [mpmath.mpf(c.numerator) / c.denominator for c in reversed(factor)],
-            maxsteps=500,
-            extraprec=bits,
-        )
+        if any(not d.certified_real() and d.bound for d in disks):
+            approximations = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator for c in reversed(factor)],
+                maxsteps=500,
+                extraprec=bits,
+            )
         for disk in disks:
             if disk.certified_real():
                 low, high = disk.re - disk.bound, disk.re + disk.bound
@@ -133,11 +136,13 @@ def test_roots_match_sympy(poly):
 
 @st.composite
 def block_polynomials(draw):
-    """1–3 products of factors drawn from one pool of up to 3, so that the
-    arguments share factors, as the blocks of a direct sum of copies do."""
+    """1–4 blocks, some of them repeated, drawn from 1–3 products of factors
+    from one pool of up to 3, so that the arguments share factors and some
+    are equal, as the blocks of a direct sum of copies are."""
     pool = draw(st.lists(factors(), min_size=1, max_size=3))
     picks = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=1, max_size=3)
-    return [product(draw(picks)) for _ in range(draw(st.integers(1, 3)))]
+    blocks = [product(draw(picks)) for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,6 +158,54 @@ def test_roots_of_blocks_match_roots_of_their_product(polys):
     assert Counter(d.multiplicity for d in disks) == Counter(d.multiplicity for d in want_disks)
     square_free = to_sympy(whole).sqf_part().all_coeffs()
     assert_each_disk_holds_one_root([Fraction(int(c.p), int(c.q)) for c in reversed(square_free)], disks)
+
+
+HUGE = 10**60
+
+
+@st.composite
+def quadratics(draw):
+    """Square-free primitive integer quadratics c + b·x + lead·x² with
+    coefficients up to 10⁶⁰ and leads up to 50, or with a discriminant that
+    is a perfect square: (l₁x − p₁)(l₂x − p₂), of rational roots, or
+    (lx − p)² + k², of roots (p ± ik)/l."""
+    kind = draw(st.sampled_from(["any", "rational", "gaussian"]))
+    if kind == "any":
+        q = [draw(st.integers(-HUGE, HUGE)), draw(st.integers(-HUGE, HUGE)), draw(st.integers(1, 50))]
+    elif kind == "rational":
+        root = st.tuples(st.integers(1, 7), st.integers(-HUGE, HUGE))
+        (l1, p1), (l2, p2) = draw(root), draw(root)
+        q = [p1 * p2, -(l1 * p2 + l2 * p1), l1 * l2]
+    else:
+        l, p, k = draw(st.integers(1, 7)), draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 10**30))
+        q = [p * p + k * k, -2 * l * p, l * l]
+    assume(q[1] ** 2 != 4 * q[0] * q[2])
+    g = math.gcd(*q)
+    return [c // g for c in q]
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratics())
+@example([10, -6, 1])  # roots 3 ± i: the start is exact, and the disks have radius 0
+@example([-2, 0, 3**1400])  # roots ±√2/3^700
+@example([1, -3, 2])  # roots 1/2 and 1
+def test_quadratic_start_changes_nothing_but_speed(q):
+    # a quadratic starts at its roots, from its discriminant, and one level
+    # certifies them: the roots of its monic form lie at least 1 apart.
+    # Started from _start instead, it finds the same exact roots and disks
+    levels = []
+    durand_kerner = spectra._durand_kerner
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            spectra, "_durand_kerner", lambda q, zs, p: levels.append(p) or durand_kerner(q, zs, p)
+        )
+        exact, disks = _isolate(q)
+        assert levels == [spectra.CERTIFY_BITS]
+        patch.setattr(spectra, "_quadratic_start", spectra._start)
+        want_exact, want_disks = _isolate(q)
+    assert sorted(exact) == sorted(want_exact)
+    assert sorted(disks, key=lambda d: (d.re, d.im)) == sorted(want_disks, key=lambda d: (d.re, d.im))
+    assert_one_root_per_disk([Fraction(c) for c in q], exact, disks)
 
 
 def test_forty_digit_rational_roots():

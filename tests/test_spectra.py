@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,6 +340,45 @@ def test_factors_shared_by_blocks_are_isolated_once(monkeypatch):
     assert isolated == [[-1, -1, 1]]
 
 
+def test_duplicate_blocks_are_factored_once(monkeypatch):
+    # f = (λ² − 2)(λ − 3) twice and g = λ² − λ − 1: Yun runs once on f, its
+    # multiplicities doubled, and once on g, and the roots are those of f·f·g
+    calls = counting(monkeypatch, "square_free_factors")
+    f = expand([F(-2), F(0), F(1)], [F(-3), F(1)])
+    g = [F(-1), F(-1), F(1)]
+    result = rational_roots(f, f, g)
+    assert calls == {"square_free_factors": 2}
+    assert result == rational_roots(expand(f, f, g))
+    assert result[0] == [(F(3), 2)]
+    assert [d.multiplicity for d in result[1]] == [2, 1, 2, 1]  # −√2, −1/φ, √2, φ
+    # L_a of m2-regular's golden element has two equal blocks λ² − λ − 1,
+    # factored once; the disks are those found when each block was factored
+    calls["square_free_factors"] = 0
+    alg = la.builtin("m2-regular")
+    result = la.spectrum(alg, alg.elements["golden"])
+    assert calls == {"square_free_factors": 1}
+    bound = F(43886892181914712461662143838758837547, 2**256)
+    assert result.rational_roots == ()
+    assert result.other_roots == (
+        spectra.NumericRoot(F(-52576517132350718291434092471003083277, 2**126), F(0), bound, 2),
+        spectra.NumericRoot(F(137647108862585334157277744328945136141, 2**126), F(0), bound, 2),
+    )
+
+
+def test_far_cluster_is_certified_at_once():
+    # (λ − 10^1000)² − 2 has two roots 2√2 apart, at 10^1000 ± √2: a
+    # quadratic starts at its roots, so one level certifies them
+    big = 10**1000
+    start = time.perf_counter()
+    roots, disks = rational_roots([F(big * big - 2), F(-2 * big), F(1)])
+    elapsed = time.perf_counter() - start
+    assert roots == [] and [d.certified_real() for d in disks] == [True, True]
+    for disk, sign in zip(disks, (-1, 1)):
+        low, high = sign * (disk.re - big) - disk.bound, sign * (disk.re - big) + disk.bound
+        assert 0 < low and low**2 <= 2 <= high**2
+    assert elapsed < 0.05
+
+
 def test_one_by_one_root_shared_with_a_larger_block():
     # λ − 3 and (λ − 3)(λ² − λ − 8): 3 is read off the first and found
     # exactly in the second's one Yun factor, and reported once
@@ -437,16 +477,30 @@ def test_linear_factor_with_a_huge_lead_is_exact():
 
 def test_huge_lead_does_not_raise_the_precision(monkeypatch):
     # 3^1400·λ² − 2 is isolated as μ² − 2·3^1400, whose real disks certify
-    # once narrower than 1: at the levels p = 16, 32, 64 and 128, where a
-    # rule on the lead would need 2^-4438, past MAX_BITS.  Divided by the
-    # lead, the disks hold ±√2/3^700
-    calls = counting(monkeypatch, "_durand_kerner")
+    # once narrower than 1: at CERTIFY_BITS, where a rule on the lead would
+    # need 2^-4438, past MAX_BITS.  A quadratic starts at its roots, so one
+    # level does.  Divided by the lead, the disks hold ±√2/3^700
+    levels = []
+    durand_kerner = spectra._durand_kerner
+    monkeypatch.setattr(
+        spectra, "_durand_kerner", lambda q, zs, p: levels.append(p) or durand_kerner(q, zs, p)
+    )
     roots, disks = rational_roots([F(-2), F(0), F(3**1400)])
     assert roots == [] and [d.certified_real() for d in disks] == [True, True]
     for disk, sign in zip(disks, (-1, 1)):
         low, high = sign * disk.re - disk.bound, sign * disk.re + disk.bound
         assert 0 < low and low**2 <= F(2, 3**1400) <= high**2
-    assert calls == {"_durand_kerner": 4}
+    assert levels == [spectra.CERTIFY_BITS]
+    # 3^1400·λ³ − 2 starts from _start and climbs the levels p = 16, 32, 64
+    # and 128; its real disk holds the cube root of 2/3^1400
+    levels.clear()
+    roots, disks = rational_roots([F(-2), F(0), F(0), F(3**1400)])
+    assert roots == [] and sum(d.certified_real() for d in disks) == 1
+    real = next(d for d in disks if d.certified_real())
+    low, high = real.re - real.bound, real.re + real.bound
+    assert 0 < low and low**3 <= F(2, 3**1400) <= high**3
+    assert all(d.certified_nonreal() for d in disks if d is not real)
+    assert levels == [16, 32, 64, 128]
 
 
 def test_mixed_factor_keeps_its_disks(monkeypatch):
