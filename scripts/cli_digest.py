@@ -16,7 +16,7 @@ file named with --files:
 - classify --grid 1 and --grid 3, in each format;
 - for a builtin that names a default family, inner --gamma with the
   diagonal pairs of that family, in each format;
-- for each element a builtin names, inner --element NAME.
+- for each element a builtin names, inner --element NAME, in each format.
 
 Every case runs in this process through latticealg.cli.main, with stdout
 and stderr captured.
@@ -49,7 +49,8 @@ def cases(target: str, builtin_name: Optional[str]) -> Iterator[list[str]]:
         for fmt in FORMATS:
             yield ["inner", target, "--gamma", gamma, "--format", fmt]
     for name in sorted(la.builtin(builtin_name).elements):
-        yield ["inner", target, "--element", name]
+        for fmt in FORMATS:
+            yield ["inner", target, "--element", name, "--format", fmt]
 
 
 def digest(argv: list[str]) -> str:

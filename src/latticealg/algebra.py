@@ -105,7 +105,7 @@ class IntegerTensor:
     """The structure tensor over one common denominator D: c = C/D, C integer.
 
     Band projection operators on the coordinatewise R^n are exactly the 0/1
-    diagonal masks (see operators.is_band_projection_op), so the projection
+    diagonal masks (forced by 0 ≤ M ≤ I and M² = M), so the projection
     predicates test operator columns one at a time (projections.mask_support),
     and so does the identity check.  An element a enters as v/L with v an
     integer vector (integer_form), and the columns below are integers scaled

@@ -4,7 +4,7 @@ A_e is the order ideal generated by the identity, {x : |x| ≤ λe for some
 λ ≥ 0}; in the coordinatewise model this is the span of the coordinate
 directions where e is strictly positive.  It is simultaneously a
 projection band (its band projection is the 0/1 diagonal mask on supp(e),
-OperatorMatrix.mask), an inverse-closed subalgebra, and — through its
+IdealBasis.project), an inverse-closed subalgebra, and — through its
 atoms — a finite function algebra: the map x ↦ (x_i / e_i)_{i ∈ supp(e)}
 is a lattice and algebra isomorphism onto functions on the finite set K
 of atoms, isometric for the order-unit norm ‖x‖_e = inf{λ : |x| ≤ λe}.
@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import InputError, UnsupportedNormError
+from .errors import DimensionMismatchError, InputError, UnsupportedNormError
 from .lattice import LatticeElement, norm
-from .operators import OperatorMatrix, invert_element
+from .operators import invert_element
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,12 @@ class IdealBasis:
 
     def sorted_support(self) -> list[int]:
         return sorted(self.support)
+
+    def project(self, x: LatticeElement) -> LatticeElement:
+        """x on the support and 0 off it: the band projection onto the ideal."""
+        if x.dim != self.generator.dim:
+            raise DimensionMismatchError("element dimension does not match the ideal")
+        return LatticeElement(tuple(c * (i in self.support) for i, c in enumerate(x.coords)))
 
 
 def principal_ideal(algebra: AlgebraSpec, a: LatticeElement) -> IdealBasis:
@@ -60,20 +66,19 @@ def principal_ideal(algebra: AlgebraSpec, a: LatticeElement) -> IdealBasis:
     return IdealBasis(support=frozenset(support), generator=a)
 
 
-def identity_ideal(algebra: AlgebraSpec) -> tuple[IdealBasis, OperatorMatrix]:
-    """(A_e as an IdealBasis, the band projection of A onto A_e).
+def identity_ideal(algebra: AlgebraSpec) -> IdealBasis:
+    """A_e as an IdealBasis.
 
     A_e is the order ideal generated by e: the span of the coordinates
     where e is nonzero.  On a coordinatewise lattice it is also the band
     generated by e, and its band projection is the 0/1 diagonal mask on
     supp(e), so both are read off e with nothing left to check.  The
-    decomposition A = A_e ⊕ A_e^d holds for every x: M·x keeps the
-    coordinates of x on supp(e) and (I−M)·x the rest, which is disjoint
-    from e.
+    decomposition A = A_e ⊕ A_e^d holds for every x: project(x) keeps the
+    coordinates of x on supp(e) and x − project(x) the rest, which is
+    disjoint from e.
     """
     e = algebra.require_identity()
-    support = e.support()
-    return IdealBasis(support=support, generator=e), OperatorMatrix.mask(algebra.dim, support)
+    return IdealBasis(support=e.support(), generator=e)
 
 
 def in_identity_ideal(algebra: AlgebraSpec, x: LatticeElement) -> bool:
@@ -195,7 +200,7 @@ def truncation_cauchy_check(
         raise InputError("truncation_cauchy_check requires a >= 0")
     if not algebra.norm.is_exact():
         raise UnsupportedNormError("truncation bound check needs an exact (sup/one) norm")
-    projection = identity_ideal(algebra)[1].apply(a)
+    projection = identity_ideal(algebra).project(a)
     # Smallest n with a_n already equal to the band component of a.
     ratios = [a.coords[i] / e.coords[i] for i in sorted(e.support())]
     n_star = max((int(r) + (0 if r.denominator == 1 else 1) for r in ratios), default=0)

@@ -47,9 +47,9 @@ from .inner import (
     is_inner,
     validate_family,
 )
-from .io import dump_json, element_to_wire, load_algebra, operator_to_wire, scalar_to_wire
+from .io import dump_json, element_to_wire, load_algebra, mask_to_wire, scalar_to_wire
 from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
-from .operators import OperatorMatrix, diagonal_mask_operator
+from .operators import diagonal_mask_operator
 from .projections import (
     GridHit,
     GridSpec,
@@ -63,8 +63,8 @@ from .report import (
     build_report,
     fmt_element,
     fmt_gamma,
+    fmt_mask,
     fmt_poly,
-    fmt_projection_matrix,
     fmt_radius,
     fmt_spectrum,
     fmt_subset_count,
@@ -386,34 +386,32 @@ def classify_lines(result: _Classified) -> list[str]:
     return lines
 
 
-# The algebra, its atoms, the band projection onto A_e, and a demo element
-# with its parts in A_e and in the complement band.
-_Centered = tuple[
-    AlgebraSpec, CKRepresentation, OperatorMatrix, list[int], list[int], tuple[LatticeElement, ...]
-]
+# The algebra, its atoms, the supports of A_e and of the complement band, and
+# a demo element with its parts in A_e and in the complement band.
+_Centered = tuple[AlgebraSpec, CKRepresentation, list[int], list[int], tuple[LatticeElement, ...]]
 
 
 def cmd_center(config: RunConfig) -> tuple[int, _Centered]:
     algebra, _meta = _resolve_algebra(config)
-    basis, projection = identity_ideal(algebra)
+    basis = identity_ideal(algebra)
     rep = ck_representation(algebra)
     inside = basis.sorted_support()
     outside = [i for i in range(algebra.dim) if i not in basis.support]
     demo = LatticeElement(
         tuple(Fraction((-1) ** i * (i + 1)) for i in range(algebra.dim))
     )
-    demo_e = projection.apply(demo)
-    return 0, (algebra, rep, projection, inside, outside, (demo, demo_e, demo - demo_e))
+    demo_e = basis.project(demo)
+    return 0, (algebra, rep, inside, outside, (demo, demo_e, demo - demo_e))
 
 
 def center_payload(result: _Centered) -> dict[str, Any]:
-    algebra, rep, projection, inside, outside, (demo, demo_e, demo_d) = result
+    algebra, rep, inside, outside, (demo, demo_e, demo_d) = result
     return {
         "name": algebra.name,
         "support": inside,
         "complement_support": outside,
         "atoms": [element_to_wire(a) for a in rep.atoms],
-        "band_projection": operator_to_wire(projection),
+        "band_projection": mask_to_wire(algebra.dim, inside),
         "decomposition_demo": {
             "x": element_to_wire(demo),
             "x_e": element_to_wire(demo_e),
@@ -423,7 +421,7 @@ def center_payload(result: _Centered) -> dict[str, Any]:
 
 
 def center_lines(result: _Centered) -> list[str]:
-    algebra, rep, projection, inside, outside, (demo, demo_e, demo_d) = result
+    algebra, rep, inside, outside, (demo, demo_e, demo_d) = result
     lines = [
         _header(algebra),
         f"A_e support coordinates: {', '.join(map(str, inside))}",
@@ -431,7 +429,7 @@ def center_lines(result: _Centered) -> list[str]:
         f"atoms ({rep.n_points} points of K):",
     ]
     lines += [f"  {fmt_element(a)}" for a in rep.atoms]
-    lines.append(f"band projection onto A_e: {fmt_projection_matrix(projection)}")
+    lines.append(f"band projection onto A_e: {fmt_mask(algebra.dim, inside)}")
     lines.append(
         f"decomposition demo: x = {fmt_element(demo)} splits as x_e = {fmt_element(demo_e)}"
         f" plus x_d = {fmt_element(demo_d)} (x_d disjoint from e)"
@@ -502,16 +500,16 @@ def spectrum_lines(result: _Spectra) -> list[str]:
     return lines
 
 
-# The algebra, the member names, the family, the distinct (Γ, P_Γ); for
-# --gamma: Γ, P_Γ, the complement Γ̄ and the laws against it (else None);
-# and per named mask its name, the mask and a witness Γ (None: not inner).
+# The algebra, the member names, the family, the distinct (Γ, supp P_Γ); for
+# --gamma: Γ, supp P_Γ, the complement Γ̄ and the laws against it (else None);
+# and per named mask its name, its support and a witness Γ (None: not inner).
 _Inner = tuple[
     AlgebraSpec,
     list[str],
     ProjectionFamily,
-    list[tuple[GammaSet, OperatorMatrix]],
-    Optional[tuple[GammaSet, OperatorMatrix, GammaSet, BooleanLawsReport]],
-    list[tuple[str, OperatorMatrix, Optional[GammaSet]]],
+    list[tuple[GammaSet, frozenset[int]]],
+    Optional[tuple[GammaSet, frozenset[int], GammaSet, BooleanLawsReport]],
+    list[tuple[str, frozenset[int], Optional[GammaSet]]],
 ]
 
 
@@ -524,15 +522,15 @@ def cmd_inner(config: RunConfig) -> tuple[int, _Inner]:
     chosen = None
     if config.gamma is not None:
         gamma = _parse_gamma(config.gamma, len(family))
-        matrix = inner_bp(algebra, family, gamma)
+        support = inner_bp(algebra, family, gamma)
         comp = gamma.complement()
-        chosen = (gamma, matrix, comp, boolean_laws(algebra, family, gamma, comp))
+        chosen = (gamma, support, comp, boolean_laws(algebra, family, gamma, comp))
     verdicts = []
     for name, x in _named_elements(algebra, config.elements):
         mask = diagonal_mask_operator(x)
         if mask is None or x.is_zero():
             continue
-        verdicts.append((name, mask, is_inner(algebra, family, mask, cap=cap)))
+        verdicts.append((name, x.support(), is_inner(algebra, family, mask, cap=cap)))
     return 0, (algebra, names, family, enumerated, chosen, verdicts)
 
 
@@ -544,18 +542,18 @@ def inner_payload(result: _Inner) -> dict[str, Any]:
         "family_names": names,
         "family_valid": True,
         "distinct_inner": [
-            {"gamma": gamma.sorted_pairs(), "matrix": operator_to_wire(matrix)}
-            for gamma, matrix in enumerated
+            {"gamma": gamma.sorted_pairs(), "matrix": mask_to_wire(algebra.dim, support)}
+            for gamma, support in enumerated
         ],
         "is_inner": {
             name: None if witness is None else witness.sorted_pairs()
-            for name, _mask, witness in verdicts
+            for name, _, witness in verdicts
         },
     }
     if chosen is not None:
-        gamma, matrix, _comp, laws = chosen
+        gamma, support, _comp, laws = chosen
         payload["gamma"] = gamma.sorted_pairs()
-        payload["gamma_projection"] = operator_to_wire(matrix)
+        payload["gamma_projection"] = mask_to_wire(algebra.dim, support)
         payload["boolean_laws_vs_complement_ok"] = laws.ok
     return payload
 
@@ -570,21 +568,21 @@ def inner_lines(result: _Inner) -> list[str]:
     subsets = fmt_subset_count(len(family))
     lines.append(f"distinct inner projections: {len(enumerated)} out of {subsets} Γ-subsets")
     lines += [
-        f"  Γ = {fmt_gamma(gamma)} ↦ {fmt_projection_matrix(matrix)}"
-        for gamma, matrix in enumerated
+        f"  Γ = {fmt_gamma(gamma)} ↦ {fmt_mask(algebra.dim, support)}"
+        for gamma, support in enumerated
     ]
     if chosen is not None:
-        gamma, matrix, comp, laws = chosen
-        lines.append(f"P_Γ for Γ = {fmt_gamma(gamma)}: {fmt_projection_matrix(matrix)}")
+        gamma, support, comp, laws = chosen
+        lines.append(f"P_Γ for Γ = {fmt_gamma(gamma)}: {fmt_mask(algebra.dim, support)}")
         lines.append(
             f"Boolean laws against the complement Γ̄ = {fmt_gamma(comp)}: "
             f"{'pass' if laws.ok else 'FAIL'}"
         )
-    for name, mask, witness in verdicts:
+    for name, support, witness in verdicts:
         verdict_str = (
             f"inner via Γ = {fmt_gamma(witness)}" if witness is not None else "NOT inner"
         )
-        lines.append(f"{name} as mask {fmt_projection_matrix(mask)}: {verdict_str}")
+        lines.append(f"{name} as mask {fmt_mask(algebra.dim, support)}: {verdict_str}")
     return lines
 
 

@@ -14,13 +14,15 @@ of every member as projections.side_masks reads them.  Each summand
 L_{p_α}R_{p_β} is a product of those 0/1 diagonal masks, hence the mask
 on their intersection; the family derives these summand supports once
 (ProjectionFamily.summand_supports) and checks that the nonzero ones are
-pairwise disjoint.  So P_Γ is the mask of the union
-of Γ's supports, the image of Γ ↦ P_Γ is exactly the 2^k unions of the
-k nonzero supports, and "M is inner" is a subset test on supp(M).  After
-validation only inner_bp's independent audit computes a product, and no
-walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a Boolean-algebra homomorphism onto
-its image; a band projection need not be of this form at all — the
-3-dimensional identityless fixture carries a witness.
+pairwise disjoint.  So P_Γ is the mask of the union of Γ's supports, and
+a mask is all its support says: inner_bp and enumerate_inner return
+supp P_Γ as a frozenset.  The image of Γ ↦ P_Γ is exactly the 2^k unions
+of the k nonzero supports, and "M is inner" is a subset test on supp(M).
+After validation only inner_bp's independent audit computes a product,
+and no walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a
+Boolean-algebra homomorphism onto its image; a band projection need not
+be of this form at all — the 3-dimensional identityless fixture carries
+a witness.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .errors import CapExceededError, FamilyError, MathViolationError, NotBandProjectionError
+from .errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    FamilyError,
+    MathViolationError,
+    NotBandProjectionError,
+)
 from .lattice import LatticeElement
 from .operators import OperatorMatrix, mult_op
 from .projections import side_masks
@@ -79,21 +87,22 @@ class ProjectionFamily:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """A subset Γ of Λ×Λ, indexing the summands of an inner projection."""
+    """A subset Γ of Λ×Λ, indexing the summands of an inner projection.
+    Only `of` checks that the pairs lie in range(n_members)²."""
 
     pairs: frozenset[tuple[int, int]]
     n_members: int
 
-    def __post_init__(self) -> None:
-        for alpha, beta in self.pairs:
-            if not (0 <= alpha < self.n_members and 0 <= beta < self.n_members):
-                raise FamilyError(
-                    f"pair ({alpha}, {beta}) out of range for a family of size {self.n_members}"
-                )
-
     @staticmethod
     def of(pairs: Iterable[tuple[int, int]], n_members: int) -> "GammaSet":
-        return GammaSet(pairs=frozenset((a, b) for a, b in pairs), n_members=n_members)
+        """Γ from any pairs, each checked to index a family of n_members."""
+        checked = frozenset((a, b) for a, b in pairs)
+        for alpha, beta in checked:
+            if not (0 <= alpha < n_members and 0 <= beta < n_members):
+                raise FamilyError(
+                    f"pair ({alpha}, {beta}) out of range for a family of size {n_members}"
+                )
+        return GammaSet(pairs=checked, n_members=n_members)
 
     @staticmethod
     def full(n_members: int) -> "GammaSet":
@@ -173,13 +182,6 @@ def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
     return sorted(itertools.product(range(n_members), repeat=2))
 
 
-def summand_supports(family: ProjectionFamily) -> list[frozenset[int]]:
-    """The family's summand supports (ProjectionFamily.summand_supports), in
-    sorted pair order, as a list: computed on the family's first call and
-    read back on every later one."""
-    return list(family.summand_supports)
-
-
 def _gamma_union(supports: Sequence[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
     """supp P_Γ; the pair (α, β) sits at α·|Λ| + β in the sorted pair order."""
     n = gamma.n_members
@@ -193,8 +195,8 @@ def _require_family_size(family: ProjectionFamily, gamma: GammaSet) -> None:
         )
 
 
-def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) -> OperatorMatrix:
-    """P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β) as a matrix, with its certificate.
+def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) -> frozenset[int]:
+    """supp P_Γ for P_Γ = Σ_{(α,β)∈Γ} (x ↦ p_α ∗ x ∗ p_β), with its certificate.
 
     P_Γ is the mask of the union of Γ's summand supports.  As an audit
     independent of the integer kernel and of the masks the family
@@ -222,7 +224,7 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
         covered |= support
     if covered != union:
         raise MathViolationError("the summand matrices' supports differ from the kernel's union")
-    return OperatorMatrix.mask(algebra.dim, union)
+    return union
 
 
 @dataclass
@@ -266,8 +268,8 @@ def boolean_laws(
 
 def enumerate_inner(
     algebra: AlgebraSpec, family: ProjectionFamily, cap: int = ENUM_CAP_DEFAULT
-) -> list[tuple[GammaSet, OperatorMatrix]]:
-    """All distinct inner projections over the family, each with its witness Γ.
+) -> list[tuple[GammaSet, frozenset[int]]]:
+    """All distinct inner projections over the family as (witness Γ, supp P_Γ).
 
     The nonzero summand supports are pairwise disjoint, so the image of
     Γ ↦ P_Γ is exactly the 2^k masks of unions of the k nonzero supports.
@@ -277,8 +279,7 @@ def enumerate_inner(
     list is built by doubling: starting from (∅, ∅), each nonzero summand in
     sorted pair order appends every entry so far extended by its pair and
     its support, so entry number `bits` holds the summands of `bits` and
-    each union is one set operation.  Each P_Γ is an OperatorMatrix.mask,
-    which records its union.  No Γ walk runs; the cap still refuses
+    each union is one set operation.  No Γ walk runs; the cap still refuses
     families with |Λ|² > cap, and so bounds k.
     """
     _check_cap(len(family), cap)
@@ -290,10 +291,7 @@ def enumerate_inner(
         if support:
             step = frozenset((pair,))
             subsets += [(chosen | step, union | support) for chosen, union in subsets]
-    return [
-        (GammaSet(chosen, len(family)), OperatorMatrix.mask(algebra.dim, union))
-        for chosen, union in subsets
-    ]
+    return [(GammaSet(chosen, len(family)), union) for chosen, union in subsets]
 
 
 def is_inner(
@@ -307,20 +305,21 @@ def is_inner(
 
     M is inner exactly when its support is a union of summand supports;
     the witness is the set of nonzero summands inside supp(M), which is
-    the first such Γ in bit-mask order.
+    the first such Γ in bit-mask order.  M must act on the algebra's
+    space and be a band projection operator; anything else raises.
     """
+    if m.dim != algebra.dim:
+        raise DimensionMismatchError("operator dimension does not match algebra")
     target = m.as_mask()
     if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
     _check_cap(len(family), cap)
     supports = family.summand_supports
-    if m.dim != algebra.dim:
-        return None
     inside = [t for t, s in enumerate(supports) if s and s <= target]
     if frozenset().union(*(supports[t] for t in inside)) != target:
         return None
     pairs = _sorted_pairs(len(family))
-    return GammaSet.of((pairs[t] for t in inside), len(family))
+    return GammaSet(frozenset(pairs[t] for t in inside), len(family))
 
 
 def _maximal_cliques(adjacent: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:

@@ -2,7 +2,7 @@
 
 Scalars travel as exact strings "num/den" (plain ints allowed; floats
 rejected so nothing silently loses exactness).  Elements are arrays of
-scalars; operators are flat row-major arrays; an algebra file is
+scalars; band projections are flat row-major 0/1 arrays; an algebra file is
 
     {
       "dim": 3,
@@ -23,12 +23,11 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Union
 
 from .algebra import MAX_DIM, AlgebraSpec
 from .errors import InputError
 from .lattice import LatticeElement, NormSpec, as_scalar, digit_limit_error, format_scalar
-from .operators import OperatorMatrix
 
 Wire = Union[int, str]
 
@@ -54,31 +53,13 @@ def element_from_wire(data: Any) -> LatticeElement:
     return LatticeElement(tuple(scalar_from_wire(v) for v in data))
 
 
-def operator_to_wire(t: OperatorMatrix) -> list[Wire]:
-    """The entries row-major.  A mask built by OperatorMatrix.mask is
-    written from the support it recorded: 1 at i·(n + 1) for i in it, 0
-    elsewhere, the same list with no entry read."""
-    support = t._support
-    if support is None:
-        return [scalar_to_wire(v) for row in t.entries for v in row]
-    n = t.dim
+def mask_to_wire(n: int, support: Iterable[int]) -> list[Wire]:
+    """The 0/1 diagonal mask of R^n on `support`, row-major: 1 at i·(n + 1)
+    for i in the support and 0 elsewhere."""
     out: list[Wire] = [0] * (n * n)
     for i in support:
         out[i * (n + 1)] = 1
     return out
-
-
-def operator_from_wire(data: Any, dim: Optional[int] = None) -> OperatorMatrix:
-    if not isinstance(data, list) or not data:
-        raise InputError("operator must be a nonempty flat row-major JSON array")
-    if dim is None:
-        dim = int(round(len(data) ** 0.5))
-    if dim * dim != len(data):
-        raise InputError(f"operator array of length {len(data)} is not a square matrix")
-    values = [scalar_from_wire(v) for v in data]
-    return OperatorMatrix(
-        tuple(tuple(values[r * dim : (r + 1) * dim]) for r in range(dim))
-    )
 
 
 def norm_to_wire(spec: NormSpec) -> dict[str, Any]:
@@ -221,7 +202,7 @@ def _dump(value: Any, newline: str) -> str:
             return "[]"
         items = []
         for v in value:
-            # Elements and operators are lists of ints and strs: no call for those.
+            # Elements and masks are lists of ints and strs: no call for those.
             if type(v) is int:
                 items.append(int.__repr__(v))
             elif type(v) is str:

@@ -11,32 +11,28 @@ rk_oracle so the two can be checked against each other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .algebra import AlgebraSpec, integer_form
-from .errors import CapExceededError, DimensionMismatchError, InputError, UnsupportedNormError
-from .lattice import LatticeElement, NormSpec, as_scalar
+from .errors import CapExceededError, DimensionMismatchError, InputError
+from .lattice import LatticeElement, as_scalar
 
 RK_DIM_CAP = 12
+# The zero entry diagonal, compose and _accumulate share: as_mask compares
+# rows with rows of it, and tuple comparison passes over the same object
+# with no Fraction test.
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An exact rational matrix as an operator on R^n (rows = output coords).
-
-    A matrix built by `mask` also keeps the support it was built from, which
-    as_mask returns without reading the entries; equality and hashing still
-    compare `entries` only.
-    """
+    """An exact rational matrix as an operator on R^n (rows = output coords)."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-    # supp(M) when `mask` built M; None (the class default) for any other matrix.
-    _support = None
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -64,49 +60,27 @@ class OperatorMatrix:
     @staticmethod
     def diagonal(values: Sequence) -> "OperatorMatrix":
         vals = [as_scalar(v) for v in values]
-        n = len(vals)
+        zeros = (_ZERO,) * len(vals)
         return OperatorMatrix(
-            tuple(tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+            tuple(zeros[:i] + (v,) + zeros[i + 1 :] for i, v in enumerate(vals))
         )
-
-    @staticmethod
-    def mask(n: int, support: AbstractSet[int]) -> "OperatorMatrix":
-        """The band projection of R^n onto the coordinates in `support`
-        (a subset of range(n)): the 0/1 diagonal mask.  Its rows are the
-        dimension's shared zero row and unit rows (_mask_rows), so a mask
-        costs one tuple of n references.  The matrix records the support
-        it was built from, so as_mask and io.operator_to_wire read the
-        support instead of the n² entries."""
-        coords, zero_row, unit_rows = _mask_rows(n)
-        support = frozenset(support)
-        if not support <= coords:
-            support &= coords
-        rows = [zero_row] * n
-        for i in support:
-            rows[i] = unit_rows[i]
-        m = OperatorMatrix(tuple(rows))
-        object.__setattr__(m, "_support", support)
-        return m
 
     def as_mask(self) -> Optional[frozenset[int]]:
         """supp(M) when M is a 0/1 diagonal mask, and None otherwise.
 
-        A matrix built by `mask` returns the support it recorded.  Any other
-        matrix is scanned: entrywise, 0 ≤ M ≤ I forces the off-diagonal
-        entries to 0 and the diagonal into [0, 1]; M² = M then forces the
-        diagonal into {0, 1}.  So M is a mask exactly when it is a band
-        projection operator, and the test runs in O(n²) without a matrix
-        product.
+        Entrywise, 0 ≤ M ≤ I forces the off-diagonal entries to 0 and the
+        diagonal into [0, 1]; M² = M then forces the diagonal into {0, 1}.
+        So M is a mask exactly when it is a band projection operator, and
+        the test runs in O(n²) without a matrix product.
         """
-        if self._support is not None:
-            return self._support
+        zeros = (_ZERO,) * self.dim
         support = []
         for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v:
-                    if i != j or v != 1:
-                        return None
-                    support.append(i)
+            if row == zeros:
+                continue
+            if row != zeros[:i] + (1,) + zeros[i + 1 :]:
+                return None
+            support.append(i)
         return frozenset(support)
 
     # -- action and arithmetic -------------------------------------------
@@ -127,7 +101,7 @@ class OperatorMatrix:
             raise DimensionMismatchError("operator dimension mismatch")
         # Each entry starts at its first term, not at a Fraction(0) plus it:
         # an entry that is still the shared `zero` object has no term yet.
-        zero = Fraction(0)
+        zero = _ZERO
         sparse = [[(j, v) for j, v in enumerate(row) if v] for row in other.entries]
         out = []
         for row in self.entries:
@@ -180,24 +154,6 @@ class OperatorMatrix:
             a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
         )
 
-    def modulus(self) -> "OperatorMatrix":
-        """|T|, which on a coordinatewise lattice is the entrywise absolute value."""
-        return OperatorMatrix(tuple(tuple(abs(v) for v in row) for row in self.entries))
-
-
-# A process builds masks of a handful of dimensions; 16 slots keep each one's rows.
-@functools.lru_cache(maxsize=16)
-def _mask_rows(
-    n: int,
-) -> tuple[frozenset[int], tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    """range(n) as a set, the zero row of length n and its n unit rows,
-    built from one 0 and one 1.  All three are immutable, so every mask of
-    dimension n shares them: n + 1 rows per dimension, not per mask."""
-    zero, one = Fraction(0), Fraction(1)
-    zero_row = (zero,) * n
-    units = tuple(zero_row[:i] + (one,) + zero_row[i + 1 :] for i in range(n))
-    return frozenset(range(n)), zero_row, units
-
 
 def op_sup(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
     """S ∨ T entrywise — the operator supremum on a coordinatewise lattice."""
@@ -205,14 +161,6 @@ def op_sup(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
         raise DimensionMismatchError("operator dimension mismatch")
     return OperatorMatrix(
         tuple(tuple(max(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(s.entries, t.entries))
-    )
-
-
-def op_inf(s: OperatorMatrix, t: OperatorMatrix) -> OperatorMatrix:
-    if s.dim != t.dim:
-        raise DimensionMismatchError("operator dimension mismatch")
-    return OperatorMatrix(
-        tuple(tuple(min(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(s.entries, t.entries))
     )
 
 
@@ -269,28 +217,6 @@ def is_band_projection_op(m: OperatorMatrix) -> bool:
     return m.as_mask() is not None
 
 
-def regular_norm(t: OperatorMatrix, spec: NormSpec) -> Fraction:
-    """The regular (= operator, for positive parts) norm of T.
-
-    For the weighted sup norm ‖x‖ = max_i w_i|x_i| this is the weighted
-    maximum row sum max_k w_k · Σ_i |T_ki| / w_i; for the weighted one
-    norm Σ_i w_i|x_i| it is the weighted maximum column sum
-    max_i (Σ_k w_k |T_ki|) / w_i.  Both are exact rationals.
-    """
-    w = spec.weight_vector(t.dim)
-    if spec.kind == "sup":
-        return max(
-            w[k] * sum((abs(v) / w[i] for i, v in enumerate(row)), Fraction(0))
-            for k, row in enumerate(t.entries)
-        )
-    if spec.kind == "one":
-        return max(
-            sum((w[k] * abs(t.entries[k][i]) for k in range(t.dim)), Fraction(0)) / w[i]
-            for i in range(t.dim)
-        )
-    raise UnsupportedNormError(f"regular operator norm is not available for kind {spec.kind!r}")
-
-
 # -- multiplication operators -------------------------------------------
 
 
@@ -303,7 +229,7 @@ def _accumulate(
     shared `zero` object has no term yet."""
     if a.dim != algebra.dim:
         raise DimensionMismatchError("element dimension does not match algebra")
-    n, coords, zero = algebra.dim, a.coords, Fraction(0)
+    n, coords, zero = algebra.dim, a.coords, _ZERO
     rows = [[zero] * n for _ in range(n)]
     for (p, q, k), c in algebra.tensor.items():
         x, col = (coords[p], q) if left else (coords[q], p)
@@ -330,18 +256,12 @@ def mult_op(algebra: AlgebraSpec, a: LatticeElement, b: LatticeElement) -> Opera
     return left_mult(algebra, a).compose(right_mult(algebra, b))
 
 
-def check_mult_commutation(algebra: AlgebraSpec, a: LatticeElement, b: LatticeElement) -> bool:
-    """L_a ∘ R_b = R_b ∘ L_a — a direct consequence of associativity."""
-    la, rb = left_mult(algebra, a), right_mult(algebra, b)
-    return la.compose(rb) == rb.compose(la)
-
-
 def diagonal_mask_operator(x: LatticeElement) -> Optional[OperatorMatrix]:
     """A 0/1 coordinate vector as the diagonal band projection onto its support,
     or None when the vector has other values."""
     if not all(c.denominator == 1 and c.numerator in (0, 1) for c in x.coords):
         return None
-    return OperatorMatrix.mask(x.dim, x.support())
+    return OperatorMatrix.diagonal(x.coords)
 
 
 def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeElement]:

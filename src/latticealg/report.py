@@ -8,15 +8,15 @@ byte-identical documents.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraSpec
 from .center import ck_representation, identity_ideal
-from .errors import CapExceededError, NotBandProjectionError
+from .errors import CapExceededError
 from .fixtures import BuiltinMeta
 from .inner import GammaSet, enumerate_inner, is_inner, validate_family
 from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
-from .operators import OperatorMatrix, diagonal_mask_operator
+from .operators import diagonal_mask_operator
 from .projections import (
     GRID_POINT_CAP,
     GridSpec,
@@ -87,12 +87,9 @@ def fmt_radius(radius: Union[Fraction, ApproxReal]) -> str:
     return f"{radius.value:.12g} ± {radius.error:.3g}"
 
 
-def fmt_projection_matrix(m: OperatorMatrix) -> str:
-    """A band projection operator, i.e. a 0/1 diagonal mask, as diag(...)."""
-    support = m.as_mask()
-    if support is None:
-        raise NotBandProjectionError("only band projection operators are printed as masks")
-    digits = ["0"] * m.dim
+def fmt_mask(n: int, support: Iterable[int]) -> str:
+    """The band projection of R^n onto `support`, a 0/1 diagonal mask, as diag(...)."""
+    digits = ["0"] * n
     for i in support:
         digits[i] = "1"
     return "diag(" + ", ".join(digits) + ")"
@@ -196,7 +193,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
     lines.append("")
 
     if report.has_identity:
-        basis_ideal, _projection = identity_ideal(algebra)
+        basis_ideal = identity_ideal(algebra)
         rep = ck_representation(algebra)
         inside = [labels[i] for i in basis_ideal.sorted_support()]
         outside = [labels[i] for i in range(algebra.dim) if i not in basis_ideal.support]
@@ -239,8 +236,8 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
             f"- distinct inner projections: {len(inner_list)} out of "
             f"{fmt_subset_count(len(family))} Γ-subsets:",
         ]
-        for gamma, matrix in inner_list:
-            lines.append(f"  - Γ = {fmt_gamma(gamma)} ↦ {fmt_projection_matrix(matrix)}")
+        for gamma, support in inner_list:
+            lines.append(f"  - Γ = {fmt_gamma(gamma)} ↦ {fmt_mask(algebra.dim, support)}")
         verdict_lines = []
         for name, x in sorted(algebra.elements.items()):
             if x.is_zero():
@@ -250,9 +247,8 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
                 continue
             witness = is_inner(algebra, family, mask_op)
             verdict = f"inner via Γ = {fmt_gamma(witness)}" if witness is not None else "not inner"
-            verdict_lines.append(
-                f"  - {name}: mask {fmt_projection_matrix(mask_op)} — {verdict}"
-            )
+            mask = fmt_mask(algebra.dim, x.support())
+            verdict_lines.append(f"  - {name}: mask {mask} — {verdict}")
         if verdict_lines:
             lines.append("- named 0/1 masks as band projection operators:")
             lines += verdict_lines

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg import InputError, vec
+from latticealg import DimensionMismatchError, InputError, OperatorMatrix, vec
 
 from test_algebra import rescaled_builtin, sheared
 
@@ -23,8 +23,7 @@ def test_principal_ideal_differs_from_identity_ideal_on_upper2():
     e = alg.require_identity()
     two_sided = la.principal_ideal(alg, e)
     assert two_sided.sorted_support() == [0, 1, 2]
-    basis, _ = la.identity_ideal(alg)
-    assert basis.sorted_support() == [0, 2]
+    assert la.identity_ideal(alg).sorted_support() == [0, 2]
 
 
 def test_principal_ideal_grows_from_both_sides():
@@ -37,14 +36,39 @@ def test_principal_ideal_grows_from_both_sides():
 
 
 def test_identity_ideal_support_and_projection(unital_algebra):
-    basis, projection = la.identity_ideal(unital_algebra)
+    basis = la.identity_ideal(unital_algebra)
     e = unital_algebra.require_identity()
     assert basis.support == e.support()
     # the band projection is the diagonal 0/1 mask of the support
-    assert projection == la.diagonal_mask_operator(
+    mask = la.diagonal_mask_operator(
         vec([1 if i in basis.support else 0 for i in range(unital_algebra.dim)])
     )
+    x = vec(range(1, unital_algebra.dim + 1))
+    assert basis.project(x) == mask.apply(x)
+    assert basis.project(e) == e
     assert basis.contains(e)
+    with pytest.raises(DimensionMismatchError):
+        basis.project(vec([1] * (unital_algebra.dim + 1)))
+
+
+@st.composite
+def ideals_and_vectors(draw):
+    """(IdealBasis, x): A_e of a unital builtin, or the principal ideal of a
+    random element of any builtin, and a vector of the algebra's dimension."""
+    alg = la.builtin(draw(st.sampled_from(la.BUILTIN_NAMES)))
+    vectors = st.lists(rationals, min_size=alg.dim, max_size=alg.dim).map(vec)
+    if alg.has_identity() and draw(st.booleans()):
+        basis = la.identity_ideal(alg)
+    else:
+        basis = la.principal_ideal(alg, draw(vectors))
+    return basis, draw(vectors)
+
+
+@given(ideals_and_vectors())
+def test_project_is_the_diagonal_mask_of_the_support(case):
+    basis, x = case
+    mask = OperatorMatrix.diagonal([int(i in basis.support) for i in range(x.dim)])
+    assert basis.project(x) == mask.apply(x)
 
 
 def test_in_identity_ideal_membership():
@@ -59,8 +83,7 @@ def test_in_identity_ideal_membership():
 @given(st.lists(rationals, min_size=3, max_size=3).map(vec))
 def test_band_decomposition_reconstructs(x):
     alg = la.builtin("upper2")
-    _, projection = la.identity_ideal(alg)
-    x_e = projection.apply(x)
+    x_e = la.identity_ideal(alg).project(x)
     x_d = x - x_e
     assert x_e + x_d == x
     assert la.in_identity_ideal(alg, x_e)

@@ -10,6 +10,7 @@ import pytest
 import latticealg as la
 from latticealg.cli import COMMANDS, _build_parser, main
 from latticealg.lattice import as_scalar, int_digit_limit
+from latticealg.report import fmt_mask
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,14 @@ def test_inner_bad_gamma_text(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot parse gamma") and err.count("\n") == 1
+
+
+def test_inner_gamma_pair_out_of_range(capsys):
+    code, out, err = run_cli(
+        capsys, "inner", "builtin:noid3", "--family", "p1", "--gamma", "(0,5)"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: pair (0, 5) out of range for a family of size 1\n"
 
 
 def test_gamma_text_forms(capsys):
@@ -294,6 +303,12 @@ def test_golden_spectrum_is_unchanged(capsys):
     ]
 
 
+def test_fmt_mask_prints_the_diagonal_of_the_support():
+    assert fmt_mask(3, frozenset({0, 2})) == "diag(1, 0, 1)"
+    assert fmt_mask(2, ()) == "diag(0, 0)"
+    assert fmt_mask(4, [3, 1]) == "diag(0, 1, 0, 1)"
+
+
 def test_report_runs_deterministically(capsys):
     outputs = []
     for _ in range(2):
@@ -331,12 +346,12 @@ def _refuse(*args, **kwargs):
 )
 def test_only_the_asked_format_is_rendered(capsys, monkeypatch, argv):
     with monkeypatch.context() as m:
-        for name in ("element_to_wire", "operator_to_wire"):
+        for name in ("element_to_wire", "mask_to_wire"):
             m.setattr(f"latticealg.cli.{name}", _refuse)
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and out
     with monkeypatch.context() as m:
-        for name in ("fmt_element", "fmt_projection_matrix", "fmt_poly"):
+        for name in ("fmt_element", "fmt_mask", "fmt_poly"):
             m.setattr(f"latticealg.cli.{name}", _refuse)
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "") and json.loads(out)

@@ -17,6 +17,7 @@ import latticealg as la
 from latticealg import (
     AlgebraSpec,
     CapExceededError,
+    DimensionMismatchError,
     FamilyError,
     GammaSet,
     MathViolationError,
@@ -28,7 +29,7 @@ from latticealg import (
 from latticealg import inner as inner_module
 from latticealg import projections as projections_module
 from latticealg.cli import main
-from latticealg.inner import _maximal_cliques, summand_supports
+from latticealg.inner import _maximal_cliques
 from latticealg.operators import is_band_projection_op, mult_op
 from latticealg.projections import integer_form, mask_support
 from test_projections import reference_side_masks
@@ -62,6 +63,27 @@ def test_gamma_set_algebra():
         g.union(GammaSet.of([(0, 0)], 3))  # different families
 
 
+def _gamma_cases():
+    """(n, pairs, pairs): two sets of pairs in range(n)² for n in 1-4."""
+    def draw_sets(n):
+        pairs = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        return st.tuples(st.just(n), pairs, pairs)
+    return st.integers(1, 4).flatmap(draw_sets)
+
+
+@given(_gamma_cases())
+def test_gamma_set_operations_stay_in_range(case):
+    """Only GammaSet.of checks pairs; what the set operations build from
+    checked sets passes that check too."""
+    n, g_pairs, h_pairs = case
+    g, h = GammaSet.of(g_pairs, n), GammaSet.of(h_pairs, n)
+    full = GammaSet.full(n)
+    for result in (g.union(h), g.intersection(h), g.complement(), GammaSet.empty(n), full):
+        assert result.pairs <= full.pairs
+        assert GammaSet.of(result.pairs, n) == result
+    assert g.union(g.complement()) == full
+
+
 def test_validate_family_accepts_orthogonal_projections():
     _, family = noid3_family()
     assert len(family) == 2
@@ -88,11 +110,11 @@ def test_validate_family_rejects_non_member():
 def test_inner_bp_matrices():
     alg, family = noid3_family()
     p00 = la.inner_bp(alg, family, GammaSet.of([(0, 0)], 2))
-    assert p00 == OperatorMatrix.diagonal([1, 0, 0])
+    assert p00 == OperatorMatrix.diagonal([1, 0, 0]).as_mask() == {0}
     p_both = la.inner_bp(alg, family, GammaSet.of([(0, 0), (1, 1)], 2))
-    assert p_both == OperatorMatrix.diagonal([1, 1, 0])
+    assert p_both == OperatorMatrix.diagonal([1, 1, 0]).as_mask() == {0, 1}
     p_cross = la.inner_bp(alg, family, GammaSet.of([(0, 1)], 2))
-    assert p_cross == OperatorMatrix.zero(3)
+    assert p_cross == OperatorMatrix.zero(3).as_mask() == frozenset()
     with pytest.raises(FamilyError):
         la.inner_bp(alg, family, GammaSet.of([(0, 0)], 3))
 
@@ -109,12 +131,8 @@ def test_enumerate_inner_noid3():
     alg, family = noid3_family()
     found = la.enumerate_inner(alg, family)
     assert len(found) == 4
-    matrices = {m.entries for _, m in found}
-    assert matrices == {
-        OperatorMatrix.zero(3).entries,
-        OperatorMatrix.diagonal([1, 0, 0]).entries,
-        OperatorMatrix.diagonal([0, 1, 0]).entries,
-        OperatorMatrix.diagonal([1, 1, 0]).entries,
+    assert {support for _, support in found} == {
+        frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
     }
     # first witness is the smallest bit mask, so the empty Γ comes first
     assert found[0][0] == GammaSet.empty(2)
@@ -144,11 +162,19 @@ def test_is_inner_witnesses():
     alg, family = noid3_family()
     gamma = la.is_inner(alg, family, OperatorMatrix.diagonal([1, 1, 0]))
     assert gamma is not None
-    assert la.inner_bp(alg, family, gamma) == OperatorMatrix.diagonal([1, 1, 0])
+    assert la.inner_bp(alg, family, gamma) == {0, 1}
     # the z-coordinate band projection is not inner for this family
     assert la.is_inner(alg, family, OperatorMatrix.diagonal([0, 0, 1])) is None
     with pytest.raises(NotBandProjectionError):
         la.is_inner(alg, family, OperatorMatrix.diagonal([2, 0, 0]))
+
+
+def test_is_inner_refuses_a_matrix_of_another_dimension():
+    # not a verdict: a 2×2 mask does not act on the 3-dimensional algebra
+    alg, family = noid3_family()
+    for m in (OperatorMatrix.diagonal([1, 1]), OperatorMatrix.identity(4)):
+        with pytest.raises(DimensionMismatchError):
+            la.is_inner(alg, family, m)
 
 
 def test_find_families_noid3():
@@ -224,6 +250,11 @@ def reference_inner(algebra, family):
     return out
 
 
+def mask_matrix(n, support):
+    """The 0/1 diagonal on `support` as a dense matrix."""
+    return OperatorMatrix.diagonal([int(i in support) for i in range(n)])
+
+
 def builtin_family(name):
     """The family the inner command uses: the default family, else the atoms of A_e."""
     alg = la.builtin(name)
@@ -272,12 +303,12 @@ def permuted_lp_sum_family(seed):
 
 
 def _check_against_reference(alg, family):
-    want = reference_inner(alg, family)
+    want = [(gamma, m.as_mask()) for gamma, m in reference_inner(alg, family)]
     assert la.enumerate_inner(alg, family) == want
-    witness = {m.entries: gamma for gamma, m in want}
+    witness = {support: gamma for gamma, support in want}
     for bits in itertools.product((0, 1), repeat=alg.dim):
-        mask = OperatorMatrix.diagonal(bits)
-        assert la.is_inner(alg, family, mask) == witness.get(mask.entries)
+        support = frozenset(i for i, b in enumerate(bits) if b)
+        assert la.is_inner(alg, family, OperatorMatrix.diagonal(bits)) == witness.get(support)
 
 
 @pytest.mark.parametrize("name", la.BUILTIN_NAMES)
@@ -314,7 +345,7 @@ def test_enumerate_and_is_inner_match_reference_on_m3():
 def test_boolean_laws_in_matrix_form(name):
     alg, family = builtin_family(name)
     gammas = every_gamma(len(family))
-    p = {g: la.inner_bp(alg, family, g) for g in gammas}
+    p = {g: mask_matrix(alg.dim, la.inner_bp(alg, family, g)) for g in gammas}
     full = p[GammaSet.full(len(family))]
     for g, h in itertools.product(gammas, repeat=2):
         meet = p[g.intersection(h)]
@@ -326,13 +357,13 @@ def test_boolean_laws_in_matrix_form(name):
 
 def test_summand_supports_are_disjoint_masks():
     alg, family = builtin_family("m2-regular")
-    assert summand_supports(family) == [
+    assert family.summand_supports == (
         frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})
-    ]
+    )
     alg, family = noid3_family()
-    assert summand_supports(family) == [
+    assert family.summand_supports == (
         frozenset({0}), frozenset(), frozenset(), frozenset({1})
-    ]
+    )
 
 
 def _overlap_algebra():
@@ -350,7 +381,7 @@ def test_overlapping_supports_raise(tmp_path, capsys):
     alg = _overlap_algebra()
     family = la.validate_family(alg, [alg.elements["p0"], alg.elements["p1"]])
     with pytest.raises(MathViolationError, match="overlaps"):
-        summand_supports(family)
+        family.summand_supports
     with pytest.raises(MathViolationError):
         la.enumerate_inner(alg, family)
     with pytest.raises(MathViolationError):
@@ -368,7 +399,7 @@ def test_non_mask_summand_raises(capsys, monkeypatch):
     # inner_bp's mult_op audit is what rejects the family.
     mask = (frozenset({0}),)
     family = ProjectionFamily(members=(vec([2, 0]),), left=mask, right=mask)
-    assert summand_supports(family) == [frozenset({0})]
+    assert family.summand_supports == (frozenset({0}),)
     with pytest.raises(MathViolationError, match="not a 0/1 mask"):
         la.inner_bp(alg, family, GammaSet.full(1))
     monkeypatch.setattr("latticealg.cli.validate_family", lambda algebra, members: family)
@@ -390,7 +421,7 @@ def _mult_op_off_diagonal(algebra, a, b):
         # a true mult_op matrix that is not a mask: 2·P on the summand's support
         (lambda expected: lambda algebra, a, b: mult_op(algebra, a.scale(2), b), "not a 0/1 mask"),
         # every summand is the whole of P_Γ: masks with the right union, overlapping
-        (lambda expected: lambda algebra, a, b: expected, "overlaps"),
+        (lambda expected: lambda algebra, a, b: mask_matrix(algebra.dim, expected), "overlaps"),
         # every summand is zero: disjoint masks whose union misses supp P_Γ
         (lambda expected: lambda algebra, a, b: OperatorMatrix.zero(algebra.dim), "differ"),
     ],
@@ -401,7 +432,7 @@ def test_inner_bp_audit_rejects_bad_summand_matrices(fake, message, capsys, monk
     family = la.validate_family(alg, [alg.elements["E11"], alg.elements["E22"]])
     gamma = GammaSet.of([(0, 0), (1, 1)], 2)
     expected = la.inner_bp(alg, family, gamma)
-    assert expected == OperatorMatrix.diagonal([1, 0, 0, 1])
+    assert expected == {0, 3}
     monkeypatch.setattr("latticealg.inner.mult_op", fake(expected))
     with pytest.raises(MathViolationError, match=message):
         la.inner_bp(alg, family, gamma)
@@ -539,7 +570,7 @@ def _check_family_against_reference(alg, members):
         return
     assert got[0] == "ok" and got[1].members == want[1]
     want_supports = _outcome(lambda: reference_summand_supports(alg, members))
-    assert _outcome(lambda: summand_supports(got[1])) == want_supports
+    assert _outcome(lambda: list(got[1].summand_supports)) == want_supports
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,5 +1,6 @@
 """Wire formats and file round-trips."""
 
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -36,16 +37,14 @@ def test_element_wire_round_trip():
     assert la.element_to_wire(x) == [1, "-5/3", 0]
 
 
-def test_operator_wire_round_trip():
-    t = OperatorMatrix.from_rows([[1, "1/2"], [0, -3]])
-    wire = la.operator_to_wire(t)
-    assert wire == [1, "1/2", 0, -3]
-    assert la.operator_from_wire(wire) == t
-    assert la.operator_from_wire(wire, dim=2) == t
-    with pytest.raises(InputError):
-        la.operator_from_wire([1, 2, 3])  # not a square length
-    with pytest.raises(InputError):
-        la.operator_from_wire(wire, dim=3)
+def test_mask_wire():
+    assert la.mask_to_wire(3, {0, 2}) == [1, 0, 0, 0, 0, 0, 0, 0, 1]
+    # the entries of the 0/1 diagonal on the support, row-major
+    for n in range(1, 5):
+        for bits in itertools.product((0, 1), repeat=n):
+            support = {i for i, b in enumerate(bits) if b}
+            rows = OperatorMatrix.diagonal(bits).entries
+            assert la.mask_to_wire(n, support) == [scalar_to_wire(v) for row in rows for v in row]
 
 
 def test_norm_wire():

@@ -59,8 +59,8 @@ def test_cli_digest_is_deterministic():
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
     # 6 commands and 2 grids, 3 formats each; inner --gamma in 3 formats;
-    # inner --element for each named element
-    assert len(lines) == 8 * 3 + 3 + len(la.builtin("upper2").elements)
+    # inner --element for each named element in 3 formats
+    assert len(lines) == 8 * 3 + 3 + 3 * len(la.builtin("upper2").elements)
     for line in lines:
         sha_out, sha_err, code, command = line.split(" ", 3)
         assert len(sha_out) == len(sha_err) == 64 and code in {"0", "1", "2"}
