@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import latticealg as la
+from latticealg.cli import build_report
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     for name in la.BUILTIN_NAMES:
         alg = la.builtin(name)
-        doc = la.build_report(alg, la.builtin_meta(name))
+        doc = build_report(alg, la.builtin_meta(name))
         md_path = args.out / f"{name}.md"
         md_path.write_text(doc)
         print(f"wrote {md_path}")

@@ -18,6 +18,9 @@ file named with --files:
   diagonal pairs of that family, in each format;
 - for each element a builtin names, inner --element NAME, in each format.
 
+Last come three cases with no target: report in each format, which renders
+every builtin's report, joined by "---" rules, whatever --builtins names.
+
 Every case runs in this process through latticealg.cli.main, with stdout
 and stderr captured.
 """
@@ -77,6 +80,8 @@ def main_digest() -> None:
     for target, builtin_name in targets:
         for argv in cases(target, builtin_name):
             print(digest(argv))
+    for fmt in FORMATS:
+        print(digest(["report", "--format", fmt]))
 
 
 if __name__ == "__main__":

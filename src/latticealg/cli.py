@@ -13,12 +13,15 @@ error (a bug in latticealg, reported on one stderr line).  The environment
 variable LATTICEALG_CAP overrides the default inner cap on |Λ|² when
 --cap is not given.
 
-Each command computes first and renders after: cmd_NAME returns the exit
-code and the values it computed, and two renderers read them, NAME_payload
-for --format json (written by io.dump_json: two-space indent, sorted keys,
-ASCII escapes) and NAME_lines for text, which markdown is built from.
-run() calls only the renderer the format needs, so no command pays for
-output it does not print.
+run() refuses a bad --grid, --cap or LATTICEALG_CAP, loads the algebra
+once and passes it, with its builtin metadata (None for a file) and the
+RunConfig, to cmd_NAME, which returns the exit code and the values it
+computed.  Two renderers read them: NAME_payload for --format json (written
+by io.dump_json: two-space indent, sorted keys, ASCII escapes) and
+NAME_lines for text, which markdown is built from; run() calls only the one
+the format needs.  build_report renders the results of cmd_verify,
+cmd_classify, cmd_center, cmd_spectrum and cmd_inner, run on configs of its
+own, as markdown; report.py holds the formatters the renderers share.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence, Union
 
 from .algebra import AlgebraSpec, AxiomReport
 from .center import CKRepresentation, ck_representation, identity_ideal
-from .errors import InputError, MathViolationError
+from .errors import CapExceededError, InputError, MathViolationError
 from .fixtures import BUILTIN_NAMES, BuiltinMeta, builtin, builtin_meta
 from .inner import (
     ENUM_CAP_DEFAULT,
@@ -51,6 +54,7 @@ from .io import dump_json, element_to_wire, load_algebra, mask_to_wire, scalar_t
 from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
 from .operators import diagonal_mask_operator
 from .projections import (
+    GRID_POINT_CAP,
     GridHit,
     GridSpec,
     ProjectionClassification,
@@ -60,7 +64,7 @@ from .projections import (
     search_band_projections,
 )
 from .report import (
-    build_report,
+    fmt_combo,
     fmt_element,
     fmt_gamma,
     fmt_mask,
@@ -78,9 +82,9 @@ COMMANDS = ("verify", "classify", "center", "spectrum", "inner", "report")
 class RunConfig:
     """Everything one invocation needs, as given on the command line.
 
-    Each option is validated by the command that reads it: `grid` by
-    classify, and `cap` by inner, which falls back to LATTICEALG_CAP and
-    then to the default when it is None.
+    run() validates the options the command reads before it loads the
+    algebra: `grid` for classify, and `cap` for inner, which falls back to
+    LATTICEALG_CAP and then to the default when it is None.
     """
 
     command: str
@@ -193,6 +197,14 @@ def _inner_cap(config: RunConfig) -> int:
     return cap
 
 
+def _check_options(config: RunConfig) -> None:
+    """Refuse a bad --grid, --cap or LATTICEALG_CAP before the algebra is loaded."""
+    if config.command == "classify" and config.grid <= 0:
+        raise InputError("grid resolution must be positive")
+    if config.command == "inner":
+        _inner_cap(config)
+
+
 def _resolve_algebra(config: RunConfig) -> tuple[AlgebraSpec, Optional[BuiltinMeta]]:
     if config.builtin_name:
         return builtin(config.builtin_name), builtin_meta(config.builtin_name)
@@ -257,8 +269,9 @@ def _header(algebra: AlgebraSpec) -> str:
 _Verified = tuple[AlgebraSpec, AxiomReport]
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, _Verified]:
-    algebra, _meta = _resolve_algebra(config)
+def cmd_verify(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, _Verified]:
     report = algebra.verify_axioms()
     return (0 if report.ok else 1), (algebra, report)
 
@@ -318,10 +331,9 @@ _Classified = tuple[
 ]
 
 
-def cmd_classify(config: RunConfig) -> tuple[int, _Classified]:
-    if config.grid <= 0:
-        raise InputError("grid resolution must be positive")
-    algebra, _meta = _resolve_algebra(config)
+def cmd_classify(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, _Classified]:
     check_grid_size(config.grid + 1, algebra.dim)
     grid = GridSpec.from_resolution(config.grid)
     # The grid search runs first: 2^m ≤ (N+1)^dim for the m atoms of A_e,
@@ -332,6 +344,10 @@ def cmd_classify(config: RunConfig) -> tuple[int, _Classified]:
         (name, x, classify(algebra, x)) for name, x in _named_elements(algebra, config.elements)
     ]
     return 0, (algebra, grid, oi, hits, named)
+
+
+def _fmt_grid(grid: GridSpec) -> str:
+    return "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
 
 
 def _two_sided(hits: list[GridHit]) -> list[LatticeElement]:
@@ -369,7 +385,7 @@ def classify_lines(result: _Classified) -> list[str]:
     else:
         lines.append(f"order idempotents ({len(oi)}, complete):")
         lines += [f"  {fmt_element(p)}" for p in oi]
-    grid_str = "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
+    grid_str = _fmt_grid(grid)
     core = _two_sided(hits)
     lines.append(f"band projections over grid {grid_str} ({len(hits)} certified):")
     lines += [f"  {fmt_element(hit.element)}" for hit in hits]
@@ -391,8 +407,9 @@ def classify_lines(result: _Classified) -> list[str]:
 _Centered = tuple[AlgebraSpec, CKRepresentation, list[int], list[int], tuple[LatticeElement, ...]]
 
 
-def cmd_center(config: RunConfig) -> tuple[int, _Centered]:
-    algebra, _meta = _resolve_algebra(config)
+def cmd_center(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, _Centered]:
     basis = identity_ideal(algebra)
     rep = ck_representation(algebra)
     inside = basis.sorted_support()
@@ -444,8 +461,9 @@ _Spectra = tuple[
 ]
 
 
-def cmd_spectrum(config: RunConfig) -> tuple[int, _Spectra]:
-    algebra, meta = _resolve_algebra(config)
+def cmd_spectrum(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, _Spectra]:
     names = config.elements
     if not names and meta is not None and meta.spectrum_elements:
         names = [n for n in meta.spectrum_elements if n in algebra.elements]
@@ -513,9 +531,10 @@ _Inner = tuple[
 ]
 
 
-def cmd_inner(config: RunConfig) -> tuple[int, _Inner]:
+def cmd_inner(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, _Inner]:
     cap = _inner_cap(config)
-    algebra, meta = _resolve_algebra(config)
     names, members = _resolve_family(algebra, meta, config)
     family = validate_family(algebra, members)
     enumerated = enumerate_inner(algebra, family, cap=cap)
@@ -586,11 +605,136 @@ def inner_lines(result: _Inner) -> list[str]:
     return lines
 
 
-def cmd_report(config: RunConfig) -> tuple[int, str]:
-    if config.builtin_name or config.input_path:
-        algebra, meta = _resolve_algebra(config)
-        return 0, build_report(algebra, meta)
-    return 0, "\n---\n\n".join(build_report(builtin(n), builtin_meta(n)) for n in BUILTIN_NAMES)
+def _labels(algebra: AlgebraSpec, meta: Optional[BuiltinMeta]) -> list[str]:
+    if meta is not None and len(meta.basis_labels) == algebra.dim:
+        return list(meta.basis_labels)
+    return [f"b{i}" for i in range(algebra.dim)]
+
+
+def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> str:
+    """One markdown document: the structure of the algebra, then the results
+    of verify, classify on the grid {0, 1/2, 1}, center, spectrum and inner."""
+    # The band projection section walks this fixed grid, and its cap also
+    # bounds the 2^m order idempotents listed (2^m ≤ 3^dim); refuse first,
+    # naming the report's grid rather than a --grid.
+    grid = GridSpec.from_resolution(2)
+    grid_str = _fmt_grid(grid)
+    if grid.size(algebra.dim) > GRID_POINT_CAP:
+        raise CapExceededError(
+            f"the report's band projection grid {grid_str}^{algebra.dim} has "
+            f"{grid.size(algebra.dim)} points; the limit is {GRID_POINT_CAP}"
+        )
+    labels = _labels(algebra, meta)
+    lines: list[str] = [f"# Algebra report: {algebra.name or 'unnamed'}", ""]
+    if meta is not None:
+        lines += [meta.description, ""]
+
+    lines += ["## Structure", "", f"- dimension: {algebra.dim}"]
+    lines.append(f"- basis: {', '.join(labels)}")
+    norm_desc = algebra.norm.kind
+    if algebra.norm.weights is not None:
+        norm_desc += " with weights (" + ", ".join(format_scalar(w) for w in algebra.norm.weights) + ")"
+    if algebra.norm.p is not None:
+        norm_desc += f", p = {format_scalar(algebra.norm.p)}"
+    lines.append(f"- norm: {norm_desc}")
+    lines.append("- nonzero basis products:")
+    for (i, j) in sorted({(i, j) for i, j, _k in algebra.tensor}):
+        product = algebra.basis_product(i, j)
+        lines.append(f"  - {labels[i]} ∗ {labels[j]} = {fmt_combo(product, labels)}")
+    lines.append("")
+
+    _, (_, report) = cmd_verify(algebra, meta, RunConfig("verify"))
+    lines += [
+        "## Axioms",
+        "",
+        f"- tensor nonnegativity: {'pass' if report.nonnegative else 'FAIL'}",
+        f"- associativity on basis triples: {'pass' if report.associative else 'FAIL'}",
+    ]
+    if report.has_identity:
+        assert report.identity is not None
+        lines.append(
+            f"- identity: {fmt_element(report.identity)} — laws "
+            f"{'pass' if report.identity_laws_ok else 'FAIL'}, positive: "
+            f"{'yes' if report.identity_positive else 'no'}, norm one: "
+            f"{'yes' if report.identity_norm_one else 'no'}"
+        )
+    else:
+        lines.append("- identity: none exists")
+    lines.append(
+        f"- norm submultiplicativity: {report.submultiplicativity}"
+        f" ({report.submultiplicativity_detail})"
+    )
+    lines.append("")
+
+    _, (_, _, oi, hits, _) = cmd_classify(algebra, meta, RunConfig("classify", grid=2))
+    if oi is not None:
+        lines += ["## Order idempotents", "", f"{len(oi)} elements (complete enumeration):"]
+        lines += [f"- {fmt_element(p)}" for p in oi]
+        lines.append("")
+    lines += [
+        f"## Band projections over the grid {grid_str}",
+        "",
+        f"{len(hits)} certified members (a search aid, not an enumeration —",
+        "the class may contain whole rays):",
+    ]
+    # The enumeration is complete, so membership in it decides OI exactly.
+    oi_members = set(oi or ())
+    for p, left, right in hits:
+        tags = []
+        if p in oi_members:
+            tags.append("order idempotent")
+        if None not in (left, right):
+            tags.append("left+right")
+        lines.append(f"- {fmt_element(p)}" + (f" — {', '.join(tags)}" if tags else ""))
+    lines.append("")
+
+    if oi is not None:
+        _, (_, rep, inside, outside, _) = cmd_center(algebra, meta, RunConfig("center"))
+        lines += [
+            "## Identity ideal A_e",
+            "",
+            f"- support: {', '.join(labels[i] for i in inside)}",
+            "- complement band support: "
+            + (", ".join(labels[i] for i in outside) if outside else "(trivial)"),
+            f"- atoms ({rep.n_points} points):",
+        ]
+        lines += [f"  - {fmt_element(a)}" for a in rep.atoms]
+        lines.append("")
+
+    if oi is not None and algebra.elements:
+        lines += ["## Spectra", ""]
+        _, (_, spectra) = cmd_spectrum(algebra, meta, RunConfig("spectrum"))
+        for name, x, result, radius in spectra:
+            lines += [
+                f"### {name} = {fmt_element(x)}",
+                "",
+                f"- char poly of the left-multiplication matrix: {fmt_poly(result.char_poly)}",
+                f"- spectrum: {fmt_spectrum(result)}",
+                f"- spectral radius: {fmt_radius(radius)}",
+                "",
+            ]
+
+    if meta is not None and any(n in algebra.elements for n in meta.default_family):
+        _, (_, names, family, enumerated, _, verdicts) = cmd_inner(
+            algebra, meta, RunConfig("inner", cap=ENUM_CAP_DEFAULT)
+        )
+        lines += [
+            f"## Inner projections over the family ({', '.join(names)})",
+            "",
+            f"- family of {len(family)} orthogonal left-and-right band projections",
+            f"- distinct inner projections: {len(enumerated)} out of "
+            f"{fmt_subset_count(len(family))} Γ-subsets:",
+        ]
+        for gamma, support in enumerated:
+            lines.append(f"  - Γ = {fmt_gamma(gamma)} ↦ {fmt_mask(algebra.dim, support)}")
+        if verdicts:
+            lines.append("- named 0/1 masks as band projection operators:")
+        for name, support, witness in verdicts:
+            verdict = f"inner via Γ = {fmt_gamma(witness)}" if witness is not None else "not inner"
+            lines.append(f"  - {name}: mask {fmt_mask(algebra.dim, support)} — {verdict}")
+        lines.append("")
+
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 # command: (computation, JSON renderer, text renderer).  The report is
@@ -601,14 +745,25 @@ _DISPATCH: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
     "center": (cmd_center, center_payload, center_lines),
     "spectrum": (cmd_spectrum, spectrum_payload, spectrum_lines),
     "inner": (cmd_inner, inner_payload, inner_lines),
-    "report": (cmd_report, lambda doc: {"markdown": doc}, None),
+    "report": (
+        lambda algebra, meta, _config: (0, build_report(algebra, meta)),
+        lambda doc: {"markdown": doc},
+        None,
+    ),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered output)."""
     compute, payload, render_lines = _DISPATCH[config.command]
-    code, result = compute(config)
+    _check_options(config)
+    if config.command == "report" and not (config.builtin_name or config.input_path):
+        # No target: the report of every builtin, separated by rules.
+        docs = [build_report(builtin(n), builtin_meta(n)) for n in BUILTIN_NAMES]
+        code, result = 0, "\n---\n\n".join(docs)
+    else:
+        algebra, meta = _resolve_algebra(config)
+        code, result = compute(algebra, meta, config)
     if config.out_format == "json":
         return code, dump_json(payload(result)) + "\n"
     if render_lines is None:

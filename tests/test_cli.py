@@ -214,6 +214,46 @@ def test_options_are_validated_only_by_the_command_that_reads_them(capsys, monke
     assert (code, err) == (2, "error: cap must be positive\n")
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["classify", "--grid", "0"], None, "grid resolution must be positive"),
+        (["inner", "--cap", "0"], None, "cap must be positive"),
+        (["inner"], "x", "LATTICEALG_CAP must be an integer, got 'x'"),
+    ],
+)
+def test_options_are_refused_before_the_file_is_read(
+    tmp_path, capsys, monkeypatch, argv, env, message
+):
+    if env is None:
+        monkeypatch.delenv("LATTICEALG_CAP", raising=False)
+    else:
+        monkeypatch.setenv("LATTICEALG_CAP", env)
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, argv[0], missing, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_report_ignores_the_other_commands_options(capsys, monkeypatch):
+    monkeypatch.delenv("LATTICEALG_CAP", raising=False)
+    code, want, err = run_cli(capsys, "report", "builtin:noid3")
+    assert (code, err) == (0, "") and want
+    # a cap at which inner refuses noid3's default family
+    monkeypatch.setenv("LATTICEALG_CAP", "3")
+    assert run_cli(capsys, "inner", "builtin:noid3")[0] == 2
+    assert run_cli(capsys, "report", "builtin:noid3") == (0, want, "")
+    monkeypatch.delenv("LATTICEALG_CAP")
+    options = ["--cap", "1", "--grid", "5", "--element", "p1", "--family", "p1", "--gamma", "(0,0)"]
+    assert run_cli(capsys, "report", "builtin:noid3", *options) == (0, want, "")
+
+
+def test_import_leaves_the_command_line_out():
+    """A cold `import latticealg` loads neither the CLI module nor argparse."""
+    code = "import sys, latticealg; print(sorted({'latticealg.cli', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("command", ["center", "classify", "inner"])
 def test_atoms_that_are_not_delta_orthogonal_exit_2(tmp_path, capsys, command):
     # e = (1, 1) is an identity and e ≥ 0, but a0∗a0 = b0 + b1 ≠ a0

@@ -137,3 +137,35 @@ def test_one_isolation_loop():
         node.lineno for node in ast.walk(spectra)
         if isinstance(node, ast.Call) and _spelling(node.func) == "limit_denominator"
     ] == []
+
+
+def test_the_report_renders_what_the_commands_compute():
+    """Each result is computed in one place: in cli.py a computing function
+    is called only by its own cmd_* (ck_representation also by
+    _resolve_family, for inner's default family of atoms), so build_report
+    renders what the commands return, and report.py, formatters only,
+    names none of them."""
+    owners = {
+        "verify_axioms": {"cmd_verify"},
+        "search_band_projections": {"cmd_classify"},
+        "enumerate_order_idempotents": {"cmd_classify"},
+        "identity_ideal": {"cmd_center"},
+        "ck_representation": {"cmd_center", "_resolve_family"},
+        "spectrum": {"cmd_spectrum"},
+        "validate_family": {"cmd_inner"},
+        "enumerate_inner": {"cmd_inner"},
+        "is_inner": {"cmd_inner"},
+    }
+    package = Path(la.__file__).parent
+    assert [
+        f"cli.py:{node.lineno} in {getattr(top, 'name', 'module')}"
+        for top in ast.parse((package / "cli.py").read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _spelling(node.func) in owners
+        and getattr(top, "name", None) not in owners[_spelling(node.func)]
+    ] == []
+    assert [
+        f"report.py:{node.lineno}"
+        for node in ast.walk(ast.parse((package / "report.py").read_text()))
+        if _spelling(node) in owners
+    ] == []

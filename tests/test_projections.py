@@ -23,7 +23,7 @@ from latticealg import (
 )
 from latticealg import projections
 from latticealg.algebra import IntegerTensor
-from latticealg.cli import main
+from latticealg.cli import build_report, main
 from latticealg.operators import is_band_projection_op, left_mult, mult_op, right_mult
 from latticealg.report import fmt_element
 
@@ -163,7 +163,7 @@ def test_oi_and_inverse_verdicts_make_no_product(monkeypatch, alg):
     ids=lambda alg: alg.name,
 )
 def test_report_oi_tag_equals_the_predicate(alg):
-    section = la.build_report(alg).split("## Band projections over the grid")[1]
+    section = build_report(alg).split("## Band projections over the grid")[1]
     rows = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("- ")]
     hits = la.search_band_projections(alg, GridSpec.from_resolution(2))
     assert len(rows) == len(hits)

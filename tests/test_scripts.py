@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import latticealg as la
+from latticealg.cli import build_report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,10 +47,10 @@ def test_build_reports_round_trip_every_builtin(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for name in la.BUILTIN_NAMES:
         meta = la.builtin_meta(name)
-        want = la.build_report(la.builtin(name), meta)
+        want = build_report(la.builtin(name), meta)
         assert (tmp_path / f"{name}.md").read_text() == want
         loaded = la.load_algebra(tmp_path / f"{name}.json")
-        assert la.build_report(loaded, meta) == want
+        assert build_report(loaded, meta) == want
 
 
 def test_cli_digest_is_deterministic():
@@ -59,11 +60,15 @@ def test_cli_digest_is_deterministic():
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
     # 6 commands and 2 grids, 3 formats each; inner --gamma in 3 formats;
-    # inner --element for each named element in 3 formats
-    assert len(lines) == 8 * 3 + 3 + 3 * len(la.builtin("upper2").elements)
-    for line in lines:
+    # inner --element for each named element in 3 formats; then the
+    # no-target report in 3 formats
+    assert len(lines) == 8 * 3 + 3 + 3 * len(la.builtin("upper2").elements) + 3
+    for line in lines[:-3]:
         sha_out, sha_err, code, command = line.split(" ", 3)
         assert len(sha_out) == len(sha_err) == 64 and code in {"0", "1", "2"}
         assert command.split(" ")[1] == "builtin:upper2"
+    for line, fmt in zip(lines[-3:], ("text", "json", "markdown")):
+        sha_out, sha_err, code, command = line.split(" ", 3)
+        assert (len(sha_out), code, command) == (64, "0", f"report --format {fmt}")
     assert any(line.endswith(" inner builtin:upper2 --gamma (0,0),(1,1) --format json")
                for line in lines)
