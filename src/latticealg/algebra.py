@@ -114,9 +114,11 @@ class IntegerTensor:
     basis_product read `pairs`, the one product index of the tensor; so
     does product_is, which decides x∗y = z without building the product.
     The exact solves take their integer rows from here too: the identity
-    solve from `second`, spectra and inverses from left_matrix.  The grid search
-    reads column_form, the columns of L_l·R_r as quadratic forms, each
-    built the first time it is asked for and kept.
+    solve from `second`, spectra and inverses from left_matrix.  The grid
+    walk reads column_form, the columns of L_l·R_r as quadratic forms, each
+    built the first time it is asked for and kept, and the columns of L_a
+    and R_a from left_column and right_column; it decides each column once
+    the coordinates `first` and `second` say it reads are set.
     """
 
     def __init__(self, algebra: "AlgebraSpec") -> None:
@@ -189,7 +191,9 @@ class IntegerTensor:
         no sign assumed.  Terms that cancel to 0 are dropped, and the terms
         are grouped by (i, j), so that an evaluation skips l_i·r_j = 0 as
         product does.  A form costs up to n times one direct evaluation of
-        the column, so it is built the first time it is asked for and kept.
+        the column, so it is built the first time it is asked for and kept;
+        the grid walk asks for it only when a prefix with a nonzero
+        coordinate sets the last coordinate the column reads.
         """
         form = self._forms.get(q)
         if form is None:

@@ -350,19 +350,21 @@ def _fmt_grid(grid: GridSpec) -> str:
     return "{" + ", ".join(format_scalar(v) for v in grid.values) + "}"
 
 
-def _two_sided(hits: list[GridHit]) -> list[LatticeElement]:
-    return [hit.element for hit in hits if None not in (hit.left, hit.right)]
+def _two_sided(hits: list[GridHit], rendered: list) -> list:
+    """The rendered hits in BP_l ∩ BP_r, so that each hit is rendered once."""
+    return [r for r, hit in zip(rendered, hits) if None not in (hit.left, hit.right)]
 
 
 def classify_payload(result: _Classified) -> dict[str, Any]:
     algebra, grid, oi, hits, named = result
+    wires = [element_to_wire(hit.element) for hit in hits]
     return {
         "name": algebra.name,
         "dim": algebra.dim,
         "order_idempotents": None if oi is None else [element_to_wire(p) for p in oi],
         "grid": [format_scalar(v) for v in grid.values],
-        "band_projections_on_grid": [element_to_wire(hit.element) for hit in hits],
-        "left_and_right_on_grid": [element_to_wire(p) for p in _two_sided(hits)],
+        "band_projections_on_grid": wires,
+        "left_and_right_on_grid": _two_sided(hits, wires),
         "elements": {
             name: {
                 "coords": element_to_wire(x),
@@ -386,11 +388,12 @@ def classify_lines(result: _Classified) -> list[str]:
         lines.append(f"order idempotents ({len(oi)}, complete):")
         lines += [f"  {fmt_element(p)}" for p in oi]
     grid_str = _fmt_grid(grid)
-    core = _two_sided(hits)
+    texts = [f"  {fmt_element(hit.element)}" for hit in hits]
+    core = _two_sided(hits, texts)
     lines.append(f"band projections over grid {grid_str} ({len(hits)} certified):")
-    lines += [f"  {fmt_element(hit.element)}" for hit in hits]
+    lines += texts
     lines.append(f"left-and-right band projections among them ({len(core)}):")
-    lines += [f"  {fmt_element(p)}" for p in core]
+    lines += core
     if named:
         lines.append("named elements:")
     for name, x, c in named:

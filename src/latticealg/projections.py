@@ -9,9 +9,11 @@ Four classes of positive elements are distinguished:
 
 BP_l ∩ BP_r ⊆ BP always; each operator is a band projection exactly when
 it is a 0/1 mask (mask_support), and side_masks reads L_a and R_a.  The grid
-search gives all three verdicts from one walk: it reads L_a·R_a off the
-column forms the integer kernel keeps (IntegerTensor.column_form), and
-reads L_a and R_a of each hit off the kernel's linear columns.  With a
+search gives all three verdicts from one depth-first walk over the
+coordinates: each column of L_a·R_a (read off the column forms the integer
+kernel keeps, IntegerTensor.column_form), of L_a and of R_a is decided once
+per prefix that fixes it, and a failing column of L_a·R_a rules out every
+point below that prefix.  With a
 positive identity BP_l ⊆ OI and BP_r ⊆ OI (evaluate the mask at e); the
 converse, and so BP_l = OI = BP_r, needs a nonnegative associative tensor,
 which classify does not check: with b0∗b0 = b0, b1∗b1 = b1 and b0∗b2 =
@@ -27,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraSpec, IntegerForm, IntegerTensor, integer_form
 from .center import ck_representation, in_identity_ideal, norm_e
@@ -69,29 +71,6 @@ def is_order_idempotent(algebra: AlgebraSpec, p: LatticeElement) -> bool:
     return algebra.integer_tensor.product_is(form, form, form)
 
 
-def _linear_mask(
-    columns: list[list[tuple[int, int, int]]], v: Sequence[int], unit: int
-) -> Optional[frozenset[int]]:
-    """supp(M) when M is unit times a 0/1 diagonal mask, else None, for the
-    integer operator M whose column q is Σ v_i·C·e_k over columns[q] =
-    [(i, k, C)]: D·L_v from kernel.second, D·R_v from kernel.first.  The
-    columns are tested in order and the first failing one returns None."""
-    n = len(columns)
-    support = []
-    for q, entries in enumerate(columns):
-        col = [0] * n
-        for i, k, c in entries:
-            col[k] += v[i] * c
-        if col[q] == unit:
-            support.append(q)
-        elif col[q] != 0:
-            return None
-        col[q] = 0
-        if any(col):
-            return None
-    return frozenset(support)
-
-
 def mask_support(
     algebra: AlgebraSpec, left: Optional[IntegerForm], right: Optional[IntegerForm]
 ) -> Optional[frozenset[int]]:
@@ -108,20 +87,26 @@ def mask_support(
 
     This evaluates each column directly and builds nothing, which is what
     a single element wants: is_band_projection (and check_bp_spectrum
-    through it), classify and side_masks.  The grid search reads L_a·R_a
-    off column forms instead, which pay only when many points share them,
-    and L_a and R_a of each hit with _linear_mask, as this routine does;
-    the tests check both against this routine.
+    through it), classify, side_masks and a grid of one point.  The grid
+    walk computes the same columns one prefix at a time instead, those of
+    L_a·R_a off column forms, which pay only when many points share them,
+    and those of L_a and R_a as this routine does; the tests check it
+    against this routine.
     """
     kernel = algebra.integer_tensor
     if right is None:
-        return _linear_mask(kernel.second, left[0], left[1] * kernel.den)
-    if left is None:
-        return _linear_mask(kernel.first, right[0], right[1] * kernel.den)
-    unit = left[1] * right[1] * kernel.den**2
+        unit = left[1] * kernel.den
+        columns = (kernel.left_column(left[0], q) for q in range(algebra.dim))
+    elif left is None:
+        unit = right[1] * kernel.den
+        columns = (kernel.right_column(right[0], q) for q in range(algebra.dim))
+    else:
+        unit = left[1] * right[1] * kernel.den**2
+        columns = (
+            kernel.product(left[0], kernel.right_column(right[0], q)) for q in range(algebra.dim)
+        )
     support = []
-    for q in range(algebra.dim):
-        col = kernel.product(left[0], kernel.right_column(right[0], q))
+    for q, col in enumerate(columns):
         if col[q] == unit:
             support.append(q)
         elif col[q] != 0:
@@ -407,74 +392,134 @@ class GridHit(NamedTuple):
     right: Optional[frozenset[int]]
 
 
-def _square_is_mask(
-    kernel: IntegerTensor, forms: list, v: Sequence[int], unit: int
-) -> bool:
-    """mask_support(v, v) is not None, read off the column forms: column q
-    of D²·L_v·R_v is Σ C·v_i·v_j over kernel.column_form(q), taken from the
-    kernel when a point first reaches column q and kept in the search's own
-    list, as asking the kernel for every column costs about a tenth of the
-    walk."""
-    n = kernel.dim
-    for q in range(n):
-        terms = forms[q]
-        if terms is None:
-            terms = forms[q] = kernel.column_form(q)
-        col = [0] * n
-        for i, j, by_k in terms:
-            f = v[i] * v[j]
-            if f:
-                for k, c in by_k:
-                    col[k] += f * c
-        if col[q] != unit and col[q] != 0:
-            return False
-        col[q] = 0
-        if any(col):
-            return False
-    return True
+def _decided_columns(kernel: IntegerTensor) -> list[tuple[list[int], list[int], list[int]]]:
+    """For each coordinate d, the columns of L_a·R_a, of L_a and of R_a whose
+    largest read coordinate is d, in ascending order: fixing a_0, …, a_d
+    fixes them.  Column q of L_a reads the a_i of kernel.second[q], column q
+    of R_a the a_j of kernel.first[q], and column q of L_a·R_a, a∗(b_q∗a),
+    the a_j of first[q] and the a_i of second[r] for each r that first[q]
+    reaches.  The depths come from the index lists, so no form is built; a
+    column with no entries is 0 and is decided by no coordinate."""
+    left = [max([i for i, _, _ in column], default=-1) for column in kernel.second]
+    right = [max([j for j, _, _ in column], default=-1) for column in kernel.first]
+    decided: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in left]
+    for q, column in enumerate(kernel.first):
+        square = max([right[q]] + [left[r] for _, r, _ in column])
+        for side, depth in enumerate((square, left[q], right[q])):
+            if depth >= 0:
+                decided[depth][side].append(q)
+    return decided
 
 
 def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHit]:
     """Exhaustively certify band projections on a rational grid.
 
     Returns a GridHit for exactly the grid points passing is_band_projection,
-    in lexicographic grid order, each with the supports of L_a and R_a read
-    on the integer point already at hand: BP, BP_l and BP_r from one walk.
-    This is a search aid, not an enumeration of BP(A): the class may
-    contain whole rays that no finite grid exhausts.
+    in lexicographic grid order, each with supp L_a and supp R_a as
+    side_masks reads them: BP, BP_l and BP_r from one walk.  This is a search
+    aid, not an enumeration of BP(A): the class may contain whole rays that
+    no finite grid exhausts.
 
-    Column q of L_a·R_a is read off IntegerTensor.column_form(q), the
-    integers mask_support computes, in the same column order and with the
-    same early exit.  supp L_a and supp R_a of a hit are read off the
-    linear columns kernel.second[q] and kernel.first[q] by _linear_mask,
-    as the one-sided mask_support reads them.  A form costs up to n direct
-    evaluations of its column and pays only when many points share it, so
-    a grid of one point (one nonnegative value) is decided by mask_support,
-    and the zero point, a hit with empty masks, reads no column at all.
+    The walk sets a_0, a_1, … in turn, depth first over the nonnegative grid
+    values, and when it sets a_d it decides the columns that read no later
+    coordinate (_decided_columns), once for the prefix and so for every point
+    below it.  The columns are the integers mask_support computes: column q
+    of L_a·R_a is read off IntegerTensor.column_form(q), and column q of
+    L_a and of R_a is kernel.left_column and kernel.right_column.  A
+    failing column of L_a·R_a drops the subtree; a failing column of L_a or
+    R_a makes that side None for it, and passing ones add to the supports
+    carried down.  A prefix of zeros decides nothing, as every column it
+    fixes is 0, so a form is taken from the kernel only when a prefix with a
+    nonzero coordinate first reaches its column, and kept in the walk's own
+    list, as asking the kernel for every column costs about a tenth of the
+    walk.  A form costs up to n direct evaluations of its column and pays
+    only when many points share it, so a grid of one point (one nonnegative
+    value) is decided by mask_support.
     """
     # Points with a negative coordinate are not positive, and dropping them
     # keeps the rest in lexicographic order; only the points walked count
     # towards the cap.
     values = [v for v in grid.values if v >= 0]
-    check_grid_size(len(values), algebra.dim)
+    n = algebra.dim
+    check_grid_size(len(values), n)
+    if len(values) <= 1:
+        if not values:
+            return []
+        a = LatticeElement((values[0],) * n)
+        form = integer_form(algebra, a)
+        if mask_support(algebra, form, form) is None:
+            return []
+        return [GridHit(a, mask_support(algebra, form, None), mask_support(algebra, None, form))]
     scale = math.lcm(*(v.denominator for v in values))
-    by_int = {v.numerator * (scale // v.denominator): v for v in values}
+    ints = [(v.numerator * (scale // v.denominator), v) for v in values]
     kernel = algebra.integer_tensor
     side_unit = scale * kernel.den
     unit = side_unit**2
-    forms: list = [None] * algebra.dim
-    found = []
-    for point in itertools.product(by_int, repeat=algebra.dim):
-        if any(point):
-            if len(by_int) == 1:
-                hit = mask_support(algebra, (point, scale), (point, scale)) is not None
+    decided = _decided_columns(kernel)
+    forms: list = [None] * n
+    point = [0] * n
+    last = n - 1
+    found: list[GridHit] = []
+
+    def squares_pass(columns: list[int]) -> bool:
+        """Each column q of D²·L_a·R_a is 0 or unit·e_q."""
+        for q in columns:
+            terms = forms[q]
+            if terms is None:
+                terms = forms[q] = kernel.column_form(q)
+            col = [0] * n
+            for i, j, by_k in terms:
+                f = point[i] * point[j]
+                if f:
+                    for k, c in by_k:
+                        col[k] += f * c
+            if col[q] != unit and col[q] != 0:
+                return False
+            col[q] = 0
+            if any(col):
+                return False
+        return True
+
+    def with_columns(
+        columns: list[int], column: Callable[[list[int], int], list[int]], support: frozenset[int]
+    ) -> Optional[frozenset[int]]:
+        """support plus the columns q of D·L_a or D·R_a that are side_unit·e_q,
+        or None when one is neither that nor 0."""
+        added = []
+        for q in columns:
+            col = column(point, q)
+            if col[q] == side_unit:
+                added.append(q)
+            elif col[q]:
+                return None
+            col[q] = 0
+            if any(col):
+                return None
+        return support.union(added) if added else support
+
+    def walk(
+        d: int,
+        coords: tuple[Fraction, ...],
+        nonzero: int,
+        left: Optional[frozenset[int]],
+        right: Optional[frozenset[int]],
+    ) -> None:
+        squares, lefts, rights = decided[d]
+        for x, value in ints:
+            point[d] = x
+            here = x or nonzero
+            l, r = left, right
+            if here:
+                if squares and not squares_pass(squares):
+                    continue
+                if l is not None and lefts:
+                    l = with_columns(lefts, kernel.left_column, l)
+                if r is not None and rights:
+                    r = with_columns(rights, kernel.right_column, r)
+            if d == last:
+                found.append(GridHit(LatticeElement(coords + (value,)), l, r))
             else:
-                hit = _square_is_mask(kernel, forms, point, unit)
-            if not hit:
-                continue
-            left = _linear_mask(kernel.second, point, side_unit)
-            right = _linear_mask(kernel.first, point, side_unit)
-        else:
-            left = right = frozenset()  # L_0 = R_0 = 0, the empty mask: no column to read
-        found.append(GridHit(LatticeElement(tuple(by_int[x] for x in point)), left, right))
+                walk(d + 1, coords + (value,), here, l, r)
+
+    walk(0, (), 0, frozenset(), frozenset())
     return found

@@ -99,10 +99,10 @@ def test_one_reader_of_left_and_right_masks():
 def test_only_the_grid_walk_reads_column_forms():
     """A column form costs up to n direct evaluations of its column, so only
     the grid walk, where many points share one, reads them: nothing in the
-    package or the scripts calls column_form but _square_is_mask, and only
-    search_band_projections calls that."""
+    package or the scripts calls column_form but the walk inside
+    search_band_projections."""
     scripts = Path(__file__).resolve().parents[1] / "scripts"
-    callers = {"column_form": "_square_is_mask", "_square_is_mask": "search_band_projections"}
+    callers = {"column_form": "search_band_projections"}
     assert [
         f"{path.name}:{node.lineno} in {getattr(top, 'name', 'module')}"
         for path in sorted(Path(la.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py"))

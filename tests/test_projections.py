@@ -539,3 +539,77 @@ def test_column_forms_are_built_once_per_kernel(monkeypatch):
     again = dict(calls)
     assert len(again) == len(calls)
     assert all(again[q] is first[q] for q in again.keys() & first.keys())
+
+
+def permuted_rescaled(alg: AlgebraSpec, rng: random.Random, scales) -> AlgebraSpec:
+    """alg in the basis b'_σ(i) = s_i·b_i, with σ and each s_i drawn from rng:
+    c'[σi, σj, σk] = s_i·s_j·c[i, j, k]/s_k."""
+    n = alg.dim
+    sigma = rng.sample(range(n), n)
+    s = [rng.choice(scales) for _ in range(n)]
+    tensor = {
+        (sigma[i], sigma[j], sigma[k]): c * s[i] * s[j] / s[k]
+        for (i, j, k), c in alg.tensor.items()
+    }
+    return AlgebraSpec(dim=n, tensor=tensor)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("resolution, max_dim", [(2, 6), (3, 5)])
+def test_grid_walk_matches_reference_on_permuted_lp_sums(resolution, max_dim, seed):
+    """The walk decides a column when it sets the last coordinate the column
+    reads; a seeded permutation spreads each block's coordinates, and so the
+    coordinates a column reads, over different depths.  The scales put
+    1/s_i on the grid, so that hits occur."""
+    rng = random.Random(seed)
+    blocks = ("ck2", "ck3", "upper2", "m2-regular", "noid3", "m3-reflection")
+    names = []
+    for name in rng.sample(blocks, len(blocks)):
+        if sum(la.builtin(n).dim for n in names + [name]) <= max_dim:
+            names.append(name)
+    scales = [Fraction(resolution, k) for k in range(1, resolution + 1)]
+    alg = permuted_rescaled(la.lp_sum([la.builtin(n) for n in names]), rng, scales)
+    grid = GridSpec.from_resolution(resolution)
+    expected = [
+        (p, *reference_side_masks(alg, p))
+        for p in map(LatticeElement, grid.points(alg.dim))
+        if reference_predicates(alg, p)[0]
+    ]
+    assert len(expected) > 1
+    assert [tuple(hit) for hit in la.search_band_projections(alg, grid)] == expected
+
+
+def test_dense_grid_builds_the_forms_a_point_by_point_walk_builds(monkeypatch):
+    """On a dense nonnegative tensor every column reads every coordinate, so
+    the walk decides all of them at the last one, in column order, as a
+    point-by-point test does, and builds the same forms: column 0 fails on
+    every nonzero point of {0, 1}^8, and no other form is built."""
+    original = IntegerTensor.column_form
+    calls = []
+
+    def counting(self, q):
+        calls.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(IntegerTensor, "column_form", counting)
+    n = 8
+    tensor = {
+        (i, j, k): Fraction(1 + (i + 2 * j + k) % 3)
+        for i in range(n) for j in range(n) for k in range(n)
+    }
+    alg = AlgebraSpec(dim=n, tensor=tensor)
+    hits = la.search_band_projections(alg, GridSpec.from_values([0, 1]))
+    assert hits == [(vec([0] * n), frozenset(), frozenset())]
+    assert calls == [0]
+
+
+def test_diagonal_grid_hits_are_their_own_masks():
+    """On the diagonal algebra every point of {0, 1}^n is a hit whose L_a and
+    R_a are the mask on its support."""
+    n = 10
+    alg = AlgebraSpec(dim=n, tensor={(i, i, i): Fraction(1) for i in range(n)})
+    hits = la.search_band_projections(alg, GridSpec.from_values([0, 1]))
+    assert len(hits) == 2**n
+    assert [hit.element.coords for hit in hits] == list(itertools.product((0, 1), repeat=n))
+    for a, left, right in hits:
+        assert left == right == a.support()
