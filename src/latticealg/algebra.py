@@ -77,7 +77,7 @@ class AxiomReport:
     identity: Optional[LatticeElement] = None
     identity_laws_ok: Optional[bool] = None  # None when there is no identity
     identity_positive: Optional[bool] = None
-    identity_norm_one: Optional[bool] = None
+    identity_norm_one: Optional[bool] = None  # None when undecided (p-kind norms)
     submultiplicativity: str = "unknown"  # "proved" | "unknown"
     submultiplicativity_detail: str = ""
 
@@ -90,14 +90,15 @@ class AxiomReport:
 class IdentityResult:
     """A two-sided multiplicative identity together with its basic order data.
 
-    norm_one is None when the algebra norm is inexact (p-kind); a False
-    value is reported, not raised — it flags a tensor/norm combination
-    that cannot be a lattice algebra with normalized identity.
+    is_positive is e ≥ 0 and norm_one is ‖e‖ = 1, both decided exactly on
+    e's integer form (_norm_is_one); norm_one is None when the algebra norm
+    is inexact (p-kind), whatever e is.  A False value is reported, not
+    raised — it flags a tensor/norm combination that cannot be a lattice
+    algebra with normalized identity.
     """
 
     element: LatticeElement
     is_positive: bool
-    norm_value: object  # Fraction or ApproxReal, per the algebra's norm spec
     norm_one: Optional[bool] = None
 
 
@@ -268,6 +269,22 @@ def integer_form(algebra: "AlgebraSpec", a: LatticeElement) -> IntegerForm:
     return [c.numerator * (scale // c.denominator) for c in a.coords], scale
 
 
+def _norm_is_one(spec: NormSpec, v: Sequence[int], scale: int) -> Optional[bool]:
+    """‖v/L‖ = 1 for the integer vector v and L = scale, decided on integers
+    for the sup and one kinds: with the weights w_i = ω_i/W over their
+    common denominator W, ‖v/L‖ = 1 exactly when max_i ω_i·|v_i| (sup) or
+    Σ_i ω_i·|v_i| (one) equals L·W.  None for the p kind, whose norm is
+    inexact.  lattice.norm is the Fraction reference."""
+    if spec.kind == "p":
+        return None
+    omega, common = [1] * len(v), 1
+    if spec.weights is not None:
+        common = math.lcm(*(w.denominator for w in spec.weights))
+        omega = [w.numerator * (common // w.denominator) for w in spec.weights]
+    terms = [w * abs(x) for w, x in zip(omega, v)]
+    return (max(terms) if spec.kind == "sup" else sum(terms)) == scale * common
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """A finite-dimensional algebra on R^n with coordinatewise lattice order.
@@ -412,7 +429,9 @@ class AlgebraSpec:
         linear system in the coordinates of e.  A two-sided identity is the
         only left identity (f = f∗e = e), so when one exists the system has
         exactly that solution; the column check below decides two-sidedness.
-        A declared identity replaces the solve and gets the same check.
+        A declared identity replaces the solve and gets the same check.  The
+        flags e ≥ 0 and ‖e‖ = 1 are then read off e's integer form (v, L),
+        which the check has built: v ≥ 0, and _norm_is_one.
         """
         kernel = self.integer_tensor
         if self.identity is not None:
@@ -439,13 +458,8 @@ class AlgebraSpec:
             unit[q] = scale * kernel.den
             if kernel.left_column(v, q) != unit or kernel.right_column(v, q) != unit:
                 return failure
-        norm_value = norm(e, self.norm)
-        norm_one = (norm_value == 1) if isinstance(norm_value, Fraction) else None
         return IdentityResult(
-            element=e,
-            is_positive=e.is_positive(),
-            norm_value=norm_value,
-            norm_one=norm_one,
+            element=e, is_positive=min(v) >= 0, norm_one=_norm_is_one(self.norm, v, scale)
         )
 
     def solve_identity(self) -> IdentityResult:

@@ -295,6 +295,11 @@ def verify_payload(result: _Verified) -> dict[str, Any]:
     }
 
 
+def _norm_one_word(norm_one: Optional[bool]) -> str:
+    """‖e‖ = 1 as printed: yes, no, or unknown when the norm is inexact."""
+    return "unknown" if norm_one is None else "yes" if norm_one else "no"
+
+
 def verify_lines(result: _Verified) -> list[str]:
     algebra, report = result
     lines = [
@@ -308,7 +313,7 @@ def verify_lines(result: _Verified) -> list[str]:
         lines.append(
             f"  laws: {'pass' if report.identity_laws_ok else 'FAIL'}; positive: "
             f"{'yes' if report.identity_positive else 'NO'}; norm one: "
-            f"{'yes' if report.identity_norm_one else 'no'}"
+            f"{_norm_one_word(report.identity_norm_one)}"
         )
     else:
         lines.append("identity: none")
@@ -659,7 +664,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
             f"- identity: {fmt_element(report.identity)} — laws "
             f"{'pass' if report.identity_laws_ok else 'FAIL'}, positive: "
             f"{'yes' if report.identity_positive else 'no'}, norm one: "
-            f"{'yes' if report.identity_norm_one else 'no'}"
+            f"{_norm_one_word(report.identity_norm_one)}"
         )
     else:
         lines.append("- identity: none exists")

@@ -17,9 +17,11 @@ from operator import mul
 from typing import Optional, Sequence
 
 
-def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fraction]]:
-    """One exact solution of A·x = b for integer A and b (free variables set
-    to 0), or None.
+def solve(
+    a: Sequence[Sequence[int]], b: Sequence[int], num: int = 1, den: int = 1
+) -> Optional[list[Fraction]]:
+    """num/den times one exact solution x of A·x = b, for integer A and b
+    (free variables set to 0) and integers num and den > 0, or None.
 
     Accepts rectangular (overdetermined) systems; None means inconsistent.
     Fraction-free Gauss–Jordan: the pivot of each column is the first row
@@ -28,7 +30,9 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fractio
     divided by its content so that the integers stay small.  A row with a
     zero there is left alone.  Row operations keep the column dependencies,
     so the pivot columns are those of the reduced row echelon form, and the
-    solution, supported on them, is x_c = rhs/p for each pivot row.
+    solution, supported on them, is x_c = rhs/p for each pivot row: each
+    coordinate returned is one Fraction(rhs·num, p·den), so a caller that
+    wants a multiple of x builds no second Fraction.
     """
     rows = len(a)
     if rows != len(b):
@@ -57,7 +61,7 @@ def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fractio
         return None
     x = [Fraction(0)] * cols
     for row, c in zip(aug, pivots):
-        x[c] = Fraction(row[cols], row[c])
+        x[c] = Fraction(row[cols] * num, row[c] * den)
     return x
 
 

@@ -270,7 +270,9 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
     Solves a ∗ y = e exactly on the integer kernel: with a = v/L and
     e = u/M, L_a = B/(L·D) for the integer rows B = D·L_v, so L_a·y = e
     exactly when y = (L·D/M)·z for a solution z of B·z = u, which
-    linalg.solve finds by fraction-free elimination.  In a unital
+    linalg.solve finds by fraction-free elimination and returns scaled by
+    L·D/M: each coordinate of y is one Fraction, the integer right-hand
+    side of its pivot row times L·D over the pivot times M.  In a unital
     finite-dimensional algebra a right inverse is automatically two-sided
     (L_a·L_y = I forces L_y·L_a = I for square matrices, and x ↦ L_x is
     injective when an identity exists); both sides are still verified, a∗y = e
@@ -281,11 +283,10 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
     kernel = algebra.integer_tensor
     v, scale = integer_form(algebra, a)
     u, e_scale = integer_form(algebra, e)
-    z = linalg.solve(kernel.left_matrix(v), u)
-    if z is None:
+    y = linalg.solve(kernel.left_matrix(v), u, scale * kernel.den, e_scale)
+    if y is None:
         return None
-    factor = Fraction(scale * kernel.den, e_scale)
-    inv = LatticeElement(tuple(factor * c for c in z))
+    inv = LatticeElement(tuple(y))
     a_form, inv_form, e_form = (v, scale), integer_form(algebra, inv), (u, e_scale)
     if kernel.product_is(a_form, inv_form, e_form) and kernel.product_is(inv_form, a_form, e_form):
         return inv

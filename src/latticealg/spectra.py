@@ -38,16 +38,16 @@ exactly one each.  A disk centred on the real axis is its own mirror image,
 so its root is real; no tolerance decides realness.  A real disk of radius
 below 1/2 holds at most one integer, the one nearest its centre, and that
 is a root when it lies in the disk and q vanishes on it exactly
-(linalg.poly_eval).  The roots and disks are then divided back by the
-factor's lead and by d (NumericRoot.divided), so the centres are exact
-rationals.
+(linalg.poly_eval).  The roots are λ = μ/d, so each root and each disk
+is built once, over the factor's lead times d, from the integers of the
+loop: the centres are exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -96,13 +96,6 @@ class NumericRoot:
     def radius(self) -> float:
         return float_above(self.bound)
 
-    def divided(self, c: int) -> NumericRoot:
-        """The disk scaled by 1/c for an integer c > 0: it holds λ/c and no
-        other root of the factor whose roots are scaled the same way."""
-        if c == 1:
-            return self
-        return NumericRoot(self.re / c, self.im / c, self.bound / c, self.multiplicity)
-
     def certified_real(self) -> bool:
         return self.im == 0
 
@@ -117,13 +110,19 @@ class NumericRoot:
 
     def modulus_bounds(self) -> tuple[Fraction, Fraction]:
         """Rationals lo ≤ |λ| ≤ hi for the root λ in the disk: |centre| ∓ the
-        bound, with |centre| = √square bracketed by root/scale and
-        (root + 1)/scale for root = ⌊√(square·scale²)⌋ at a scale of at least
+        bound, with |centre| = √(num/den) bracketed by root/scale and
+        (root + 1)/scale for root = ⌊√(num·scale²/den)⌋ at a scale of at least
         2^CERTIFY_BITS, so the bracket adds a negligible term even when the
-        centre's denominator is small."""
-        square = self.re**2 + self.im**2
-        scale = max(square.denominator, 1 << CERTIFY_BITS)
-        root = math.isqrt(square.numerator * scale * scale // square.denominator)
+        centre's denominator is small.  For re = a/b and im = c/f in lowest
+        terms, |centre|² = ((a·f)² + (c·b)²)/(b·f)², brought to lowest terms
+        num/den by one gcd."""
+        a, b = self.re.numerator, self.re.denominator
+        c, f = self.im.numerator, self.im.denominator
+        num, den = (a * f) ** 2 + (c * b) ** 2, (b * f) ** 2
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        scale = max(den, 1 << CERTIFY_BITS)
+        root = math.isqrt(num * scale * scale // den)
         low = max(Fraction(root, scale) - self.bound, Fraction(0))
         return low, Fraction(root + 1, scale) + self.bound
 
@@ -206,9 +205,12 @@ class SpectrumResult:
         )
 
 
-def rational_roots(*polys: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], list[NumericRoot]]:
-    """All roots of the product of polys, with multiplicities: the rational
-    ones exactly, the others as certified disks.
+def rational_roots(
+    *polys: Sequence[Fraction], scale: int = 1
+) -> tuple[list[tuple[Fraction, int]], list[NumericRoot]]:
+    """All roots of the product of polys, divided by the integer scale > 0,
+    with multiplicities: the rational ones exactly, the others as certified
+    disks.
 
     Equal arguments are taken once, in first-seen order, with their count:
     a linear one's root is read off, and every other argument is split by
@@ -216,8 +218,11 @@ def rational_roots(*polys: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     factors are refined against those of the earlier arguments (_refine),
     so the factors left are pairwise coprime and carry summed
     multiplicities.  A linear factor's root is read off; every other factor
-    is isolated once (_isolate).  Exact roots are merged by value, so a root
-    shared by two arguments is reported once.
+    is isolated once (_isolate), which builds each root and disk over the
+    factor's lead times scale, with the factor's multiplicity.  A root read
+    off is built over its lead times scale too, so every value is one
+    Fraction.  Exact roots are merged by value, so a root shared by two
+    arguments is reported once.
     """
     polys = [linalg.poly_trim(poly) for poly in polys]
     if not all(polys) or all(len(poly) == 1 for poly in polys):  # a constant product
@@ -226,19 +231,19 @@ def rational_roots(*polys: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     factors: list[tuple[list[int], int]] = []
     for poly, count in Counter(map(tuple, polys)).items():
         if len(poly) == 2:
-            root = Fraction(-poly[0], poly[1])
+            root = Fraction(-poly[0], poly[1] * scale)
             found[root] = found.get(root, 0) + count
         elif len(poly) > 2:
             factors = _refine(factors, [(f, m * count) for f, m in square_free_factors(poly)])
     disks: list[NumericRoot] = []
     for factor, multiplicity in factors:
         if len(factor) == 2:
-            exact, isolated = [Fraction(-factor[0], factor[1])], []
+            exact, isolated = [Fraction(-factor[0], factor[1] * scale)], []
         else:
-            exact, isolated = _isolate(factor)
+            exact, isolated = _isolate(factor, scale, multiplicity)
         for root in exact:
             found[root] = found.get(root, 0) + multiplicity
-        disks.extend(replace(disk, multiplicity=multiplicity) for disk in isolated)
+        disks.extend(isolated)
     return sorted(found.items()), sorted(disks, key=lambda r: (r.re, r.im))
 
 
@@ -426,10 +431,13 @@ def _snapped_roots(q: Sequence[int], zs: Sequence[Gaussian], p: int) -> Optional
     return sorted(snapped)
 
 
-def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
+def _isolate(
+    q: Sequence[int], scale: int = 1, multiplicity: int = 1
+) -> tuple[list[Fraction], list[NumericRoot]]:
     """The roots of the square-free primitive integer q of degree n ≥ 2 with
-    leading coefficient c > 0: the rational ones exactly, the others in
-    certified disjoint disks.
+    leading coefficient c > 0, divided by the integer scale > 0: the
+    rational ones exactly, the others in certified disjoint disks of the
+    given multiplicity.
 
     The loop runs on the monic integer q̃(μ) = c^(n−1)·q(μ/c), whose roots
     are c times q's, so its rational roots are integers.  Durand–Kerner runs
@@ -442,17 +450,20 @@ def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
     the only one it can hold: s is a root when it lies in the disk and
     linalg.poly_eval(q̃, s, 1) vanishes, and the disk is kept otherwise.
     If the disks fail, p doubles and the iteration continues from the
-    current points; past MAX_BITS q is refused.  The roots and disks found
-    are divided by c.
+    current points; past MAX_BITS q is refused.  The roots of q/scale are
+    those of q̃ over c·scale, so each root is one Fraction(s, c·scale) and
+    each disk one NumericRoot whose centre and bound are the loop's integers
+    over 2^p·c·scale and 2^(2p)·c·scale.
     """
     c, n = q[-1], len(q) - 1
+    den = c * scale
     q = [a * c ** (n - 1 - k) for k, a in enumerate(q[:-1])] + [1]
     p, zs = _quadratic_start(q) if n == 2 else _start(q)
     while True:
         _durand_kerner(q, zs, p)
         exact = _snapped_roots(q, zs, p)
         if exact is not None:
-            return [Fraction(s, c) for s in exact], []
+            return [Fraction(s, den) for s in exact], []
         radii = _radii(q, zs, p) if p >= CERTIFY_BITS else None
         if radii is not None:
             unit = 1 << p
@@ -466,10 +477,12 @@ def _isolate(q: Sequence[int]) -> tuple[list[Fraction], list[NumericRoot]]:
                         # s lies in the disk when |s − x/unit| ≤ r/unit²
                         s = (x + unit // 2) >> p
                         if abs(s * unit - x) * unit <= r and linalg.poly_eval(q, s, 1) == 0:
-                            found.append(Fraction(s, c))
+                            found.append(Fraction(s, den))
                             continue
-                    disk = NumericRoot(Fraction(x, unit), Fraction(y, unit), Fraction(r, unit * unit), 1)
-                    disks.append(disk.divided(c))
+                    over = unit * den
+                    disks.append(
+                        NumericRoot(Fraction(x, over), Fraction(y, over), Fraction(r, unit * over), multiplicity)
+                    )
                 return found, disks
         if 2 * p > MAX_BITS:
             raise CapExceededError(
@@ -490,14 +503,10 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     blocks = linalg.char_poly_blocks(kernel.left_matrix(v))  # det(μI − B_C) per block
     monic = linalg.monic_product(blocks, d)  # det(λI − L_a)
     n = algebra.dim
-    sign = Fraction(-1) ** n
-    char = tuple(sign * c for c in monic)  # det(L_a − λI)
-    exact, disks = rational_roots(*blocks)  # the roots μ = d·λ
+    char = tuple(monic) if n % 2 == 0 else tuple(-c for c in monic)  # det(L_a − λI)
+    exact, disks = rational_roots(*blocks, scale=d)  # the roots λ = μ/d
     result = SpectrumResult(
-        element=a,
-        char_poly=char,
-        rational_roots=tuple((root / d, m) for root, m in exact),
-        other_roots=tuple(disk.divided(d) for disk in disks),
+        element=a, char_poly=char, rational_roots=tuple(exact), other_roots=tuple(disks)
     )
     if result.multiplicity_total() != n:
         raise MathViolationError("root multiplicities do not sum to the dimension")

@@ -12,6 +12,7 @@ import latticealg as la
 from latticealg import AlgebraSpec, InputError, NoIdentityError, vec
 from latticealg import algebra as algebra_module
 from latticealg.cli import main
+from latticealg.lattice import norm
 
 from fraction_linalg import solve as fraction_solve
 
@@ -307,13 +308,17 @@ def integer_systems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_systems())
-def test_solve_matches_fraction_reference(system):
+@given(integer_systems(), st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+def test_solve_matches_fraction_reference(system, num, den):
     a, b = system
     x = la.linalg.solve(a, b)
     assert x == fraction_solve(a, b)
     if x is not None:
         assert [sum(u * v for u, v in zip(row, x)) for row in a] == b
+        # the scaled solve builds each coordinate once, as Fraction(num, den)·x_c
+        assert la.linalg.solve(a, b, num, den) == [c * Fraction(num, den) for c in x]
+    else:
+        assert la.linalg.solve(a, b, num, den) is None
 
 
 def test_solve_on_singular_and_inconsistent_systems():
@@ -376,6 +381,48 @@ def sheared(alg, a, b, t):
 
 
 SMALL_BUILTINS = [n for n in la.BUILTIN_NAMES if la.builtin(n).dim <= 5]
+UNITAL_BUILTINS = [n for n in la.BUILTIN_NAMES if la.builtin(n).has_identity()]
+# Small signed scales and weights, so that identities of norm one, and ones
+# with negative coordinates, are drawn often.
+SIGNED_SCALES = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3), 3]).map(Fraction)
+WEIGHTS = st.sampled_from([1, 2, Fraction(1, 2), Fraction(1, 3), 3]).map(Fraction)
+
+
+@st.composite
+def identity_flag_cases(draw):
+    """A unital builtin relabelled with signed scales, perhaps sheared, under
+    a sup, one or p norm with drawn weights (or none), and with its identity
+    solved or declared."""
+    name = draw(st.sampled_from(UNITAL_BUILTINS))
+    n = la.builtin(name).dim
+    order = draw(st.permutations(range(n)))
+    alg = rescaled_builtin(name, order, draw(st.lists(SIGNED_SCALES, min_size=n, max_size=n)))
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        alg = sheared(alg, a, b, draw(st.sampled_from([-1, 1, 2])))
+    kind = draw(st.sampled_from(["sup", "one", "p"]))
+    weights = draw(st.one_of(st.none(), st.lists(WEIGHTS, min_size=n, max_size=n).map(tuple)))
+    p = Fraction(3, 2) if kind == "p" else None
+    alg = dataclasses.replace(alg, norm=la.NormSpec(kind=kind, p=p, weights=weights))
+    if draw(st.booleans()):
+        alg = dataclasses.replace(alg, identity=alg.require_identity())
+    return alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(identity_flag_cases())
+def test_identity_flags_match_the_fraction_reference(alg):
+    # is_positive and norm_one are read off e's integer form; e.is_positive()
+    # and lattice.norm are the Fraction reference, and a p-norm leaves
+    # ‖e‖ = 1 undecided
+    result = alg.solve_identity()
+    e = result.element
+    assert e == reference_identity(alg)
+    assert result.is_positive is e.is_positive()
+    if alg.norm.kind == "p":
+        assert result.norm_one is None
+    else:
+        assert result.norm_one is (norm(e, alg.norm) == 1)
 
 
 @st.composite

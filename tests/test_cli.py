@@ -33,6 +33,25 @@ def test_verify_failing_algebra(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify"], "  laws: pass; positive: yes; norm one: unknown"),
+        (["verify", "--format", "markdown"], "    laws: pass; positive: yes; norm one: unknown"),
+        (["report"], "- identity: (1, 0) — laws pass, positive: yes, norm one: unknown"),
+    ],
+)
+def test_undecided_identity_norm_prints_unknown(tmp_path, capsys, argv, line):
+    # a p-norm leaves ‖e‖ = 1 undecided (identity_norm_one is None, null in
+    # JSON), although here e = (1, 0) has norm 1: "unknown", not "no"
+    path = tmp_path / "pnorm.json"
+    tensor = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]]
+    path.write_text(json.dumps({"dim": 2, "tensor": tensor, "norm": {"kind": "p", "p": "3/2"}}))
+    code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_unknown_builtin_is_input_error(capsys):
     code, _, err = run_cli(capsys, "verify", "builtin:nope")
     assert code == 2

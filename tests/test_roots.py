@@ -230,7 +230,7 @@ def test_forty_digit_rational_roots():
 @pytest.mark.parametrize("n", [12, 16])
 def test_group_algebra_disks_hold_one_root_each(n):
     # ℓ¹(ℤ_n) at a q9 element: the disks, isolated for det(μI − B_C) and
-    # divided by the lead of each factor and by d, each hold one root of the
+    # built over the lead of each factor times d, each hold one root of the
     # square-free part of char_poly, and the exact roots are sympy's
     result = la.spectrum(group_algebra(n), q9_element(n))
     char_poly = list(result.char_poly)

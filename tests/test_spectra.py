@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import latticealg as la
 from latticealg import ApproxReal, GridSpec, InputError, linalg, spectra, vec
+from latticealg.algebra import integer_form
 from latticealg.spectra import rational_roots, square_free_factors
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -39,6 +40,12 @@ def faddeev_leverrier(a):
         coeffs[n - k] = c
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def divided(disk, c):
+    """The disk scaled by 1/c for an integer c > 0, one Fraction division per
+    field: the reference for the disks that spectrum builds over d."""
+    return spectra.NumericRoot(disk.re / c, disk.im / c, disk.bound / c, disk.multiplicity)
 
 
 def expand(*factors):
@@ -228,6 +235,53 @@ def test_modulus_bounds_of_an_exact_disk():
     assert abs(radius.value - 10**0.5) <= radius.error < 1e-15
 
 
+def reference_modulus_bounds(disk):
+    """modulus_bounds in Fractions: |centre|² as re² + im², bracketed at a
+    scale of at least 2^CERTIFY_BITS."""
+    square = disk.re**2 + disk.im**2
+    scale = max(square.denominator, 1 << spectra.CERTIFY_BITS)
+    root = math.isqrt(square.numerator * scale * scale // square.denominator)
+    low = max(F(root, scale) - disk.bound, F(0))
+    return low, F(root + 1, scale) + disk.bound
+
+
+# Centres small, with long denominators, or past the range of doubles.
+centres = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-10, max_value=10, max_denominator=2**140),
+    st.builds(F, st.integers(-(10**400), 10**400), st.integers(1, 10**40)),
+)
+disks = st.builds(
+    spectra.NumericRoot,
+    centres,
+    centres,
+    st.builds(F, st.integers(0, 10**6), st.integers(1, 2**140)),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(disks, min_size=1, max_size=4), st.lists(rationals, max_size=3))
+def test_modulus_bounds_match_the_fraction_formula(others, exact):
+    # |centre|² from the centre's integers with one gcd, against re² + im²;
+    # spectral_radius, which reads the bounds, is the same with either, and
+    # a centre past the doubles still gives an infinite value and error
+    for disk in others:
+        assert disk.modulus_bounds() == reference_modulus_bounds(disk)
+    result = spectra.SpectrumResult(
+        element=vec([0]),
+        char_poly=(F(0), F(1)),
+        rational_roots=tuple((root, 1) for root in sorted(set(exact))),
+        other_roots=tuple(others),
+    )
+    radius = result.spectral_radius()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra.NumericRoot, "modulus_bounds", reference_modulus_bounds)
+        assert radius == result.spectral_radius()
+    if any(math.isinf(abs(disk.value)) for disk in others):
+        assert radius == ApproxReal(math.inf, math.inf)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=8), rationals)
 def test_poly_eval_is_the_scaled_value(q, x):
@@ -245,7 +299,7 @@ def test_spectrum_of_a_multiple_divides_the_disks():
     alg = la.builtin("m2-regular")
     golden = la.spectrum(alg, vec([1, 1, 1, 0]))
     seventh = la.spectrum(alg, vec([F(1, 7), F(1, 7), F(1, 7), 0]))
-    assert seventh.other_roots == tuple(disk.divided(7) for disk in golden.other_roots)
+    assert seventh.other_roots == tuple(divided(disk, 7) for disk in golden.other_roots)
 
 
 @st.composite
@@ -268,7 +322,35 @@ def test_spectrum_of_a_multiple_is_divided_exactly(case):
     whole = la.spectrum(alg, vec(coords))
     part = la.spectrum(alg, vec([F(c, k) for c in coords]))
     assert part.rational_roots == tuple((root / k, m) for root, m in whole.rational_roots)
-    assert part.other_roots == tuple(disk.divided(k) for disk in whole.other_roots)
+    assert part.other_roots == tuple(divided(disk, k) for disk in whole.other_roots)
+
+
+@st.composite
+def unital_sum_elements(draw):
+    """(algebra, element): a unital builtin or the lp_sum of two or three,
+    and an element whose coordinates have denominators up to 9."""
+    names = draw(st.lists(st.sampled_from(UNITAL_NAMES), min_size=1, max_size=3))
+    alg = la.builtin(names[0]) if len(names) == 1 else la.lp_sum([la.builtin(n) for n in names])
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    return alg, vec(draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(unital_sum_elements())
+def test_spectrum_matches_the_two_step_reference(case):
+    # spectrum builds each root and disk once, over the factor's lead times
+    # d; the reference finds them for the roots μ = d·λ and divides by d
+    alg, a = case
+    v, scale = integer_form(alg, a)
+    kernel = alg.integer_tensor
+    d = scale * kernel.den
+    blocks = linalg.char_poly_blocks(kernel.left_matrix(v))
+    exact, isolated = rational_roots(*blocks)
+    sign = F(-1) ** alg.dim
+    result = la.spectrum(alg, a)
+    assert result.char_poly == tuple(sign * c for c in linalg.monic_product(blocks, d))
+    assert result.rational_roots == tuple((root / d, m) for root, m in exact)
+    assert result.other_roots == tuple(divided(disk, d) for disk in isolated)
 
 
 def test_rational_roots_helper():
@@ -303,7 +385,7 @@ def test_each_yun_factor_is_isolated_once(monkeypatch):
     # rational and other roots, so each is isolated
     isolated = []
     isolate = spectra._isolate
-    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
+    monkeypatch.setattr(spectra, "_isolate", lambda q, *args: isolated.append(q) or isolate(q, *args))
     factors = [[-1, 1]] * 2 + [[-2, 0, 1]] * 2 + [[F(1, 2), 1]] + [[1, 0, 1]] * 3 + [[-5, 1]] * 3
     poly = expand(*factors)
     roots, disks = rational_roots(poly)
@@ -324,7 +406,7 @@ def test_factors_shared_by_blocks_are_isolated_once(monkeypatch):
     # multiplicity 2 and λ − 1, read off; one isolation in all
     isolated = []
     isolate = spectra._isolate
-    monkeypatch.setattr(spectra, "_isolate", lambda q: isolated.append(q) or isolate(q))
+    monkeypatch.setattr(spectra, "_isolate", lambda q, *args: isolated.append(q) or isolate(q, *args))
     golden = [F(-1), F(-1), F(1)]
     roots, disks = rational_roots(expand(golden, [F(-1), F(1)]), golden)
     assert roots == [(F(1), 1)]
