@@ -1,13 +1,13 @@
 """Principal ideals, the identity ideal A_e, and its function representation.
 
-A_e is the order ideal generated by the identity, {x : |x| ≤ λe for some
+A_e is the order ideal generated by the identity, {x : |x| ≤ λ|e| for some
 λ ≥ 0}; in the coordinatewise model this is the span of the coordinate
-directions where e is strictly positive.  It is simultaneously a
+directions where e is nonzero.  It is simultaneously a
 projection band (its band projection is the 0/1 diagonal mask on supp(e),
 IdealBasis.project), an inverse-closed subalgebra, and — through its
 atoms — a finite function algebra: the map x ↦ (x_i / e_i)_{i ∈ supp(e)}
 is a lattice and algebra isomorphism onto functions on the finite set K
-of atoms, isometric for the order-unit norm ‖x‖_e = inf{λ : |x| ≤ λe}.
+of atoms, isometric for the order-unit norm ‖x‖_e = inf{λ : |x| ≤ λ|e|}.
 
 The support, the projection and the atoms are all read off e, so none of
 them is checked again; only the atoms' products depend on the tensor, and
@@ -82,17 +82,17 @@ def identity_ideal(algebra: AlgebraSpec) -> IdealBasis:
 
 
 def in_identity_ideal(algebra: AlgebraSpec, x: LatticeElement) -> bool:
-    """x ∈ A_e, i.e. |x| ≤ λe for some λ (supp(x) ⊆ supp(e))."""
+    """x ∈ A_e, i.e. |x| ≤ λ|e| for some λ (supp(x) ⊆ supp(e))."""
     e = algebra.require_identity()
     return x.support() <= e.support()
 
 
 def norm_e(algebra: AlgebraSpec, x: LatticeElement) -> Fraction:
-    """Order-unit norm ‖x‖_e = inf{λ ≥ 0 : |x| ≤ λe}, exact on A_e."""
+    """Order-unit norm ‖x‖_e = inf{λ ≥ 0 : |x| ≤ λ|e|}, exact on A_e."""
     e = algebra.require_identity()
     if not in_identity_ideal(algebra, x):
         raise InputError("‖·‖_e is only finite on the ideal A_e generated by e")
-    values = [abs(x.coords[i]) / e.coords[i] for i in sorted(e.support())]
+    values = [abs(x.coords[i] / e.coords[i]) for i in sorted(e.support())]
     return max(values, default=Fraction(0))
 
 

@@ -557,7 +557,7 @@ def cmd_inner(
         mask = diagonal_mask_operator(x)
         if mask is None or x.is_zero():
             continue
-        verdicts.append((name, x.support(), is_inner(algebra, family, mask, cap=cap)))
+        verdicts.append((name, x.support(), is_inner(algebra, family, mask)))
     return 0, (algebra, names, family, enumerated, chosen, verdicts)
 
 
@@ -569,17 +569,17 @@ def inner_payload(result: _Inner) -> dict[str, Any]:
         "family_names": names,
         "family_valid": True,
         "distinct_inner": [
-            {"gamma": gamma.sorted_pairs(), "matrix": mask_to_wire(algebra.dim, support)}
+            {"gamma": gamma.pairs, "matrix": mask_to_wire(algebra.dim, support)}
             for gamma, support in enumerated
         ],
         "is_inner": {
-            name: None if witness is None else witness.sorted_pairs()
+            name: None if witness is None else witness.pairs
             for name, _, witness in verdicts
         },
     }
     if chosen is not None:
         gamma, support, _comp, laws = chosen
-        payload["gamma"] = gamma.sorted_pairs()
+        payload["gamma"] = gamma.pairs
         payload["gamma_projection"] = mask_to_wire(algebra.dim, support)
         payload["boolean_laws_vs_complement_ok"] = laws.ok
     return payload

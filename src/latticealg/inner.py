@@ -19,7 +19,8 @@ a mask is all its support says: inner_bp and enumerate_inner return
 supp P_Γ as a frozenset.  The image of Γ ↦ P_Γ is exactly the 2^k unions
 of the k nonzero supports, and "M is inner" is a subset test on supp(M).
 After validation only inner_bp's independent audit computes a product,
-and no walk over the 2^(|Λ|²) subsets runs.  The map Γ ↦ P_Γ is a
+and no walk over the 2^(|Λ|²) subsets runs; only enumerate_inner, whose
+output has up to 2^(|Λ|²) entries, takes a cap.  The map Γ ↦ P_Γ is a
 Boolean-algebra homomorphism onto its image; a band projection need not
 be of this form at all — the 3-dimensional identityless fixture carries
 a witness.
@@ -28,6 +29,7 @@ a witness.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Sequence
@@ -44,7 +46,7 @@ from .lattice import LatticeElement
 from .operators import OperatorMatrix, mult_op
 from .projections import side_masks
 
-ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner and is_inner
+ENUM_CAP_DEFAULT = 16  # maximum |Λ|² accepted by enumerate_inner
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class ProjectionFamily:
         overlap raises MathViolationError, on every access."""
         supports: list[frozenset[int]] = []
         covered: set[int] = set()
-        for a, b in _sorted_pairs(len(self)):
+        for a, b in itertools.product(range(len(self)), repeat=2):
             support = self.left[a] & self.right[b]
             if covered & support:
                 raise MathViolationError(
@@ -87,50 +89,47 @@ class ProjectionFamily:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """A subset Γ of Λ×Λ, indexing the summands of an inner projection.
-    Only `of` checks that the pairs lie in range(n_members)²."""
+    """A subset Γ of Λ×Λ, indexing the summands of an inner projection, as
+    its distinct pairs in sorted order (so equal sets compare equal).  Only
+    `of` takes pairs from outside, checks them against range(n_members)²
+    and sorts them; everything else here builds the tuple in order."""
 
-    pairs: frozenset[tuple[int, int]]
+    pairs: tuple[tuple[int, int], ...]
     n_members: int
 
     @staticmethod
     def of(pairs: Iterable[tuple[int, int]], n_members: int) -> "GammaSet":
         """Γ from any pairs, each checked to index a family of n_members."""
-        checked = frozenset((a, b) for a, b in pairs)
+        checked = {(a, b) for a, b in pairs}
         for alpha, beta in checked:
             if not (0 <= alpha < n_members and 0 <= beta < n_members):
                 raise FamilyError(
                     f"pair ({alpha}, {beta}) out of range for a family of size {n_members}"
                 )
-        return GammaSet(pairs=checked, n_members=n_members)
+        return GammaSet(pairs=tuple(sorted(checked)), n_members=n_members)
 
     @staticmethod
     def full(n_members: int) -> "GammaSet":
-        return GammaSet(
-            pairs=frozenset(itertools.product(range(n_members), repeat=2)),
-            n_members=n_members,
-        )
+        return GammaSet(tuple(itertools.product(range(n_members), repeat=2)), n_members)
 
     @staticmethod
     def empty(n_members: int) -> "GammaSet":
-        return GammaSet(pairs=frozenset(), n_members=n_members)
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        return GammaSet((), n_members)
 
     def union(self, other: "GammaSet") -> "GammaSet":
         self._require_same_family(other)
-        return GammaSet(pairs=self.pairs | other.pairs, n_members=self.n_members)
+        merged = dict.fromkeys(heapq.merge(self.pairs, other.pairs))
+        return GammaSet(tuple(merged), self.n_members)
 
     def intersection(self, other: "GammaSet") -> "GammaSet":
         self._require_same_family(other)
-        return GammaSet(pairs=self.pairs & other.pairs, n_members=self.n_members)
+        kept = set(other.pairs)
+        return GammaSet(tuple(p for p in self.pairs if p in kept), self.n_members)
 
     def complement(self) -> "GammaSet":
-        return GammaSet(
-            pairs=GammaSet.full(self.n_members).pairs - self.pairs,
-            n_members=self.n_members,
-        )
+        dropped = set(self.pairs)
+        full = GammaSet.full(self.n_members).pairs
+        return GammaSet(tuple(p for p in full if p not in dropped), self.n_members)
 
     def _require_same_family(self, other: "GammaSet") -> None:
         if self.n_members != other.n_members:
@@ -170,18 +169,6 @@ def validate_family(algebra: AlgebraSpec, members: Sequence[LatticeElement]) -> 
     return ProjectionFamily(members=members, left=tuple(left), right=tuple(right))
 
 
-def _check_cap(n_members: int, cap: int) -> None:
-    n_pairs = n_members * n_members
-    if n_pairs > cap:
-        raise CapExceededError(
-            f"family of size {n_members} has |Λ|² = {n_pairs} pairs; cap is |Λ|² ≤ {cap}"
-        )
-
-
-def _sorted_pairs(n_members: int) -> list[tuple[int, int]]:
-    return sorted(itertools.product(range(n_members), repeat=2))
-
-
 def _gamma_union(supports: Sequence[frozenset[int]], gamma: GammaSet) -> frozenset[int]:
     """supp P_Γ; the pair (α, β) sits at α·|Λ| + β in the sorted pair order."""
     n = gamma.n_members
@@ -212,7 +199,7 @@ def inner_bp(algebra: AlgebraSpec, family: ProjectionFamily, gamma: GammaSet) ->
     _require_family_size(family, gamma)
     union = _gamma_union(family.summand_supports, gamma)
     covered: set[int] = set()
-    for a, b in gamma.sorted_pairs():
+    for a, b in gamma.pairs:
         support = mult_op(algebra, family[a], family[b]).as_mask()
         if support is None:
             raise MathViolationError(f"summand matrix ({a},{b}) is not a 0/1 mask")
@@ -278,48 +265,47 @@ def enumerate_inner(
     the results come in the order of their witnesses.  The (witness, union)
     list is built by doubling: starting from (∅, ∅), each nonzero summand in
     sorted pair order appends every entry so far extended by its pair and
-    its support, so entry number `bits` holds the summands of `bits` and
-    each union is one set operation.  No Γ walk runs; the cap still refuses
-    families with |Λ|² > cap, and so bounds k.
+    its support, so entry number `bits` holds the summands of `bits`, each
+    union is one set operation, and each witness lists its pairs in sorted
+    order, as GammaSet keeps them, because the entries it extends hold only
+    earlier pairs.  No Γ walk runs, but the output has up to 2^(|Λ|²)
+    entries: families with |Λ|² > cap are refused (CapExceededError).
     """
-    _check_cap(len(family), cap)
-    pairs = _sorted_pairs(len(family))
-    subsets: list[tuple[frozenset[tuple[int, int]], frozenset[int]]] = [
-        (frozenset(), frozenset())
-    ]
-    for pair, support in zip(pairs, family.summand_supports):
+    n = len(family)
+    if n * n > cap:
+        raise CapExceededError(
+            f"family of size {n} has |Λ|² = {n * n} pairs; cap is |Λ|² ≤ {cap}"
+        )
+    subsets: list[tuple[tuple[tuple[int, int], ...], frozenset[int]]] = [((), frozenset())]
+    for pair, support in zip(itertools.product(range(n), repeat=2), family.summand_supports):
         if support:
-            step = frozenset((pair,))
-            subsets += [(chosen | step, union | support) for chosen, union in subsets]
-    return [(GammaSet(chosen, len(family)), union) for chosen, union in subsets]
+            subsets += [(chosen + (pair,), union | support) for chosen, union in subsets]
+    return [(GammaSet(chosen, n), union) for chosen, union in subsets]
 
 
 def is_inner(
-    algebra: AlgebraSpec,
-    family: ProjectionFamily,
-    m: OperatorMatrix,
-    cap: int = ENUM_CAP_DEFAULT,
+    algebra: AlgebraSpec, family: ProjectionFamily, m: OperatorMatrix
 ) -> Optional[GammaSet]:
     """A witness Γ with P_Γ = M, or None: M is certifiably not inner for
     this family.
 
     M is inner exactly when its support is a union of summand supports;
     the witness is the set of nonzero summands inside supp(M), which is
-    the first such Γ in bit-mask order.  M must act on the algebra's
-    space and be a band projection operator; anything else raises.
+    the first such Γ in bit-mask order, its pairs in sorted order.  One
+    pass over the |Λ|² supports decides it, so no cap applies.  M must act
+    on the algebra's space and be a band projection operator; anything
+    else raises.
     """
     if m.dim != algebra.dim:
         raise DimensionMismatchError("operator dimension does not match algebra")
     target = m.as_mask()
     if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
-    _check_cap(len(family), cap)
     supports = family.summand_supports
     inside = [t for t, s in enumerate(supports) if s and s <= target]
     if frozenset().union(*(supports[t] for t in inside)) != target:
         return None
-    pairs = _sorted_pairs(len(family))
-    return GammaSet(frozenset(pairs[t] for t in inside), len(family))
+    return GammaSet(tuple(divmod(t, len(family)) for t in inside), len(family))
 
 
 def _maximal_cliques(adjacent: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:

@@ -83,7 +83,7 @@ def fmt_mask(n: int, support: Iterable[int]) -> str:
 
 
 def fmt_gamma(gamma: GammaSet) -> str:
-    pairs = ", ".join(f"({a},{b})" for a, b in gamma.sorted_pairs())
+    pairs = ", ".join(f"({a},{b})" for a, b in gamma.pairs)
     return "{" + pairs + "}"
 
 

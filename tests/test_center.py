@@ -80,6 +80,15 @@ def test_in_identity_ideal_membership():
         la.norm_e(alg, vec([0, 1, 0]))
 
 
+def test_norm_e_divides_by_the_size_of_a_negative_identity_coordinate():
+    # b0∗b0 = b0 and b1∗b1 = −b1, so e = (1, −1) and A_e is the ideal
+    # generated by |e| = (1, 1): ‖x‖_e = inf{λ ≥ 0 : |x| ≤ λ|e|} = max |x_i|
+    alg = la.algebra_from_dict({"dim": 2, "tensor": [[0, 0, 0, 1], [1, 1, 1, -1]]})
+    assert alg.require_identity() == vec([1, -1])
+    assert la.norm_e(alg, vec([0, 2])) == Fraction(2)
+    assert la.norm_e(alg, vec([3, "-1/2"])) == Fraction(3)
+
+
 @given(st.lists(rationals, min_size=3, max_size=3).map(vec))
 def test_band_decomposition_reconstructs(x):
     alg = la.builtin("upper2")

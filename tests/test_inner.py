@@ -52,11 +52,12 @@ def every_gamma(n_members):
 def test_gamma_set_algebra():
     g = GammaSet.of([(0, 0), (1, 1)], 2)
     h = GammaSet.of([(0, 0), (0, 1)], 2)
-    assert g.intersection(h).sorted_pairs() == [(0, 0)]
-    assert g.union(h).sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
-    assert g.complement().sorted_pairs() == [(0, 1), (1, 0)]
-    assert GammaSet.full(2).sorted_pairs() == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert GammaSet.empty(2).sorted_pairs() == []
+    assert g.intersection(h).pairs == ((0, 0),)
+    assert g.union(h).pairs == ((0, 0), (0, 1), (1, 1))
+    assert g.complement().pairs == ((0, 1), (1, 0))
+    assert GammaSet.full(2).pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert GammaSet.empty(2).pairs == ()
+    assert GammaSet.of([(1, 1), (0, 0), (1, 1)], 2) == g  # sorted once, repeats dropped
     with pytest.raises(FamilyError):
         GammaSet.of([(0, 2)], 2)  # index out of range
     with pytest.raises(FamilyError):
@@ -73,14 +74,19 @@ def _gamma_cases():
 
 @given(_gamma_cases())
 def test_gamma_set_operations_stay_in_range(case):
-    """Only GammaSet.of checks pairs; what the set operations build from
-    checked sets passes that check too."""
+    """Only GammaSet.of checks and sorts pairs; what the set operations
+    build from checked sets passes that check too, and lists its distinct
+    pairs in sorted order, as `of` would."""
     n, g_pairs, h_pairs = case
     g, h = GammaSet.of(g_pairs, n), GammaSet.of(h_pairs, n)
     full = GammaSet.full(n)
     for result in (g.union(h), g.intersection(h), g.complement(), GammaSet.empty(n), full):
-        assert result.pairs <= full.pairs
+        assert result.pairs == tuple(sorted(set(result.pairs)))
+        assert set(result.pairs) <= set(full.pairs)
         assert GammaSet.of(result.pairs, n) == result
+    assert set(g.union(h).pairs) == g_pairs | h_pairs
+    assert set(g.intersection(h).pairs) == g_pairs & h_pairs
+    assert set(g.complement().pairs) == set(full.pairs) - g_pairs
     assert g.union(g.complement()) == full
 
 
@@ -302,13 +308,23 @@ def permuted_lp_sum_family(seed):
     return permuted, la.validate_family(permuted, [move(p) for p in members])
 
 
+def _assert_sorted(gamma):
+    assert list(gamma.pairs) == sorted(set(gamma.pairs))
+
+
 def _check_against_reference(alg, family):
     want = [(gamma, m.as_mask()) for gamma, m in reference_inner(alg, family)]
-    assert la.enumerate_inner(alg, family) == want
+    found = la.enumerate_inner(alg, family)
+    assert found == want
+    for gamma, _ in found:
+        _assert_sorted(gamma)
     witness = {support: gamma for gamma, support in want}
     for bits in itertools.product((0, 1), repeat=alg.dim):
         support = frozenset(i for i, b in enumerate(bits) if b)
-        assert la.is_inner(alg, family, OperatorMatrix.diagonal(bits)) == witness.get(support)
+        gamma = la.is_inner(alg, family, OperatorMatrix.diagonal(bits))
+        assert gamma == witness.get(support)
+        if gamma is not None:
+            _assert_sorted(gamma)
 
 
 @pytest.mark.parametrize("name", la.BUILTIN_NAMES)
@@ -460,6 +476,28 @@ def test_five_member_family_under_raised_cap(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["distinct_inner"]) == 2**5
     assert payload["distinct_inner"][-1]["gamma"] == [[i, i] for i in range(5)]
+
+
+def test_is_inner_takes_no_cap(tmp_path, capsys):
+    """is_inner reads |Λ|² supports once and walks no subsets, so a family
+    of |Λ|² = 25 > 16 gets a verdict; only enumerate_inner, and with it the
+    inner command, refuses that family under the default cap."""
+    alg = la.lp_sum([la.builtin("ck2"), la.builtin("ck3")], name="ck2+ck3")
+    family = la.validate_family(alg, list(la.ck_representation(alg).atoms))
+    assert len(family) == 5
+    gamma = la.is_inner(alg, family, OperatorMatrix.diagonal([1, 0, 1, 1, 0]))
+    assert gamma == GammaSet.of([(0, 0), (2, 2), (3, 3)], 5)
+    assert la.is_inner(alg, family, OperatorMatrix.identity(5)) == GammaSet.of(
+        [(i, i) for i in range(5)], 5
+    )
+    with pytest.raises(CapExceededError):
+        la.enumerate_inner(alg, family)
+    path = tmp_path / "ck2+ck3.json"
+    la.save_algebra(alg, path)
+    assert main(["inner", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: family of size 5 has |Λ|² = 25 pairs; cap is |Λ|² ≤ 16\n"
+    )
 
 
 # -- references: membership, orthogonality and summands through the kernel --

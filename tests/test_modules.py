@@ -169,3 +169,34 @@ def test_the_report_renders_what_the_commands_compute():
         for node in ast.walk(ast.parse((package / "report.py").read_text()))
         if _spelling(node) in owners
     ] == []
+
+
+def test_gamma_set_pairs_are_sorted_once():
+    """GammaSet keeps its pairs in sorted order, so outside the class no
+    package or script code names sorted_pairs (or _sorted_pairs) or calls
+    sorted on a .pairs value.  The kernel's product index, read as
+    integer_tensor.pairs, is a dict of another class and is not covered."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    offenders = []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        gamma_set = {
+            id(node)
+            for top in ast.walk(tree) if isinstance(top, ast.ClassDef) and top.name == "GammaSet"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if id(node) in gamma_set:
+                continue
+            names = {_spelling(node), getattr(node, "name", None)}
+            sorts_pairs = (
+                isinstance(node, ast.Call) and _spelling(node.func) == "sorted"
+                and any(
+                    isinstance(arg, ast.Attribute) and arg.attr == "pairs"
+                    and _spelling(arg.value) != "integer_tensor"
+                    for argument in node.args for arg in ast.walk(argument)
+                )
+            )
+            if names & {"sorted_pairs", "_sorted_pairs"} or sorts_pairs:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
