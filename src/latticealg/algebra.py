@@ -90,14 +90,16 @@ class AxiomReport:
 class IdentityResult:
     """A two-sided multiplicative identity together with its basic order data.
 
+    form is e's integer form (v, L), e = v/L, as the identity check read it.
     is_positive is e ≥ 0 and norm_one is ‖e‖ = 1, both decided exactly on
-    e's integer form (_norm_is_one); norm_one is None when the algebra norm
-    is inexact (p-kind), whatever e is.  A False value is reported, not
-    raised — it flags a tensor/norm combination that cannot be a lattice
-    algebra with normalized identity.
+    it (_norm_is_one); norm_one is None when the algebra norm is inexact
+    (p-kind), whatever e is.  A False value is reported, not raised — it
+    flags a tensor/norm combination that cannot be a lattice algebra with
+    normalized identity.
     """
 
     element: LatticeElement
+    form: "IntegerForm"
     is_positive: bool
     norm_one: Optional[bool] = None
 
@@ -429,13 +431,15 @@ class AlgebraSpec:
         linear system in the coordinates of e.  A two-sided identity is the
         only left identity (f = f∗e = e), so when one exists the system has
         exactly that solution; the column check below decides two-sidedness.
-        A declared identity replaces the solve and gets the same check.  The
-        flags e ≥ 0 and ‖e‖ = 1 are then read off e's integer form (v, L),
-        which the check has built: v ≥ 0, and _norm_is_one.
+        The solve returns e's integer form (v, L), from which e's Fractions
+        are built once.  A declared identity replaces the solve, enters by
+        integer_form, and gets the same check.  The flags e ≥ 0 and ‖e‖ = 1
+        are then read off (v, L): v ≥ 0, and _norm_is_one.
         """
         kernel = self.integer_tensor
         if self.identity is not None:
             e = self.identity
+            form = integer_form(self, e)
             failure = "candidate identity fails e∗b = b∗e = b on the basis"
         else:
             n = self.dim
@@ -446,21 +450,20 @@ class AlgebraSpec:
             for i, entries in enumerate(kernel.second):
                 for j, k, big_c in entries:
                     rows.setdefault((i, k), [0] * n)[j] = big_c
-            solution = linalg.solve(list(rows.values()), [kernel.den * (i == k) for i, k in rows])
-            if solution is None:
+            form = linalg.solve(list(rows.values()), [kernel.den * (i == k) for i, k in rows])
+            if form is None:
                 return failure
-            e = LatticeElement(tuple(solution))
+            e = LatticeElement(tuple(Fraction(c, form[1]) for c in form[0]))
         # Check e∗b_q = b_q∗e = b_q column by column (guards a declared
         # identity too): with e = v/L both columns must be L·D·e_q.
-        v, scale = integer_form(self, e)
+        v, scale = form
         for q in range(self.dim):
             unit = [0] * self.dim
             unit[q] = scale * kernel.den
             if kernel.left_column(v, q) != unit or kernel.right_column(v, q) != unit:
                 return failure
-        return IdentityResult(
-            element=e, is_positive=min(v) >= 0, norm_one=_norm_is_one(self.norm, v, scale)
-        )
+        norm_one = _norm_is_one(self.norm, v, scale)
+        return IdentityResult(element=e, form=form, is_positive=min(v) >= 0, norm_one=norm_one)
 
     def solve_identity(self) -> IdentityResult:
         """The two-sided identity; raise NoIdentityError if none exists."""

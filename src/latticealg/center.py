@@ -142,14 +142,16 @@ def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
     all of A_e.  The check reads the kernel's product index and builds no
     product: the atoms for i, j ∈ supp(e) are e_i·b_i and e_j·b_j, whose
     product is e_i·e_j·Σ_k (C_ijk/D)·b_k, and e_i > 0, so it is δ_ij·e_i·b_i
-    exactly when e_j·C_ijk = D·[i = j]·[k = i] for every k.  Raises
-    InputError if either check fails, naming the first failing pair and its
-    product, since that would mean the input is not a lattice algebra
-    (nonnegative associative tensor with positive identity) to begin with.
+    exactly when u_j·C_ijk = D·L·[i = j]·[k = i] for every k, on the
+    identity's kept form e = u/L (IdentityResult.form).  Raises InputError
+    if either check fails, naming the first failing pair and its product,
+    since that would mean the input is not a lattice algebra (nonnegative
+    associative tensor with positive identity) to begin with.
     """
-    e = algebra.require_identity()
-    if not e.is_positive():
+    identity = algebra.solve_identity()
+    if not identity.is_positive:
         raise InputError("identity is not positive; A_e has no atom representation")
+    e, (u, scale) = identity.element, identity.form
     support = tuple(sorted(e.support()))
     atoms = []
     for i in support:
@@ -158,10 +160,8 @@ def ck_representation(algebra: AlgebraSpec) -> CKRepresentation:
         atoms.append(LatticeElement(tuple(coords)))
     kernel = algebra.integer_tensor
     for (t, i), (s, j) in itertools.product(enumerate(support), repeat=2):
-        # e_j·C_ijk = D·[i = j]·[k = i], both sides times the denominator of e_j.
-        e_j = e.coords[j]
-        scaled = [(k, e_j.numerator * c) for k, c in kernel.pairs.get((i, j), ())]
-        if scaled != ([(i, kernel.den * e_j.denominator)] if i == j else []):
+        scaled = [(k, u[j] * c) for k, c in kernel.pairs.get((i, j), ())]
+        if scaled != ([(i, kernel.den * scale)] if i == j else []):
             product = algebra.multiply(atoms[t], atoms[s])
             raise InputError(f"atoms {t}, {s} violate a_i∗a_j = δ_ij·a_i: got {product}")
     return CKRepresentation(atoms=tuple(atoms), support=support, identity=e)

@@ -17,22 +17,20 @@ from operator import mul
 from typing import Optional, Sequence
 
 
-def solve(
-    a: Sequence[Sequence[int]], b: Sequence[int], num: int = 1, den: int = 1
-) -> Optional[list[Fraction]]:
-    """num/den times one exact solution x of A·x = b, for integer A and b
-    (free variables set to 0) and integers num and den > 0, or None.
+def solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """One exact solution x of A·x = b, for integer A and b (free variables
+    set to 0), as integers over one denominator: (v, L) with x = v/L, or None.
 
-    Accepts rectangular (overdetermined) systems; None means inconsistent.
+    L > 0 is the lcm of the coordinates' denominators in lowest terms, so
+    (v, L) is x's algebra.integer_form, and no Fraction is built.  Accepts
+    rectangular (overdetermined) systems; None means inconsistent.
     Fraction-free Gauss–Jordan: the pivot of each column is the first row
     below the pivots found so far with a nonzero entry there, and every other
     row with a nonzero entry f in that column becomes p·row − f·pivot_row,
     divided by its content so that the integers stay small.  A row with a
     zero there is left alone.  Row operations keep the column dependencies,
     so the pivot columns are those of the reduced row echelon form, and the
-    solution, supported on them, is x_c = rhs/p for each pivot row: each
-    coordinate returned is one Fraction(rhs·num, p·den), so a caller that
-    wants a multiple of x builds no second Fraction.
+    solution, supported on them, is x_c = rhs/p for each pivot row.
     """
     rows = len(a)
     if rows != len(b):
@@ -59,10 +57,13 @@ def solve(
             break
     if any(row[cols] for row in aug[len(pivots):]):  # 0 = nonzero: inconsistent
         return None
-    x = [Fraction(0)] * cols
-    for row, c in zip(aug, pivots):
-        x[c] = Fraction(row[cols] * num, row[c] * den)
-    return x
+    # x_c = rhs/p, whose denominator in lowest terms is |p|/gcd(rhs, p).
+    solved = [(c, row[cols], row[c]) for row, c in zip(aug, pivots)]
+    scale = math.lcm(*(abs(p) // math.gcd(rhs, p) for _, rhs, p in solved))
+    v = [0] * cols
+    for c, rhs, p in solved:
+        v[c] = rhs * scale // p
+    return v, scale
 
 
 def char_poly_monic(b: Sequence[Sequence[int]], d: int) -> list[Fraction]:

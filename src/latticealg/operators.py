@@ -268,26 +268,24 @@ def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeE
     """The two-sided inverse of a, or None if a is not invertible.
 
     Solves a ∗ y = e exactly on the integer kernel: with a = v/L and
-    e = u/M, L_a = B/(L·D) for the integer rows B = D·L_v, so L_a·y = e
-    exactly when y = (L·D/M)·z for a solution z of B·z = u, which
-    linalg.solve finds by fraction-free elimination and returns scaled by
-    L·D/M: each coordinate of y is one Fraction, the integer right-hand
-    side of its pivot row times L·D over the pivot times M.  In a unital
-    finite-dimensional algebra a right inverse is automatically two-sided
-    (L_a·L_y = I forces L_y·L_a = I for square matrices, and x ↦ L_x is
-    injective when an identity exists); both sides are still verified, a∗y = e
-    and y∗a = e on the integer kernel (IntegerTensor.product_is) with no
-    product built.
+    e = u/M (the identity's kept form), L_a = B/(L·D) for the integer rows
+    B = D·L_v, so L_a·y = e exactly when y = (L·D/M)·z for a solution z of
+    B·z = u, which linalg.solve finds by fraction-free elimination as z/m.
+    So y is (L·D·z)/(M·m) in integer form, and its Fractions are built once,
+    on return.  In a unital finite-dimensional algebra a right inverse is
+    automatically two-sided (L_a·L_y = I forces L_y·L_a = I for square
+    matrices, and x ↦ L_x is injective when an identity exists); both sides
+    are still verified, a∗y = e and y∗a = e on the integer kernel
+    (IntegerTensor.product_is) with no product built.
     """
-    e = algebra.require_identity()
+    e_form = algebra.solve_identity().form
     kernel = algebra.integer_tensor
-    v, scale = integer_form(algebra, a)
-    u, e_scale = integer_form(algebra, e)
-    y = linalg.solve(kernel.left_matrix(v), u, scale * kernel.den, e_scale)
-    if y is None:
+    a_form = v, scale = integer_form(algebra, a)
+    solution = linalg.solve(kernel.left_matrix(v), e_form[0])
+    if solution is None:
         return None
-    inv = LatticeElement(tuple(y))
-    a_form, inv_form, e_form = (v, scale), integer_form(algebra, inv), (u, e_scale)
+    z, z_scale = solution
+    inv_form = [c * scale * kernel.den for c in z], e_form[1] * z_scale
     if kernel.product_is(a_form, inv_form, e_form) and kernel.product_is(inv_form, a_form, e_form):
-        return inv
+        return LatticeElement(tuple(Fraction(c, inv_form[1]) for c in inv_form[0]))
     return None

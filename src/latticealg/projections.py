@@ -87,11 +87,10 @@ def mask_support(
 
     This evaluates each column directly and builds nothing, which is what
     a single element wants: is_band_projection (and check_bp_spectrum
-    through it), classify, side_masks and a grid of one point.  The grid
-    walk computes the same columns one prefix at a time instead, those of
-    L_a·R_a off column forms, which pay only when many points share them,
-    and those of L_a and R_a as this routine does; the tests check it
-    against this routine.
+    through it), classify and side_masks.  The grid walk computes the same
+    columns one prefix at a time instead, those of L_a·R_a off column
+    forms, which pay only when many points share them, and those of L_a and
+    R_a as this routine does; the tests check it against this routine.
     """
     kernel = algebra.integer_tensor
     if right is None:
@@ -432,9 +431,7 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHi
     fixes is 0, so a form is taken from the kernel only when a prefix with a
     nonzero coordinate first reaches its column, and kept in the walk's own
     list, as asking the kernel for every column costs about a tenth of the
-    walk.  A form costs up to n direct evaluations of its column and pays
-    only when many points share it, so a grid of one point (one nonnegative
-    value) is decided by mask_support.
+    walk.
     """
     # Points with a negative coordinate are not positive, and dropping them
     # keeps the rest in lexicographic order; only the points walked count
@@ -442,14 +439,6 @@ def search_band_projections(algebra: AlgebraSpec, grid: GridSpec) -> list[GridHi
     values = [v for v in grid.values if v >= 0]
     n = algebra.dim
     check_grid_size(len(values), n)
-    if len(values) <= 1:
-        if not values:
-            return []
-        a = LatticeElement((values[0],) * n)
-        form = integer_form(algebra, a)
-        if mask_support(algebra, form, form) is None:
-            return []
-        return [GridHit(a, mask_support(algebra, form, None), mask_support(algebra, None, form))]
     scale = math.lcm(*(v.denominator for v in values))
     ints = [(v.numerator * (scale // v.denominator), v) for v in values]
     kernel = algebra.integer_tensor

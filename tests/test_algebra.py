@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -308,26 +309,31 @@ def integer_systems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_systems(), st.integers(-(10**6), 10**6), st.integers(1, 10**6))
-def test_solve_matches_fraction_reference(system, num, den):
+@given(integer_systems())
+def test_solve_matches_fraction_reference(system):
+    """solve returns the reference solution x as (v, L): x = v/L with L the
+    lcm of x's denominators in lowest terms, as integer_form reads it."""
     a, b = system
-    x = la.linalg.solve(a, b)
-    assert x == fraction_solve(a, b)
-    if x is not None:
-        assert [sum(u * v for u, v in zip(row, x)) for row in a] == b
-        # the scaled solve builds each coordinate once, as Fraction(num, den)·x_c
-        assert la.linalg.solve(a, b, num, den) == [c * Fraction(num, den) for c in x]
+    form = la.linalg.solve(a, b)
+    x = fraction_solve(a, b)
+    if x is None:
+        assert form is None
     else:
-        assert la.linalg.solve(a, b, num, den) is None
+        v, scale = form
+        lcm = math.lcm(*(c.denominator for c in x))
+        assert (v, scale) == ([c.numerator * (lcm // c.denominator) for c in x], lcm)
+        assert [sum(u * w for u, w in zip(row, v)) for row in a] == [scale * c for c in b]
 
 
 def test_solve_on_singular_and_inconsistent_systems():
     # rank 1: x₁ free, so x = (1, 0); the same rows with b = (1, 3) are inconsistent
-    assert la.linalg.solve([[2, 4], [1, 2]], [2, 1]) == [1, 0]
+    assert la.linalg.solve([[2, 4], [1, 2]], [2, 1]) == ([1, 0], 1)
     assert la.linalg.solve([[2, 4], [1, 2]], [1, 3]) is None
-    # overdetermined and consistent, with a zero column
-    assert la.linalg.solve([[0, 3], [0, 6], [0, -9]], [1, 2, -3]) == [0, Fraction(1, 3)]
-    assert la.linalg.solve([[0, 0]], [0]) == [0, 0]
+    # overdetermined and consistent, with a zero column: x = (0, 1/3)
+    assert la.linalg.solve([[0, 3], [0, 6], [0, -9]], [1, 2, -3]) == ([0, 1], 3)
+    # negative pivots: x = (−1/2, 2/3) over a positive L
+    assert la.linalg.solve([[-2, 0], [0, -3]], [1, -2]) == ([-3, 4], 6)
+    assert la.linalg.solve([[0, 0]], [0]) == ([0, 0], 1)
     assert la.linalg.solve([[0, 0]], [5]) is None
 
 
@@ -474,6 +480,16 @@ def test_verify_axioms_matches_fraction_reference(alg):
     assert report.has_identity is has_identity
     assert report.identity == identity
     assert report.identity_laws_ok == laws
+
+
+@settings(max_examples=200, deadline=None)
+@given(axiom_cases())
+def test_identity_form_is_the_integer_form_of_e(alg):
+    """The form a solved or declared identity keeps is integer_form of e:
+    the numerators over the lcm of e's reduced denominators."""
+    if alg.has_identity():
+        result = alg.solve_identity()
+        assert result.form == algebra_module.integer_form(alg, result.element)
 
 
 @settings(max_examples=200, deadline=None)

@@ -320,6 +320,30 @@ def test_invert_element():
     assert not inv.is_positive()
 
 
+def test_identity_and_inverse_are_converted_from_fractions_once(monkeypatch):
+    """A solved identity keeps the solve's integer form, and invert_element
+    converts only its argument: integer_form runs on neither e nor the
+    inverse."""
+    real = la.algebra.integer_form
+    calls = []
+
+    def counting(algebra, a):
+        calls.append(a)
+        return real(algebra, a)
+
+    monkeypatch.setattr(la.algebra, "integer_form", counting)
+    monkeypatch.setattr(operators, "integer_form", counting)
+    # b0∗b0 = 2·b0 and b1∗b1 = 3·b1: e = (1/2, 1/3), solved
+    alg = AlgebraSpec(dim=2, tensor={(0, 0, 0): 2, (1, 1, 1): 3})
+    e = alg.require_identity()
+    assert e == vec(["1/2", "1/3"])
+    assert calls == []
+    a = vec([1, "2/3"])
+    inv = la.invert_element(alg, a)
+    assert calls == [a]
+    assert inv == vec(["1/4", "1/6"]) and alg.multiply(a, inv) == e
+
+
 # -- invert_element against a Fraction solve of L_a·y = e ---------------------
 
 INVERT_ALGEBRAS = (

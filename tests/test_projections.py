@@ -514,8 +514,7 @@ def test_column_form_is_the_column_of_l_times_r(case, rng):
 
 def test_column_forms_are_built_once_per_kernel(monkeypatch):
     """A search asks for each column form at most once and a later search
-    gets the same objects back; single predicates and a one-point grid
-    build none."""
+    gets the same objects back; single predicates build none."""
     original = IntegerTensor.column_form
     calls = []
 
@@ -529,8 +528,16 @@ def test_column_forms_are_built_once_per_kernel(monkeypatch):
     for x in alg.elements.values():
         la.is_band_projection(alg, x)
         la.classify(alg, x)
-    la.search_band_projections(alg, GridSpec.from_values([-1, "1/2"]))
     assert calls == []
+    # a grid of one nonnegative value is walked and gets mask_support's verdict
+    for value in (Fraction(1, 2), Fraction(0)):
+        a = LatticeElement((value,) * alg.dim)
+        form = projections.integer_form(alg, a)
+        sides = ((form, form), (form, None), (None, form))
+        bp, left, right = (projections.mask_support(alg, l, r) for l, r in sides)
+        expected = [] if bp is None else [(a, left, right)]
+        assert la.search_band_projections(alg, GridSpec.from_values([-1, value])) == expected
+    calls.clear()
     la.search_band_projections(alg, GridSpec.from_resolution(2))
     first = dict(calls)
     assert len(first) == len(calls) and first
