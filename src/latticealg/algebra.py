@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .errors import CapExceededError, DimensionMismatchError, InputError, NoIdentityError
-from .lattice import LatticeElement, NormSpec, as_scalar, norm, vec, zero
+from .lattice import LatticeElement, NormSpec, as_scalar, vec, zero
 
 TensorKey = tuple[int, int, int]
 
@@ -74,8 +74,10 @@ class AxiomReport:
     negative_entries: list[TensorKey] = field(default_factory=list)
     associativity_failures: list[TensorKey] = field(default_factory=list)
     has_identity: bool = False
+    # The identity, or a declared candidate that fails the laws (then
+    # has_identity is False and identity_laws_ok False); None when neither.
     identity: Optional[LatticeElement] = None
-    identity_laws_ok: Optional[bool] = None  # None when there is no identity
+    identity_laws_ok: Optional[bool] = None  # None when identity is None
     identity_positive: Optional[bool] = None
     identity_norm_one: Optional[bool] = None  # None when undecided (p-kind norms)
     submultiplicativity: str = "unknown"  # "proved" | "unknown"
@@ -271,6 +273,15 @@ def integer_form(algebra: "AlgebraSpec", a: LatticeElement) -> IntegerForm:
     return [c.numerator * (scale // c.denominator) for c in a.coords], scale
 
 
+def _weight_form(spec: NormSpec, n: int) -> IntegerForm:
+    """The norm weights over their common denominator: (ω, W) with
+    w_i = ω_i/W, or n ones over 1 when the weights are unit."""
+    if spec.weights is None:
+        return [1] * n, 1
+    common = math.lcm(*(w.denominator for w in spec.weights))
+    return [w.numerator * (common // w.denominator) for w in spec.weights], common
+
+
 def _norm_is_one(spec: NormSpec, v: Sequence[int], scale: int) -> Optional[bool]:
     """‖v/L‖ = 1 for the integer vector v and L = scale, decided on integers
     for the sup and one kinds: with the weights w_i = ω_i/W over their
@@ -279,10 +290,7 @@ def _norm_is_one(spec: NormSpec, v: Sequence[int], scale: int) -> Optional[bool]
     inexact.  lattice.norm is the Fraction reference."""
     if spec.kind == "p":
         return None
-    omega, common = [1] * len(v), 1
-    if spec.weights is not None:
-        common = math.lcm(*(w.denominator for w in spec.weights))
-        omega = [w.numerator * (common // w.denominator) for w in spec.weights]
+    omega, common = _weight_form(spec, len(v))
     terms = [w * abs(x) for w, x in zip(omega, v)]
     return (max(terms) if spec.kind == "sup" else sum(terms)) == scale * common
 
@@ -320,7 +328,7 @@ class AlgebraSpec:
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"tensor index {key} out of range for dim {self.dim}")
             q = value if isinstance(value, Fraction) else as_scalar(value)
-            if q != 0:
+            if q.numerator:
                 clean[(i, j, k)] = q
         object.__setattr__(self, "tensor", MappingProxyType(clean))
         object.__setattr__(self, "elements", MappingProxyType(dict(self.elements)))
@@ -381,14 +389,23 @@ class AlgebraSpec:
 
         Tensor nonnegativity and associativity on all basis triples are
         exact and complete (associativity extends bilinearly from the
-        basis); associativity is decided by IntegerTensor's contraction.
-        The identity laws e∗b = b∗e = b were checked on the basis when the
-        identity was found, so an identity here has identity_laws_ok True,
-        and the (is_positive, ‖e‖ = 1) flags come with it; absence of an
-        identity is noted, not an error.  Norm submultiplicativity gets a
-        {proved, unknown} verdict from check_submultiplicativity.
+        basis); both are read off the integer kernel c = C/D, D > 0: the
+        negative entries are the C < 0, and associativity is decided by
+        IntegerTensor's contraction.  The identity laws e∗b = b∗e = b were
+        checked on the basis when the identity was found, so an identity
+        here has identity_laws_ok True, and the (is_positive, ‖e‖ = 1)
+        flags come with it.  A declared identity that fails the laws is
+        reported with identity_laws_ok False and its own flags, and fails
+        the report; absence of an identity is noted, not an error.  Norm
+        submultiplicativity gets a {proved, unknown} verdict from
+        check_submultiplicativity.
         """
-        negative = sorted(key for key, c in self.tensor.items() if c < 0)
+        negative = sorted(
+            (i, j, k)
+            for (i, j), terms in self.integer_tensor.pairs.items()
+            for k, big_c in terms
+            if big_c < 0
+        )
         failures = self.integer_tensor.associativity_failures()
         report = AxiomReport(
             nonnegative=not negative,
@@ -403,6 +420,12 @@ class AlgebraSpec:
             report.identity_laws_ok = True
             report.identity_positive = identity.is_positive
             report.identity_norm_one = identity.norm_one
+        elif self.identity is not None:
+            v, scale = integer_form(self, self.identity)
+            report.identity = self.identity
+            report.identity_laws_ok = False
+            report.identity_positive = min(v) >= 0
+            report.identity_norm_one = _norm_is_one(self.norm, v, scale)
         verdict, detail = check_submultiplicativity(self)
         report.submultiplicativity = verdict
         report.submultiplicativity_detail = detail
@@ -520,33 +543,46 @@ def check_submultiplicativity(algebra: AlgebraSpec) -> tuple[str, str]:
       ball is the convex hull of ±b_i/w_i, and the product is bilinear);
     - p kind: no exact certificate is attempted — always "unknown".
 
+    Both conditions are decided on the integer kernel c = C/D.  Sup: with
+    w_i = a_i/d_i in lowest terms, u = v/L for L = lcm(a) and
+    v_i = d_i·L/a_i, and u∗u ≤ u is D·(v∗v) ≤ L·D·v (IntegerTensor.product).
+    One: with w_i = ω_i/W over the weights' common denominator, the pair
+    (i, j) holds when Σ_k ω_k·|C_ijk|·W ≤ ω_i·ω_j·D.  Fractions are built
+    only for the detail of a failure.
+
     "unknown" is a verdict about the certificate, not a claimed failure;
     the detail names the first violated coordinate or pair when the
     sufficient condition itself fails.
     """
     spec = algebra.norm
     if spec.kind == "sup":
-        w = spec.weight_vector(algebra.dim)
-        u = LatticeElement(tuple(Fraction(1) / wi for wi in w))
-        uu = algebra.multiply(u, u)
-        if uu.leq(u):
+        kernel = algebra.integer_tensor
+        weights = spec.weight_vector(algebra.dim)
+        scale = math.lcm(*(w.numerator for w in weights))
+        v = [w.denominator * (scale // w.numerator) for w in weights]
+        bound = scale * kernel.den
+        uu = kernel.product(v, v)
+        bad = next((k for k, (c, x) in enumerate(zip(uu, v)) if c > bound * x), None)
+        if bad is None:
             return "proved", "u∗u ≤ u for the unit-ball corner u"
-        bad = next(i for i in range(algebra.dim) if uu.coords[i] > u.coords[i])
         return (
             "unknown",
             f"sufficient condition fails at coordinate {bad}: "
-            f"(u∗u)_{bad} = {uu.coords[bad]} > u_{bad} = {u.coords[bad]}",
+            f"(u∗u)_{bad} = {Fraction(uu[bad], scale * bound)} > "
+            f"u_{bad} = {Fraction(v[bad], scale)}",
         )
     if spec.kind == "one":
+        kernel = algebra.integer_tensor
+        omega, common = _weight_form(spec, algebra.dim)
         # A pair without entries has b_i ∗ b_j = 0, which cannot fail.
         for i, j in sorted(algebra.integer_tensor.pairs):
-            prod = norm(algebra.basis_product(i, j), spec)
-            bound = norm(algebra.basis_element(i), spec) * norm(algebra.basis_element(j), spec)
-            if prod > bound:
+            prod = sum(omega[k] * abs(big_c) for k, big_c in kernel.pairs[i, j])
+            if prod * common > omega[i] * omega[j] * kernel.den:
                 return (
                     "unknown",
                     f"sufficient condition fails at basis pair ({i}, {j}): "
-                    f"‖b_{i}∗b_{j}‖ = {prod} > {bound}",
+                    f"‖b_{i}∗b_{j}‖ = {Fraction(prod, common * kernel.den)} > "
+                    f"{Fraction(omega[i] * omega[j], common * common)}",
                 )
         return "proved", "‖b_i∗b_j‖ ≤ ‖b_i‖·‖b_j‖ on all basis pairs"
     return "unknown", f"no exact certificate for norm kind {spec.kind!r}"

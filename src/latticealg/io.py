@@ -12,18 +12,20 @@ scalars; band projections are flat row-major 0/1 arrays; an algebra file is
       "elements": {"name": [...], ...}                # optional
     }
 
+algebra_from_dict parses each distinct int or str scalar of a file once,
+for the tensor, identity, elements and norm weights alike.
+
 Command output in JSON is written by dump_json: two-space indent, sorted
 keys, ASCII escapes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
 from .algebra import MAX_DIM, AlgebraSpec
 from .errors import InputError
@@ -48,9 +50,13 @@ def element_to_wire(x: LatticeElement) -> list[Wire]:
 
 
 def element_from_wire(data: Any) -> LatticeElement:
+    return _element(data, scalar_from_wire)
+
+
+def _element(data: Any, scalar: Callable[[Any], Fraction]) -> LatticeElement:
     if not isinstance(data, list) or not data:
         raise InputError("element must be a nonempty JSON array of scalars")
-    return LatticeElement(tuple(scalar_from_wire(v) for v in data))
+    return LatticeElement(tuple(scalar(v) for v in data))
 
 
 def mask_to_wire(n: int, support: Iterable[int]) -> list[Wire]:
@@ -72,17 +78,21 @@ def norm_to_wire(spec: NormSpec) -> dict[str, Any]:
 
 
 def norm_from_wire(data: Any) -> NormSpec:
+    return _norm(data, scalar_from_wire)
+
+
+def _norm(data: Any, scalar: Callable[[Any], Fraction]) -> NormSpec:
     if data is None:
         return NormSpec()
     if not isinstance(data, dict):
         raise InputError("norm must be a JSON object with a 'kind' field")
     kind = data.get("kind", "sup")
-    p = scalar_from_wire(data["p"]) if "p" in data and data["p"] is not None else None
+    p = scalar(data["p"]) if "p" in data and data["p"] is not None else None
     weights = None
     if data.get("weights") is not None:
         if not isinstance(data["weights"], list):
             raise InputError(f"norm weights must be a JSON array, got {data['weights']!r}")
-        weights = tuple(scalar_from_wire(w) for w in data["weights"])
+        weights = tuple(scalar(w) for w in data["weights"])
     try:
         return NormSpec(kind=kind, p=p, weights=weights)
     except (ValueError, TypeError) as exc:
@@ -114,7 +124,25 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def algebra_from_dict(data: Any) -> AlgebraSpec:
+def algebra_from_dict(data: Any, default_name: str = "") -> AlgebraSpec:
+    """The spec an algebra file's JSON value describes, named default_name
+    when the file gives no name (or an empty one).
+
+    Each distinct JSON int or str scalar is parsed once: scalars maps it to
+    its Fraction for this load only.  Other values (bools, floats, lists,
+    null) are passed to scalar_from_wire at each occurrence, which refuses
+    them as it always has.
+    """
+    scalars: dict[Wire, Fraction] = {}
+
+    def scalar(value: Any) -> Fraction:
+        if type(value) is not str and type(value) is not int:
+            return scalar_from_wire(value)
+        q = scalars.get(value)
+        if q is None:
+            q = scalars[value] = scalar_from_wire(value)
+        return q
+
     if not isinstance(data, dict):
         raise InputError("algebra file must contain a JSON object")
     dim = data.get("dim")
@@ -134,22 +162,22 @@ def algebra_from_dict(data: Any) -> AlgebraSpec:
             raise InputError(f"tensor indices in {entry!r} must be integers")
         if (i, j, k) in tensor:
             raise InputError(f"tensor entry {entry!r} repeats the indices ({i}, {j}, {k})")
-        tensor[(i, j, k)] = scalar_from_wire(c)
+        tensor[(i, j, k)] = scalar(c)
     identity = None
     if data.get("identity") is not None:
-        identity = element_from_wire(data["identity"])
+        identity = _element(data["identity"], scalar)
     named = data.get("elements") or {}
     if not isinstance(named, dict):
         raise InputError(f"'elements' must be a JSON object of named elements, got {named!r}")
     elements = {}
     for name, coords in named.items():
-        elements[str(name)] = element_from_wire(coords)
+        elements[str(name)] = _element(coords, scalar)
     return AlgebraSpec(
         dim=dim,
         tensor=tensor,
-        norm=norm_from_wire(data.get("norm")),
+        norm=_norm(data.get("norm"), scalar),
         identity=identity,
-        name=str(data.get("name", "")),
+        name=str(data.get("name", "")) or default_name,
         elements=elements,
     )
 
@@ -164,8 +192,7 @@ def load_algebra(path: Union[str, Path]) -> AlgebraSpec:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"{p} is not valid JSON: {exc}") from None
-    algebra = algebra_from_dict(data)
-    return algebra if algebra.name else dataclasses.replace(algebra, name=p.stem)
+    return algebra_from_dict(data, default_name=p.stem)
 
 
 def dump_json(value: Any) -> str:

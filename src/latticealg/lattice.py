@@ -304,7 +304,7 @@ class NormSpec:
         if self.kind not in ("sup", "one", "p"):
             raise InputError(f"unknown norm kind {self.kind!r}")
         if self.kind == "p":
-            if self.p is None or self.p < 1:
+            if self.p is None or self.p.numerator < self.p.denominator:
                 raise InputError("p-norm requires rational p >= 1")
             if max(self.p.numerator, self.p.denominator) > MAX_P_TERM:
                 raise InputError(
@@ -315,7 +315,7 @@ class NormSpec:
         if self.weights is not None:
             if not self.weights:
                 raise InputError("weights must be nonempty when present")
-            if any(w <= 0 for w in self.weights):
+            if any(w.numerator <= 0 for w in self.weights):
                 raise InputError("all norm weights must be strictly positive")
 
     def weight_vector(self, dim: int) -> tuple[Fraction, ...]:

@@ -129,6 +129,67 @@ def test_one_norm_submultiplicativity_names_the_first_failing_pair():
     assert verdict == "proved"
 
 
+def reference_submultiplicativity(alg):
+    """check_submultiplicativity's verdict and detail by Fractions: u∗u
+    compared with u for the sup kind, and the norms of b_i∗b_j, b_i and
+    b_j for the one kind, from the tensor's Fraction product."""
+    spec = alg.norm
+    if spec.kind == "sup":
+        u = vec([1 / w for w in spec.weight_vector(alg.dim)])
+        uu = fraction_product(alg, u, u)
+        if uu.leq(u):
+            return "proved", "u∗u ≤ u for the unit-ball corner u"
+        bad = next(i for i in range(alg.dim) if uu.coords[i] > u.coords[i])
+        return (
+            "unknown",
+            f"sufficient condition fails at coordinate {bad}: "
+            f"(u∗u)_{bad} = {uu.coords[bad]} > u_{bad} = {u.coords[bad]}",
+        )
+    if spec.kind == "one":
+        basis = [alg.basis_element(i) for i in range(alg.dim)]
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                prod = norm(fraction_product(alg, basis[i], basis[j]), spec)
+                bound = norm(basis[i], spec) * norm(basis[j], spec)
+                if prod > bound:
+                    return (
+                        "unknown",
+                        f"sufficient condition fails at basis pair ({i}, {j}): "
+                        f"‖b_{i}∗b_{j}‖ = {prod} > {bound}",
+                    )
+        return "proved", "‖b_i∗b_j‖ ≤ ‖b_i‖·‖b_j‖ on all basis pairs"
+    return "unknown", f"no exact certificate for norm kind {spec.kind!r}"
+
+
+@st.composite
+def submultiplicativity_cases(draw):
+    """A random tensor of dim 1–4 with negative and fractional entries, or
+    a rescaled builtin, under a sup, one or p norm with drawn weights."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(SMALL_BUILTINS))
+        n = la.builtin(name).dim
+        order = draw(st.permutations(range(n)))
+        alg = rescaled_builtin(name, order, draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    else:
+        n = draw(st.integers(1, 4))
+        index = st.integers(0, n - 1)
+        tensor = draw(st.dictionaries(st.tuples(index, index, index), coefficients, max_size=3 * n))
+        alg = AlgebraSpec(dim=n, tensor=tensor)
+    kind = draw(st.sampled_from(["sup", "one", "p"]))
+    weight = WEIGHTS | st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    weights = draw(st.one_of(st.none(), st.lists(weight, min_size=n, max_size=n).map(tuple)))
+    p = Fraction(3, 2) if kind == "p" else None
+    return dataclasses.replace(alg, norm=la.NormSpec(kind=kind, p=p, weights=weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(submultiplicativity_cases())
+def test_submultiplicativity_matches_the_fraction_reference(alg):
+    """The verdict and detail read off the integer kernel are the Fraction
+    route's, byte for byte."""
+    assert la.check_submultiplicativity(alg) == reference_submultiplicativity(alg)
+
+
 def test_lp_sum_blocks():
     u = la.builtin("upper2")
     s = la.lp_sum([u, u], name="pair")
@@ -338,7 +399,10 @@ def test_solve_on_singular_and_inconsistent_systems():
 
 
 def reference_axioms(alg):
-    """(negative entries, associativity failures, has identity, identity, laws ok)."""
+    """(negative entries, associativity failures, has identity, identity, laws ok).
+
+    The identity reported is the identity, else a declared candidate that
+    fails the laws, whose laws are then False; None (laws None) otherwise."""
     n = alg.dim
     negative = sorted(key for key, c in alg.tensor.items() if c < 0)
     basis = [alg.basis_element(i) for i in range(n)]
@@ -352,10 +416,12 @@ def reference_axioms(alg):
         != fraction_product(alg, basis[i], products[j][k])
     ]
     e = reference_identity(alg)
-    laws = None if e is None else all(
-        fraction_product(alg, e, b) == b and fraction_product(alg, b, e) == b for b in basis
+    candidate = alg.identity if e is None else e
+    laws = None if candidate is None else all(
+        fraction_product(alg, candidate, b) == b and fraction_product(alg, b, candidate) == b
+        for b in basis
     )
-    return negative, failures, e is not None, e, laws
+    return negative, failures, e is not None, candidate, laws
 
 
 def rescaled_builtin(name, order, scales):
@@ -480,6 +546,11 @@ def test_verify_axioms_matches_fraction_reference(alg):
     assert report.has_identity is has_identity
     assert report.identity == identity
     assert report.identity_laws_ok == laws
+    assert report.ok is (not negative and not failures and laws is not False)
+    if identity is not None:
+        # the flags of the identity, or of the declared candidate that fails
+        assert report.identity_positive is identity.is_positive()
+        assert report.identity_norm_one is (norm(identity, alg.norm) == 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -666,6 +737,36 @@ def test_wrong_declared_identity_is_named():
     data = dict(NO_IDENTITY["left-units"], identity=[1, 0, 0])
     with pytest.raises(NoIdentityError, match="candidate identity fails"):
         la.algebra_from_dict(data).solve_identity()
+
+
+def test_wrong_declared_identity_fails_verify(tmp_path, capsys):
+    # b0∗b0 = b0 and b1∗b1 = b1: (1, 1) is the identity, the declared (1, 0) is not
+    data = {"dim": 2, "tensor": [[0, 0, 0, 1], [1, 1, 1, 1]], "identity": [1, 0]}
+    report = la.algebra_from_dict(data).verify_axioms()
+    assert not report.has_identity and not report.ok
+    assert report.identity == vec([1, 0])
+    assert (report.identity_laws_ok, report.identity_positive, report.identity_norm_one) == (
+        False, True, True
+    )
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:5] == ["identity: (1, 0)", "  laws: FAIL; positive: yes; norm one: yes"]
+    assert lines[-1] == "result: FAIL"
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["identity"] == [1, 0]
+    assert payload["identity_laws_ok"] is False and payload["ok"] is False
+    # the report prints its verdicts and exits 0, as for any algebra
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "- identity: (1, 0) — laws FAIL, positive: yes, norm one: yes\n" in out
+    # commands that need the identity still refuse the candidate
+    assert main(["center", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: candidate identity fails e∗b = b∗e = b on the basis\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticealg as la
@@ -197,6 +197,103 @@ def test_exponents_past_the_digit_limit_are_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def reference_algebra_from_dict(data):
+    """algebra_from_dict on well-formed files, with every occurrence of a
+    scalar parsed by scalar_from_wire: no scalar is shared."""
+    tensor = {(i, j, k): scalar_from_wire(c) for i, j, k, c in data["tensor"]}
+    identity = None
+    if data.get("identity") is not None:
+        identity = la.element_from_wire(data["identity"])
+    elements = {name: la.element_from_wire(x) for name, x in data.get("elements", {}).items()}
+    return la.AlgebraSpec(
+        dim=data["dim"],
+        tensor=tensor,
+        norm=norm_from_wire(data.get("norm")),
+        identity=identity,
+        name=str(data.get("name", "")),
+        elements=elements,
+    )
+
+
+# A small pool, so that values repeat: equal ints and strs ("1", 1), zero,
+# negative and fractional values, and values every reader refuses.
+_pool = st.sampled_from(
+    [0, 1, 2, -1, 10**30, "0", "1", "2", "1/2", "-3/4", "2/4", " 1", "1e2", True, False, 1.0, 0.5]
+    + [[1], None, "x", "1/0", ""]
+)
+
+
+@st.composite
+def repeated_scalar_files(draw):
+    """Algebra file dicts of dim 1–3 whose tensor entries, identity, elements
+    and norm weights are drawn from one small pool of JSON scalars."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    keys = draw(st.lists(st.tuples(index, index, index), unique=True, max_size=2 * n))
+    data = {"dim": n, "tensor": [[i, j, k, draw(_pool)] for i, j, k in keys]}
+    coords = st.lists(_pool, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        data["identity"] = draw(coords)
+    if draw(st.booleans()):
+        data["elements"] = draw(st.dictionaries(st.sampled_from("xyz"), coords, max_size=2))
+    if draw(st.booleans()):
+        data["norm"] = {"kind": draw(st.sampled_from(["sup", "one", "p"]))}
+        if draw(st.booleans()):
+            data["norm"]["weights"] = draw(coords)
+        if data["norm"]["kind"] == "p":
+            data["norm"]["p"] = draw(_pool)
+    if draw(st.booleans()):
+        data["name"] = draw(st.sampled_from(["", "a"]))
+    return data
+
+
+@settings(max_examples=300)
+@given(repeated_scalar_files())
+# true and 1.0 compare and hash equal to 1: after 1 is read they must still be refused
+@example({"dim": 1, "tensor": [[0, 0, 0, 1]], "identity": [True]})
+@example({"dim": 1, "tensor": [[0, 0, 0, 1]], "elements": {"x": [1.0]}})
+def test_shared_scalars_give_the_same_spec_or_error(data):
+    try:
+        expected = reference_algebra_from_dict(data)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            la.algebra_from_dict(data)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        assert str(exc).count("\n") == 0
+    else:
+        assert la.algebra_from_dict(data) == expected
+
+
+def test_each_distinct_scalar_is_parsed_once(monkeypatch):
+    data = {
+        "dim": 2,
+        "tensor": [[0, 0, 0, "1/2"], [0, 1, 1, "1/2"], [1, 0, 1, 1], [1, 1, 1, "1"]],
+        "identity": ["2", 0],
+        "elements": {"x": [1, "1/2"], "y": [0, "2"]},
+        "norm": {"kind": "sup", "weights": ["1/2", 1]},
+    }
+    calls = []
+    real = la.io.as_scalar
+    monkeypatch.setattr(la.io, "as_scalar", lambda value: calls.append(value) or real(value))
+    alg = la.algebra_from_dict(data)
+    # the str "1" and the int 1 are different JSON values
+    assert sorted(map(repr, calls)) == sorted(map(repr, ["1/2", 1, "1", "2", 0]))
+    assert alg.tensor[(0, 0, 0)] is alg.norm.weights[0]
+    # and each load parses afresh
+    la.algebra_from_dict(data)
+    assert len(calls) == 10
+
+
+def test_an_unnamed_file_builds_its_spec_once(tmp_path, monkeypatch):
+    path = tmp_path / "stem.json"
+    path.write_text(json.dumps({"dim": 1, "tensor": [[0, 0, 0, 1]]}))
+    runs = []
+    real = la.AlgebraSpec.__post_init__
+    monkeypatch.setattr(la.AlgebraSpec, "__post_init__", lambda self: runs.append(1) or real(self))
+    assert la.load_algebra(path).name == "stem"
+    assert len(runs) == 1
 
 
 def test_largest_dim_is_accepted():
