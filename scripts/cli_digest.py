@@ -18,8 +18,11 @@ file named with --files:
   diagonal pairs of that family, in each format;
 - for each element a builtin names, inner --element NAME, in each format.
 
-Last come three cases with no target: report in each format, which renders
+Then come three cases with no target: report in each format, which renders
 every builtin's report, joined by "---" rules, whatever --builtins names.
+Last come the fixed command lines of REFUSALS, malformed or written in an
+unusual form (an option by prefix or with "=", "--", a negative value), so
+that the refusals' messages and exit codes are compared byte for byte too.
 
 Every case runs in this process through latticealg.cli.main, with stdout
 and stderr captured.
@@ -35,6 +38,24 @@ import latticealg as la
 from latticealg.cli import COMMANDS, main
 
 FORMATS = ("text", "json", "markdown")
+REFUSALS = (
+    [],
+    ["foo"],
+    ["--", "verify"],
+    ["classify", "builtin:ck2", "--grid", "x"],
+    ["verify", "builtin:ck2", "--format", "xml"],
+    ["classify", "builtin:ck2", "--element"],
+    ["classify", "builtin:ck2", "--element", "-x"],
+    ["verify", "builtin:ck2", "--f", "json"],
+    ["verify", "builtin:ck2", "b"],
+    ["--x", "verify", "builtin:ck2"],
+    ["classify", "builtin:upper2", "--elem", "E12"],
+    ["verify", "builtin:ck2", "--format=json"],
+    ["verify", "--", "builtin:ck2"],
+    ["classify", "builtin:ck2", "--grid", "-1"],
+    ["verify", "builtin:ck2", "--input", "missing.json"],
+    ["verify", "--builtin", "ck2", "--input", "missing.json"],
+)
 
 
 def cases(target: str, builtin_name: Optional[str]) -> Iterator[list[str]]:
@@ -82,6 +103,8 @@ def main_digest() -> None:
             print(digest(argv))
     for fmt in FORMATS:
         print(digest(["report", "--format", fmt]))
+    for argv in REFUSALS:
+        print(digest(argv))
 
 
 if __name__ == "__main__":

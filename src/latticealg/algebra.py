@@ -537,15 +537,17 @@ def check_submultiplicativity(algebra: AlgebraSpec) -> tuple[str, str]:
     """("proved" | "unknown", detail) for ‖x∗y‖ ≤ ‖x‖·‖y‖.
 
     Sufficient conditions, exact where applicable:
-    - sup kind, weights w: u ∗ u ≤ u for the unit-ball corner u_i = 1/w_i
-      (any x, y in the unit ball satisfy |x∗y| ≤ |x|∗|y| ≤ u∗u);
+    - sup kind, weights w: |c|(u, u) ≤ u for the unit-ball corner
+      u_i = 1/w_i, where |c|(x, y)_k = Σ_ij |c_ijk|·x_i·y_j (any x, y in the
+      unit ball satisfy |x∗y| ≤ |c|(|x|, |y|) ≤ |c|(u, u)); for a
+      nonnegative tensor |c|(u, u) is u∗u, and the details say so;
     - one kind: ‖b_i ∗ b_j‖ ≤ ‖b_i‖·‖b_j‖ for all basis pairs (the unit
       ball is the convex hull of ±b_i/w_i, and the product is bilinear);
     - p kind: no exact certificate is attempted — always "unknown".
 
     Both conditions are decided on the integer kernel c = C/D.  Sup: with
     w_i = a_i/d_i in lowest terms, u = v/L for L = lcm(a) and
-    v_i = d_i·L/a_i, and u∗u ≤ u is D·(v∗v) ≤ L·D·v (IntegerTensor.product).
+    v_i = d_i·L/a_i, and |c|(u, u) ≤ u is Σ_ij |C_ijk|·v_i·v_j ≤ L·D·v_k.
     One: with w_i = ω_i/W over the weights' common denominator, the pair
     (i, j) holds when Σ_k ω_k·|C_ijk|·W ≤ ω_i·ω_j·D.  Fractions are built
     only for the detail of a failure.
@@ -561,14 +563,20 @@ def check_submultiplicativity(algebra: AlgebraSpec) -> tuple[str, str]:
         scale = math.lcm(*(w.numerator for w in weights))
         v = [w.denominator * (scale // w.numerator) for w in weights]
         bound = scale * kernel.den
-        uu = kernel.product(v, v)
+        uu = [0] * algebra.dim
+        signed = False
+        for (i, j), terms in kernel.pairs.items():
+            for k, big_c in terms:
+                uu[k] += v[i] * v[j] * abs(big_c)
+                signed = signed or big_c < 0
+        product = "|c|(u, u)" if signed else "u∗u"
         bad = next((k for k, (c, x) in enumerate(zip(uu, v)) if c > bound * x), None)
         if bad is None:
-            return "proved", "u∗u ≤ u for the unit-ball corner u"
+            return "proved", f"{product} ≤ u for the unit-ball corner u"
         return (
             "unknown",
             f"sufficient condition fails at coordinate {bad}: "
-            f"(u∗u)_{bad} = {Fraction(uu[bad], scale * bound)} > "
+            f"({product})_{bad} = {Fraction(uu[bad], scale * bound)} > "
             f"u_{bad} = {Fraction(v[bad], scale)}",
         )
     if spec.kind == "one":

@@ -8,10 +8,27 @@
 
 The positional target accepts either a path to an algebra JSON file or
 "builtin:NAME".  Exit codes are a stable contract: 0 success, 1 a
-mathematical law or verification failed, 2 bad input, 3 an internal
-error (a bug in latticealg, reported on one stderr line).  The environment
-variable LATTICEALG_CAP overrides the default inner cap on |Λ|² when
---cap is not given.
+mathematical law or verification failed (report exits as verify does), 2
+bad input, 3 an internal error (a bug in latticealg, reported on one stderr
+line).  The environment variable LATTICEALG_CAP overrides the default inner
+cap on |Λ|² when --cap is not given.
+
+The command line is read from one table, _OPTIONS, with argparse's grammar
+and messages:
+- the command comes first; a token before it that looks like an option is
+  unrecognized, and -h/--help there prints the usage;
+- after it, options and at most one target in any order.  An option takes
+  its value as the next token (which must not look like an option: "-1"
+  and "-" do not, "-x" does) or after "=" (--grid=3), and may be shortened
+  to a prefix that names it alone (--gr 3; --g is ambiguous);
+- every token after the first "--" is positional;
+- -h or --help prints the fixed usage text USAGE and exits 0 (SystemExit);
+- --element and --family repeat, any other option's last value wins;
+  --grid and --cap are integers and --format one of its three choices.
+A bad command line raises InputError with one line: a missing or unknown
+command, an ambiguous prefix (refused before anything else after the
+command), an option without its value, a bad integer or choice, and last
+the unrecognized tokens.
 
 run() refuses a bad --grid, --cap or LATTICEALG_CAP, loads the algebra
 once and passes it, with its builtin metadata (None for a file) and the
@@ -19,15 +36,13 @@ RunConfig, to cmd_NAME, which returns the exit code and the values it
 computed.  Two renderers read them: NAME_payload for --format json (written
 by io.dump_json: two-space indent, sorted keys, ASCII escapes) and
 NAME_lines for text, which markdown is built from; run() calls only the one
-the format needs.  build_report renders the results of cmd_verify,
+the format needs.  cmd_report renders the results of cmd_verify,
 cmd_classify, cmd_center, cmd_spectrum and cmd_inner, run on configs of its
 own, as markdown; report.py holds the formatters the renderers share.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import re
 import sys
@@ -98,87 +113,178 @@ class RunConfig:
     cap: Optional[int] = None
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as InputError (exit 2, one line), not SystemExit."""
+# The options of every command, in argparse's order (ambiguity messages list
+# them so): option → (RunConfig field, int or str, repeatable, choices), and
+# None for -h/--help.
+_Option = tuple[str, type, bool, Optional[tuple[str, ...]]]
+_OPTIONS: dict[str, Optional[_Option]] = {
+    "-h": None,
+    "--help": None,
+    "--input": ("input_path", str, False, None),
+    "--builtin": ("builtin_name", str, False, None),
+    "--element": ("elements", str, True, None),
+    "--family": ("family", str, True, None),
+    "--gamma": ("gamma", str, False, None),
+    "--grid": ("grid", int, False, None),
+    "--format": ("out_format", str, False, ("text", "json", "markdown")),
+    "--cap": ("cap", int, False, None),
+}
+# Before the command only the help is known.
+_HELP_OPTIONS = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message: str) -> NoReturn:
-        raise InputError(message)
+USAGE = f"""\
+usage: latticealg {{{','.join(COMMANDS)}}} [target] [options]
+
+  verify      check the algebra axioms and identity
+  classify    order idempotents, band projections, per-element verdicts
+  center      the identity ideal A_e, its atoms and band decomposition
+  spectrum    characteristic polynomials and root sets of elements
+  inner       inner projections over an orthogonal family
+  report      full deterministic markdown report
+
+target: an algebra file path or builtin:NAME
+  (builtins: {', '.join(BUILTIN_NAMES)})
+
+options:
+  -h, --help                  show this help and exit
+  --input FILE                path to an algebra JSON file
+  --builtin NAME              name of a builtin algebra
+  --element NAME              named element from the algebra file (repeatable)
+  --family NAME               member of an orthogonal projection family (repeatable)
+  --gamma "(a,b),(c,d)"       index-pair set for inner
+  --grid N                    classify: grid resolution N, values k/N (default 2)
+  --format text|json|markdown output format (default text)
+  --cap N                     inner: largest family size |Λ|² accepted (default 16)
+
+An option is also read as --opt=value or by a unique prefix; after "--"
+every token is positional.  Exit codes: 0 success, 1 a law or verification
+failed, 2 bad input, 3 internal error.
+"""
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
-    parser = _Parser(
-        prog="latticealg",
-        description="Exact computations in finite-dimensional lattice algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "check the algebra axioms and identity"),
-        ("classify", "order idempotents, band projections, per-element verdicts"),
-        ("center", "the identity ideal A_e, its atoms and band decomposition"),
-        ("spectrum", "characteristic polynomials and root sets of elements"),
-        ("inner", "inner projections over an orthogonal family"),
-        ("report", "full deterministic markdown report"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "target",
-            nargs="?",
-            help="algebra file path or builtin:NAME "
-            f"(builtins: {', '.join(BUILTIN_NAMES)})",
-        )
-        p.add_argument("--input", help="path to an algebra JSON file")
-        p.add_argument("--builtin", help="name of a builtin algebra")
-        p.add_argument(
-            "--element",
-            action="append",
-            default=[],
-            metavar="NAME",
-            help="named element from the algebra file (repeatable)",
-        )
-        p.add_argument(
-            "--family",
-            action="append",
-            default=[],
-            metavar="NAME",
-            help="named elements forming an orthogonal projection family (repeatable)",
-        )
-        p.add_argument("--gamma", help='index-pair set, e.g. "(0,0),(1,1)"')
-        p.add_argument("--grid", type=int, default=2, help="grid resolution N: values k/N (default 2)")
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "markdown"),
-            default="text",
-            dest="out_format",
-        )
-        p.add_argument("--cap", type=int, help="inner: largest family size |Λ|² accepted (default 16)")
-    return parser
+def _read_option(
+    token: str, options: Sequence[str]
+) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """How argparse reads a token before "--": None for a positional, else
+    (the option, or None when it names none; the value given after "=" or
+    run together with -h, or None).  Refuses an ambiguous prefix."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    head, eq, value = token.partition("=")
+    explicit = value if eq else None
+    if eq and head in options:
+        return head, explicit
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(head)]
+        if len(matches) > 1:
+            raise InputError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif token[:2] in options:
+        return token[:2], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(option: str, value: Optional[str]) -> NoReturn:
+    """Print the usage and exit 0; a value given to the help is refused, except
+    that -hh… is the help repeated."""
+    if option == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise InputError(f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(USAGE)
+    raise SystemExit(0)
 
 
 def _config_from_args(argv: Sequence[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    input_path, builtin_name = ns.input, ns.builtin
-    if ns.target:
-        if input_path or builtin_name:
-            raise InputError("give either a positional target or --input/--builtin, not both")
-        if ns.target.startswith("builtin:"):
-            builtin_name = ns.target[len("builtin:") :]
+    """The RunConfig of a command line, or InputError with argparse's message."""
+    args = list(argv)
+    unknown: list[str] = []
+    start = 0
+    while start < len(args) and args[start] != "--":
+        read = _read_option(args[start], _HELP_OPTIONS)
+        if read is None:
+            break
+        if read[0] is not None:
+            _help(*read)
+        unknown.append(args[start])
+        start += 1
+    if args[start:] in ([], ["--"]):
+        raise InputError("the following arguments are required: command")
+    command, rest = args[start], args[start + 1 :]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise InputError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+
+    # Every token before "--" is read first, so an ambiguous prefix anywhere
+    # is refused before any value is.
+    cut = rest.index("--") if "--" in rest else len(rest)
+    reads = [_read_option(token, _OPTIONS) for token in rest[:cut]]
+    last = max((i for i, read in enumerate(reads) if read is not None), default=-1)
+    config = RunConfig(command)
+    target: Optional[str] = None
+    i = 0
+    while i <= last:
+        read = reads[i]
+        if read is None or read[0] is None:
+            if read is None and target is None:
+                target = rest[i]
+            else:
+                unknown.append(rest[i])
+            i += 1
+            continue
+        option, value = read
+        row = _OPTIONS[option]
+        if row is None:
+            _help(option, value)
+        if value is None:
+            if i + 1 >= cut or reads[i + 1] is not None:
+                raise InputError(f"argument {option}: expected one argument")
+            value = rest[i + 1]
+            i += 1
+        i += 1
+        dest, kind, repeatable, choices = row
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"argument {option}: invalid int value: {value!r}") from None
+        if choices is not None and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise InputError(f"argument {option}: invalid choice: {value!r} (choose from {listed})")
+        if repeatable:
+            getattr(config, dest).append(value)
         else:
-            input_path = ns.target
-    if input_path and builtin_name:
+            setattr(config, dest, value)
+    # Past the last option the target, if still free, is the next token,
+    # with the first "--" before or just after it dropped.
+    if target is None and i < len(rest):
+        if i == cut:
+            i += 1
+        if i < len(rest):
+            target = rest[i]
+            i += 1
+            if i == cut:
+                i += 1
+    unknown += rest[i:]
+    if unknown:
+        raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
+
+    if target:
+        if config.input_path or config.builtin_name:
+            raise InputError("give either a positional target or --input/--builtin, not both")
+        if target.startswith("builtin:"):
+            config.builtin_name = target[len("builtin:") :]
+        else:
+            config.input_path = target
+    if config.input_path and config.builtin_name:
         raise InputError("--input and --builtin are mutually exclusive")
-    return RunConfig(
-        command=ns.command,
-        input_path=input_path,
-        builtin_name=builtin_name,
-        elements=list(ns.element),
-        family=list(ns.family),
-        gamma=ns.gamma,
-        grid=ns.grid,
-        out_format=ns.out_format,
-        cap=ns.cap,
-    )
+    return config
 
 
 def _inner_cap(config: RunConfig) -> int:
@@ -618,9 +724,13 @@ def _labels(algebra: AlgebraSpec, meta: Optional[BuiltinMeta]) -> list[str]:
     return [f"b{i}" for i in range(algebra.dim)]
 
 
-def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> str:
+def cmd_report(
+    algebra: AlgebraSpec, meta: Optional[BuiltinMeta], config: RunConfig
+) -> tuple[int, str]:
     """One markdown document: the structure of the algebra, then the results
-    of verify, classify on the grid {0, 1/2, 1}, center, spectrum and inner."""
+    of verify, classify on the grid {0, 1/2, 1}, center, spectrum and inner,
+    each on a config of its own.  The exit code is verify's; a section that
+    refuses the algebra raises, as its command does."""
     # The band projection section walks this fixed grid, and its cap also
     # bounds the 2^m order idempotents listed (2^m ≤ 3^dim); refuse first,
     # naming the report's grid rather than a --grid.
@@ -650,7 +760,7 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
         lines.append(f"  - {labels[i]} ∗ {labels[j]} = {fmt_combo(product, labels)}")
     lines.append("")
 
-    _, (_, report) = cmd_verify(algebra, meta, RunConfig("verify"))
+    code, (_, report) = cmd_verify(algebra, meta, RunConfig("verify"))
     lines += [
         "## Axioms",
         "",
@@ -740,7 +850,12 @@ def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> st
             lines.append(f"  - {name}: mask {fmt_mask(algebra.dim, support)} — {verdict}")
         lines.append("")
 
-    return "\n".join(lines).rstrip("\n") + "\n"
+    return code, "\n".join(lines).rstrip("\n") + "\n"
+
+
+def build_report(algebra: AlgebraSpec, meta: Optional[BuiltinMeta] = None) -> str:
+    """The markdown document `latticealg report` prints for the algebra."""
+    return cmd_report(algebra, meta, RunConfig("report"))[1]
 
 
 # command: (computation, JSON renderer, text renderer).  The report is
@@ -751,11 +866,7 @@ _DISPATCH: dict[str, tuple[Callable, Callable, Optional[Callable]]] = {
     "center": (cmd_center, center_payload, center_lines),
     "spectrum": (cmd_spectrum, spectrum_payload, spectrum_lines),
     "inner": (cmd_inner, inner_payload, inner_lines),
-    "report": (
-        lambda algebra, meta, _config: (0, build_report(algebra, meta)),
-        lambda doc: {"markdown": doc},
-        None,
-    ),
+    "report": (cmd_report, lambda doc: {"markdown": doc}, None),
 }
 
 
@@ -765,8 +876,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     _check_options(config)
     if config.command == "report" and not (config.builtin_name or config.input_path):
         # No target: the report of every builtin, separated by rules.
-        docs = [build_report(builtin(n), builtin_meta(n)) for n in BUILTIN_NAMES]
-        code, result = 0, "\n---\n\n".join(docs)
+        reports = [cmd_report(builtin(n), builtin_meta(n), config) for n in BUILTIN_NAMES]
+        code = max(verdict for verdict, _ in reports)
+        result = "\n---\n\n".join(doc for _, doc in reports)
     else:
         algebra, meta = _resolve_algebra(config)
         code, result = compute(algebra, meta, config)

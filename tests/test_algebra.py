@@ -1,6 +1,7 @@
 """Structure tensors, axioms, identities, direct sums."""
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -130,20 +131,23 @@ def test_one_norm_submultiplicativity_names_the_first_failing_pair():
 
 
 def reference_submultiplicativity(alg):
-    """check_submultiplicativity's verdict and detail by Fractions: u∗u
-    compared with u for the sup kind, and the norms of b_i∗b_j, b_i and
-    b_j for the one kind, from the tensor's Fraction product."""
+    """check_submultiplicativity's verdict and detail by Fractions: |c|(u, u),
+    the product of u with itself by the tensor |c|, compared with u for the
+    sup kind, and the norms of b_i∗b_j, b_i and b_j for the one kind, from
+    the tensor's Fraction product."""
     spec = alg.norm
     if spec.kind == "sup":
         u = vec([1 / w for w in spec.weight_vector(alg.dim)])
-        uu = fraction_product(alg, u, u)
+        absolute = dataclasses.replace(alg, tensor={key: abs(c) for key, c in alg.tensor.items()})
+        uu = fraction_product(absolute, u, u)
+        product = "u∗u" if absolute.tensor == alg.tensor else "|c|(u, u)"
         if uu.leq(u):
-            return "proved", "u∗u ≤ u for the unit-ball corner u"
+            return "proved", f"{product} ≤ u for the unit-ball corner u"
         bad = next(i for i in range(alg.dim) if uu.coords[i] > u.coords[i])
         return (
             "unknown",
             f"sufficient condition fails at coordinate {bad}: "
-            f"(u∗u)_{bad} = {uu.coords[bad]} > u_{bad} = {u.coords[bad]}",
+            f"({product})_{bad} = {uu.coords[bad]} > u_{bad} = {u.coords[bad]}",
         )
     if spec.kind == "one":
         basis = [alg.basis_element(i) for i in range(alg.dim)]
@@ -188,6 +192,46 @@ def test_submultiplicativity_matches_the_fraction_reference(alg):
     """The verdict and detail read off the integer kernel are the Fraction
     route's, byte for byte."""
     assert la.check_submultiplicativity(alg) == reference_submultiplicativity(alg)
+
+
+def test_sup_submultiplicativity_is_decided_with_the_absolute_tensor(tmp_path, capsys):
+    # b0∗b0 = −2·b0: u∗u = −2 ≤ 1 = u, but ‖b0∗b0‖ = 2 > 1 = ‖b0‖²
+    data = {"dim": 1, "tensor": [[0, 0, 0, -2]], "norm": {"kind": "sup"}}
+    detail = "sufficient condition fails at coordinate 0: (|c|(u, u))_0 = 2 > u_0 = 1"
+    assert la.check_submultiplicativity(la.algebra_from_dict(data)) == ("unknown", detail)
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    assert f"norm submultiplicativity: unknown — {detail}" in capsys.readouterr().out.splitlines()
+
+
+@st.composite
+def signed_sup_cases(draw):
+    """A tensor of dim 1–3 with a negative entry, under the sup norm with
+    drawn weights."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    tensor = draw(st.dictionaries(st.tuples(index, index, index), coefficients, max_size=3 * n))
+    tensor[draw(st.tuples(index, index, index))] = -draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+    weights = tuple(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    return AlgebraSpec(dim=n, tensor=tensor, norm=la.NormSpec(kind="sup", weights=weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_sup_cases())
+def test_proved_sup_submultiplicativity_holds_on_the_unit_ball_vertices(alg):
+    """Where the sup verdict is "proved", ‖x∗y‖ ≤ 1 for every pair of sign
+    vertices x, y of the unit ball, the x_i = ±1/w_i."""
+    if la.check_submultiplicativity(alg)[0] != "proved":
+        return
+    corner = [1 / w for w in alg.norm.weight_vector(alg.dim)]
+    vertices = [
+        vec([s * c for s, c in zip(signs, corner)])
+        for signs in itertools.product((1, -1), repeat=alg.dim)
+    ]
+    for x in vertices:
+        for y in vertices:
+            assert norm(fraction_product(alg, x, y), alg.norm) <= 1
 
 
 def test_lp_sum_blocks():
@@ -758,8 +802,8 @@ def test_wrong_declared_identity_fails_verify(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["identity"] == [1, 0]
     assert payload["identity_laws_ok"] is False and payload["ok"] is False
-    # the report prints its verdicts and exits 0, as for any algebra
-    assert main(["report", str(path)]) == 0
+    # the report prints the same verdict and exits 1, as verify does
+    assert main(["report", str(path)]) == 1
     out = capsys.readouterr().out
     assert "- identity: (1, 0) — laws FAIL, positive: yes, norm one: yes\n" in out
     # commands that need the identity still refuse the candidate

@@ -1,14 +1,20 @@
 """The latticealg command line: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticealg as la
-from latticealg.cli import COMMANDS, _build_parser, main
+from cli_reference import config_from_args as reference_config_from_args
+from latticealg.cli import COMMANDS, _config_from_args, main
+from latticealg.errors import InputError
 from latticealg.lattice import as_scalar, int_digit_limit
 from latticealg.report import fmt_mask
 
@@ -195,6 +201,96 @@ def test_help_exits_zero(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["inner", "x", "-h"], ["verify", "--he"], ["-hh"]])
+def test_help_prints_the_usage_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (la.cli.USAGE, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--"], "the following arguments are required: command"),
+        (["foo"], "argument command: invalid choice: 'foo' (choose from 'verify', 'classify', "
+                  "'center', 'spectrum', 'inner', 'report')"),
+        (["classify", "builtin:ck2", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+        # argparse stored an empty list for "--opt=--", which --grid met as exit 3
+        (["classify", "builtin:ck2", "--grid=--"], "argument --grid: invalid int value: '--'"),
+        (["verify", "builtin:ck2", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json', 'markdown')"),
+        (["classify", "builtin:ck2", "--element"], "argument --element: expected one argument"),
+        (["classify", "builtin:ck2", "--element", "-x"], "argument --element: expected one argument"),
+        (["verify", "builtin:ck2", "--f", "json"], "ambiguous option: --f could match --family, --format"),
+        (["verify", "builtin:ck2", "b"], "unrecognized arguments: b"),
+        (["--x", "verify", "builtin:ck2", "-y"], "unrecognized arguments: --x -y"),
+        (["verify", "builtin:ck2", "--grid", "3", "--", "b"], "unrecognized arguments: -- b"),
+        (["verify", "builtin:ck2", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    ],
+)
+def test_refusals_keep_their_wording(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_option_forms(capsys):
+    want = _config_from_args(["classify", "builtin:ck2", "--grid", "-1", "--format", "json"])
+    assert want.grid == -1
+    for argv in (
+        ["classify", "--builtin", "ck2", "--grid=-1", "--format=json"],
+        ["classify", "--gr", "-1", "--fo=json", "--bu", "ck2"],
+        ["classify", "--grid", "-1", "--format", "json", "--", "builtin:ck2"],
+    ):
+        assert _config_from_args(argv) == want, argv
+    assert _config_from_args(["verify", "--", "-x"]).input_path == "-x"
+    assert _config_from_args(["verify", "--element=", "--element", "-1", "x"]).elements == ["", "-1"]
+
+
+def parse_outcome(parse, argv):
+    """A RunConfig, ("refused", message) or ("exit", code), with stdout muted."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return parse(argv)
+    except InputError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+_OPTION_NAMES = [
+    "--input", "--builtin", "--element", "--family", "--gamma", "--grid", "--format", "--cap",
+    "--in", "--bu", "--el", "--fa", "--ga", "--gr", "--fo", "--c",  # unique prefixes
+    "--f", "--g", "--", "---",  # ambiguous, or "--" itself
+    "--x", "-x", "-1x", "-h", "--he", "-hx", "--help=", "--help=h", "-hh", "-h=",
+]
+_VALUES = [
+    "3", "-1", "0", "x", "json", "xml", "markdown", "p1", "E12", "(0,0)", "-x", "-", "",
+    "a b", "-1.5", "builtin:ck2", "builtin:nope", "f.json", "--",
+]
+_TOKENS = st.one_of(
+    st.sampled_from(_OPTION_NAMES),
+    st.sampled_from(_VALUES),
+    # "--opt=--" is left out: argparse stored an empty list for it
+    st.tuples(st.sampled_from(_OPTION_NAMES), st.sampled_from(_VALUES[:-1])).map("=".join),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(_TOKENS, max_size=2),
+    st.sampled_from([*COMMANDS, "foo", "", "--", "-1", "VERIFY"]),
+    st.lists(_TOKENS, max_size=8),
+)
+def test_command_lines_parse_as_argparse_parsed_them(before, command, after):
+    """The option table gives argparse's RunConfig, refusal or help exit on
+    command lines drawn from the commands and junk, file, builtin: and -1
+    targets, options whole, by prefix and with "=", "--", values that
+    start with "-", repeated options and extra targets."""
+    argv = [*before, command, *after]
+    assert parse_outcome(_config_from_args, argv) == parse_outcome(reference_config_from_args, argv)
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):
@@ -385,6 +481,27 @@ def test_report_all_builtins(capsys):
         assert f"# Algebra report: {name}" in out
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        # b0∗b0 = b0, b1∗b1 = b1: the declared identity (1, 0) fails the laws
+        ({"dim": 2, "tensor": [[0, 0, 0, 1], [1, 1, 1, 1]], "identity": [1, 0]},
+         "- identity: (1, 0) — laws FAIL, positive: yes, norm one: yes"),
+        # b0∗b0 = b1, b1∗b0 = b0: (b0∗b0)∗b0 = b0 but b0∗(b0∗b0) = 0
+        ({"dim": 2, "tensor": [[0, 0, 1, 1], [1, 0, 0, 1]]}, "- associativity on basis triples: FAIL"),
+    ],
+)
+def test_report_exits_1_when_verify_does(tmp_path, capsys, data, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", str(path))[0] == 1
+    doc = la.cli.build_report(la.load_algebra(path))
+    assert line in doc.splitlines()
+    assert run_cli(capsys, "report", str(path)) == (1, doc, "")
+    code, out, _ = run_cli(capsys, "report", str(path), "--format", "json")
+    assert (code, json.loads(out)) == (1, {"markdown": doc})
+
+
 def test_markdown_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "builtin:ck2", "--format", "markdown")
     assert code == 0
@@ -495,7 +612,6 @@ def test_file_input_round_trip(tmp_path, capsys):
 
 
 def test_parser_reuse_keeps_calls_independent(capsys):
-    assert _build_parser() is _build_parser()
     for names in (["E12"], ["a23", "E11"], []):
         argv = ["classify", "builtin:upper2", "--format", "json"]
         for name in names:

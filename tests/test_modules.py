@@ -44,6 +44,12 @@ def test_no_module_imports_mpmath():
     assert [f"{f}: {n}" for f, n in imported_top_level_names() if n == "mpmath"] == []
 
 
+def test_no_module_imports_argparse():
+    """The command line is read from cli.py's option table; argparse is
+    only the tests' reference."""
+    assert [f"{f}: {n}" for f, n in imported_top_level_names() if n == "argparse"] == []
+
+
 def test_only_operators_and_io_read_matrix_entries():
     """Results stay supports up to the renderers, which write masks from
     them; only operators.py reads a dense matrix's .entries (as_mask turns

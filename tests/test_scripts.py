@@ -1,5 +1,6 @@
 """The scripts under scripts/ run and report what they check."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -61,14 +62,23 @@ def test_cli_digest_is_deterministic():
     lines = first.stdout.splitlines()
     # 6 commands and 2 grids, 3 formats each; inner --gamma in 3 formats;
     # inner --element for each named element in 3 formats; then the
-    # no-target report in 3 formats
-    assert len(lines) == 8 * 3 + 3 + 3 * len(la.builtin("upper2").elements) + 3
-    for line in lines[:-3]:
+    # no-target report in 3 formats, and the fixed refusals
+    builtin_lines = 8 * 3 + 3 + 3 * len(la.builtin("upper2").elements)
+    refusals = lines[builtin_lines + 3:]
+    assert len(refusals) >= 15
+    for line in lines[:builtin_lines]:
         sha_out, sha_err, code, command = line.split(" ", 3)
         assert len(sha_out) == len(sha_err) == 64 and code in {"0", "1", "2"}
         assert command.split(" ")[1] == "builtin:upper2"
-    for line, fmt in zip(lines[-3:], ("text", "json", "markdown")):
+    for line, fmt in zip(lines[builtin_lines:], ("text", "json", "markdown")):
         sha_out, sha_err, code, command = line.split(" ", 3)
         assert (len(sha_out), code, command) == (64, "0", f"report --format {fmt}")
+    empty = hashlib.sha256(b"").hexdigest()
+    for line in refusals:
+        sha_out, sha_err, code, _ = line.split(" ", 3)
+        # a refusal writes one stderr line and exits 2; a run writes stdout
+        assert (sha_out == empty) == (code == "2") == (sha_err != empty), line
+    assert any(line.endswith(" 2 verify builtin:ck2 --f json") for line in refusals)
+    assert any(line.endswith(" 0 verify builtin:ck2 --format=json") for line in refusals)
     assert any(line.endswith(" inner builtin:upper2 --gamma (0,0),(1,1) --format json")
                for line in lines)
