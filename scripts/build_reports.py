@@ -10,7 +10,6 @@ Usage:
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import latticealg as la
@@ -33,7 +32,7 @@ def main() -> None:
         print(f"wrote {md_path}")
         if not args.skip_json:
             json_path = args.out / f"{name}.json"
-            json_path.write_text(json.dumps(la.algebra_to_dict(alg), indent=2) + "\n")
+            la.save_algebra(alg, json_path)
             print(f"wrote {json_path}")
 
 

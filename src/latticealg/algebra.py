@@ -15,11 +15,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .errors import CapExceededError, DimensionMismatchError, InputError, NoIdentityError
-from .lattice import LatticeElement, NormSpec, as_scalar, vec, zero
+from .lattice import LatticeElement, NormSpec, as_scalar, zero
 
 TensorKey = tuple[int, int, int]
 
@@ -90,7 +90,9 @@ class AxiomReport:
 
 @dataclass
 class IdentityResult:
-    """A two-sided multiplicative identity together with its basic order data.
+    """An identity candidate with its basic order data: the solved identity,
+    or the declared one, whose verdict on e∗b = b∗e = b over the basis is
+    laws_ok.  Only a candidate with laws_ok is the identity.
 
     form is e's integer form (v, L), e = v/L, as the identity check read it.
     is_positive is e ≥ 0 and norm_one is ‖e‖ = 1, both decided exactly on
@@ -104,6 +106,7 @@ class IdentityResult:
     form: "IntegerForm"
     is_positive: bool
     norm_one: Optional[bool] = None
+    laws_ok: bool = True
 
 
 class IntegerTensor:
@@ -392,11 +395,11 @@ class AlgebraSpec:
         basis); both are read off the integer kernel c = C/D, D > 0: the
         negative entries are the C < 0, and associativity is decided by
         IntegerTensor's contraction.  The identity laws e∗b = b∗e = b were
-        checked on the basis when the identity was found, so an identity
-        here has identity_laws_ok True, and the (is_positive, ‖e‖ = 1)
-        flags come with it.  A declared identity that fails the laws is
-        reported with identity_laws_ok False and its own flags, and fails
-        the report; absence of an identity is noted, not an error.  Norm
+        checked on the basis when the candidate was read (_identity), and
+        the report copies that one result: the candidate, its laws_ok and
+        its (is_positive, ‖e‖ = 1) flags.  A declared identity that fails
+        the laws is reported with identity_laws_ok False and fails the
+        report; absence of an identity is noted, not an error.  Norm
         submultiplicativity gets a {proved, unknown} verdict from
         check_submultiplicativity.
         """
@@ -413,19 +416,12 @@ class AlgebraSpec:
             negative_entries=negative,
             associativity_failures=failures,
         )
-        identity = find_identity(self)
-        if identity is not None:
-            report.has_identity = True
+        identity = self._identity
+        if not isinstance(identity, str):
+            report.has_identity = report.identity_laws_ok = identity.laws_ok
             report.identity = identity.element
-            report.identity_laws_ok = True
             report.identity_positive = identity.is_positive
             report.identity_norm_one = identity.norm_one
-        elif self.identity is not None:
-            v, scale = integer_form(self, self.identity)
-            report.identity = self.identity
-            report.identity_laws_ok = False
-            report.identity_positive = min(v) >= 0
-            report.identity_norm_one = _norm_is_one(self.norm, v, scale)
         verdict, detail = check_submultiplicativity(self)
         report.submultiplicativity = verdict
         report.submultiplicativity_detail = detail
@@ -448,25 +444,26 @@ class AlgebraSpec:
 
     @functools.cached_property
     def _identity(self) -> Union[IdentityResult, str]:
-        """The identity solve, run once: its result, or why there is none.
+        """The identity candidate, read once: its result, or why there is none.
 
         e is a left identity iff Σ_j e_j·c[(j,i,k)] = δ_ik for all i, k — a
         linear system in the coordinates of e.  A two-sided identity is the
         only left identity (f = f∗e = e), so when one exists the system has
-        exactly that solution; the column check below decides two-sidedness.
+        exactly that solution; the column check below decides two-sidedness,
+        and a solved candidate that fails it means there is no identity.
         The solve returns e's integer form (v, L), from which e's Fractions
         are built once.  A declared identity replaces the solve, enters by
-        integer_form, and gets the same check.  The flags e ≥ 0 and ‖e‖ = 1
-        are then read off (v, L): v ≥ 0, and _norm_is_one.
+        integer_form, and gets the same check, whose verdict it keeps as
+        laws_ok.  The flags e ≥ 0 and ‖e‖ = 1 are read off (v, L) either
+        way: v ≥ 0, and _norm_is_one.
         """
         kernel = self.integer_tensor
+        failure = f"algebra {self.name or '<unnamed>'} has no identity"
         if self.identity is not None:
             e = self.identity
             form = integer_form(self, e)
-            failure = "candidate identity fails e∗b = b∗e = b on the basis"
         else:
             n = self.dim
-            failure = f"algebra {self.name or '<unnamed>'} has no identity"
             # Row (i, k) of D·(e ∗ b_i) = D·b_i, only where some entry
             # C[(j,i,k)] touches it, and always (i, i): untouched, it reads 0 = D.
             rows = {(i, i): [0] * n for i in range(n)}
@@ -480,26 +477,34 @@ class AlgebraSpec:
         # Check e∗b_q = b_q∗e = b_q column by column (guards a declared
         # identity too): with e = v/L both columns must be L·D·e_q.
         v, scale = form
+        laws_ok = True
         for q in range(self.dim):
             unit = [0] * self.dim
             unit[q] = scale * kernel.den
             if kernel.left_column(v, q) != unit or kernel.right_column(v, q) != unit:
-                return failure
+                if self.identity is None:
+                    return failure
+                laws_ok = False
+                break
         norm_one = _norm_is_one(self.norm, v, scale)
-        return IdentityResult(element=e, form=form, is_positive=min(v) >= 0, norm_one=norm_one)
+        return IdentityResult(e, form, min(v) >= 0, norm_one, laws_ok)
 
     def solve_identity(self) -> IdentityResult:
-        """The two-sided identity; raise NoIdentityError if none exists."""
+        """The two-sided identity; raise NoIdentityError if none exists,
+        or if the declared candidate fails the laws."""
         result = self._identity
         if isinstance(result, str):
             raise NoIdentityError(result)
+        if not result.laws_ok:
+            raise NoIdentityError("candidate identity fails e∗b = b∗e = b on the basis")
         return result
 
     def require_identity(self) -> LatticeElement:
         return self.solve_identity().element
 
     def has_identity(self) -> bool:
-        return not isinstance(self._identity, str)
+        result = self._identity
+        return not isinstance(result, str) and result.laws_ok
 
     # -- conveniences ----------------------------------------------------
 
@@ -512,12 +517,6 @@ class AlgebraSpec:
 
     def zero(self) -> LatticeElement:
         return zero(self.dim)
-
-    def element(self, values: Iterable) -> LatticeElement:
-        x = vec(values)
-        if x.dim != self.dim:
-            raise DimensionMismatchError(f"expected {self.dim} coordinates, got {x.dim}")
-        return x
 
 
 def find_identity(algebra: AlgebraSpec) -> Optional[IdentityResult]:

@@ -62,12 +62,11 @@ from .inner import (
     boolean_laws,
     enumerate_inner,
     inner_bp,
-    is_inner,
+    inner_witness,
     validate_family,
 )
 from .io import dump_json, element_to_wire, load_algebra, mask_to_wire, scalar_to_wire
 from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
-from .operators import diagonal_mask_operator
 from .projections import (
     GRID_POINT_CAP,
     GridHit,
@@ -80,7 +79,6 @@ from .projections import (
 )
 from .report import (
     fmt_combo,
-    fmt_element,
     fmt_gamma,
     fmt_mask,
     fmt_poly,
@@ -414,7 +412,7 @@ def verify_lines(result: _Verified) -> list[str]:
         f"associativity: {'pass' if report.associative else 'FAIL ' + str(report.associativity_failures[:3])}",
     ]
     if report.identity is not None:
-        lines.append(f"identity: {fmt_element(report.identity)}")
+        lines.append(f"identity: {report.identity!r}")
         lines.append(
             f"  laws: {'pass' if report.identity_laws_ok else 'FAIL'}; positive: "
             f"{'yes' if report.identity_positive else 'NO'}; norm one: "
@@ -496,9 +494,9 @@ def classify_lines(result: _Classified) -> list[str]:
         lines.append("order idempotents: not applicable (no identity)")
     else:
         lines.append(f"order idempotents ({len(oi)}, complete):")
-        lines += [f"  {fmt_element(p)}" for p in oi]
+        lines += [f"  {p!r}" for p in oi]
     grid_str = _fmt_grid(grid)
-    texts = [f"  {fmt_element(hit.element)}" for hit in hits]
+    texts = [f"  {hit.element!r}" for hit in hits]
     core = _two_sided(hits, texts)
     lines.append(f"band projections over grid {grid_str} ({len(hits)} certified):")
     lines += texts
@@ -509,7 +507,7 @@ def classify_lines(result: _Classified) -> list[str]:
     for name, x, c in named:
         oi_str = "n/a" if c.is_oi is None else ("yes" if c.is_oi else "no")
         lines.append(
-            f"  {name} = {fmt_element(x)}: OI {oi_str} / BP {'yes' if c.is_bp else 'no'}"
+            f"  {name} = {x!r}: OI {oi_str} / BP {'yes' if c.is_bp else 'no'}"
             f" / left {'yes' if c.is_left_bp else 'no'} / right {'yes' if c.is_right_bp else 'no'}"
         )
     return lines
@@ -558,11 +556,11 @@ def center_lines(result: _Centered) -> list[str]:
         f"complement band coordinates: {', '.join(map(str, outside)) if outside else '(none)'}",
         f"atoms ({rep.n_points} points of K):",
     ]
-    lines += [f"  {fmt_element(a)}" for a in rep.atoms]
+    lines += [f"  {a!r}" for a in rep.atoms]
     lines.append(f"band projection onto A_e: {fmt_mask(algebra.dim, inside)}")
     lines.append(
-        f"decomposition demo: x = {fmt_element(demo)} splits as x_e = {fmt_element(demo_e)}"
-        f" plus x_d = {fmt_element(demo_d)} (x_d disjoint from e)"
+        f"decomposition demo: x = {demo!r} splits as x_e = {demo_e!r}"
+        f" plus x_d = {demo_d!r} (x_d disjoint from e)"
     )
     return lines
 
@@ -623,7 +621,7 @@ def spectrum_lines(result: _Spectra) -> list[str]:
     lines = [_header(algebra)]
     for name, x, spec, radius in spectra:
         lines += [
-            f"{name} = {fmt_element(x)}:",
+            f"{name} = {x!r}:",
             f"  char poly: {fmt_poly(spec.char_poly)}",
             f"  spectrum: {fmt_spectrum(spec)}",
             f"  spectral radius: {fmt_radius(radius)}",
@@ -659,10 +657,9 @@ def cmd_inner(
         chosen = (gamma, support, comp, boolean_laws(algebra, family, gamma, comp))
     verdicts = []
     for name, x in _named_elements(algebra, config.elements):
-        mask = diagonal_mask_operator(x)
-        if mask is None or x.is_zero():
-            continue
-        verdicts.append((name, x.support(), is_inner(algebra, family, mask)))
+        support = x.support()
+        if support and set(x.coords) <= {0, 1}:  # a nonzero 0/1 mask
+            verdicts.append((name, support, inner_witness(family, support)))
     return 0, (algebra, names, family, enumerated, chosen, verdicts)
 
 
@@ -696,7 +693,7 @@ def inner_lines(result: _Inner) -> list[str]:
         _header(algebra),
         f"family ({len(family)} members): valid — orthogonal, all in BP_l ∩ BP_r",
     ]
-    lines += [f"  {n} = {fmt_element(x)}" for n, x in zip(names, family.members)]
+    lines += [f"  {n} = {x!r}" for n, x in zip(names, family.members)]
     subsets = fmt_subset_count(len(family))
     lines.append(f"distinct inner projections: {len(enumerated)} out of {subsets} Γ-subsets")
     lines += [
@@ -769,7 +766,7 @@ def cmd_report(
     ]
     if report.identity is not None:
         lines.append(
-            f"- identity: {fmt_element(report.identity)} — laws "
+            f"- identity: {report.identity!r} — laws "
             f"{'pass' if report.identity_laws_ok else 'FAIL'}, positive: "
             f"{'yes' if report.identity_positive else 'no'}, norm one: "
             f"{_norm_one_word(report.identity_norm_one)}"
@@ -785,7 +782,7 @@ def cmd_report(
     _, (_, _, oi, hits, _) = cmd_classify(algebra, meta, RunConfig("classify", grid=2))
     if oi is not None:
         lines += ["## Order idempotents", "", f"{len(oi)} elements (complete enumeration):"]
-        lines += [f"- {fmt_element(p)}" for p in oi]
+        lines += [f"- {p!r}" for p in oi]
         lines.append("")
     lines += [
         f"## Band projections over the grid {grid_str}",
@@ -801,7 +798,7 @@ def cmd_report(
             tags.append("order idempotent")
         if None not in (left, right):
             tags.append("left+right")
-        lines.append(f"- {fmt_element(p)}" + (f" — {', '.join(tags)}" if tags else ""))
+        lines.append(f"- {p!r}" + (f" — {', '.join(tags)}" if tags else ""))
     lines.append("")
 
     if oi is not None:
@@ -814,7 +811,7 @@ def cmd_report(
             + (", ".join(labels[i] for i in outside) if outside else "(trivial)"),
             f"- atoms ({rep.n_points} points):",
         ]
-        lines += [f"  - {fmt_element(a)}" for a in rep.atoms]
+        lines += [f"  - {a!r}" for a in rep.atoms]
         lines.append("")
 
     if oi is not None and algebra.elements:
@@ -822,7 +819,7 @@ def cmd_report(
         _, (_, spectra) = cmd_spectrum(algebra, meta, RunConfig("spectrum"))
         for name, x, result, radius in spectra:
             lines += [
-                f"### {name} = {fmt_element(x)}",
+                f"### {name} = {x!r}",
                 "",
                 f"- char poly of the left-multiplication matrix: {fmt_poly(result.char_poly)}",
                 f"- spectrum: {fmt_spectrum(result)}",

@@ -17,7 +17,8 @@ on their intersection; the family derives these summand supports once
 pairwise disjoint.  So P_Γ is the mask of the union of Γ's supports, and
 a mask is all its support says: inner_bp and enumerate_inner return
 supp P_Γ as a frozenset.  The image of Γ ↦ P_Γ is exactly the 2^k unions
-of the k nonzero supports, and "M is inner" is a subset test on supp(M).
+of the k nonzero supports, and "M is inner" is a subset test on supp(M)
+(inner_witness; is_inner reads the support of a matrix first).
 After validation only inner_bp's independent audit computes a product,
 and no walk over the 2^(|Λ|²) subsets runs; only enumerate_inner, whose
 output has up to 2^(|Λ|²) entries, takes a cap.  The map Γ ↦ P_Γ is a
@@ -283,29 +284,30 @@ def enumerate_inner(
     return [(GammaSet(chosen, n), union) for chosen, union in subsets]
 
 
+def inner_witness(family: ProjectionFamily, support: AbstractSet[int]) -> Optional[GammaSet]:
+    """A witness Γ with supp P_Γ = support, or None: that mask is certifiably
+    not inner for this family.  It is inner exactly when support is a union
+    of summand supports; the witness is the set of nonzero summands inside
+    it, the first such Γ in bit-mask order.  One pass over the |Λ|² supports
+    decides it, so no cap applies."""
+    supports = family.summand_supports
+    inside = [t for t, s in enumerate(supports) if s and s <= support]
+    if frozenset().union(*(supports[t] for t in inside)) != support:
+        return None
+    return GammaSet(tuple(divmod(t, len(family)) for t in inside), len(family))
+
+
 def is_inner(
     algebra: AlgebraSpec, family: ProjectionFamily, m: OperatorMatrix
 ) -> Optional[GammaSet]:
-    """A witness Γ with P_Γ = M, or None: M is certifiably not inner for
-    this family.
-
-    M is inner exactly when its support is a union of summand supports;
-    the witness is the set of nonzero summands inside supp(M), which is
-    the first such Γ in bit-mask order, its pairs in sorted order.  One
-    pass over the |Λ|² supports decides it, so no cap applies.  M must act
-    on the algebra's space and be a band projection operator; anything
-    else raises.
-    """
+    """inner_witness for the support of M, which must be a band projection
+    operator (a 0/1 mask, as_mask) on the algebra's space; else it raises."""
     if m.dim != algebra.dim:
         raise DimensionMismatchError("operator dimension does not match algebra")
     target = m.as_mask()
     if target is None:
         raise NotBandProjectionError("is_inner expects a band projection operator")
-    supports = family.summand_supports
-    inside = [t for t, s in enumerate(supports) if s and s <= target]
-    if frozenset().union(*(supports[t] for t in inside)) != target:
-        return None
-    return GammaSet(tuple(divmod(t, len(family)) for t in inside), len(family))
+    return inner_witness(family, target)
 
 
 def _maximal_cliques(adjacent: Sequence[AbstractSet[int]]) -> list[tuple[int, ...]]:

@@ -12,8 +12,10 @@ scalars; band projections are flat row-major 0/1 arrays; an algebra file is
       "elements": {"name": [...], ...}                # optional
     }
 
-algebra_from_dict parses each distinct int or str scalar of a file once,
-for the tensor, identity, elements and norm weights alike.
+Scalars are parsed by lattice.as_scalar, which refuses floats and malformed
+text with an InputError.  algebra_from_dict parses each distinct int or
+str scalar of a file once, for the tensor, identity, elements and norm
+weights alike.
 
 Command output in JSON is written by dump_json: two-space indent, sorted
 keys, ASCII escapes.
@@ -38,19 +40,12 @@ def scalar_to_wire(q: Fraction) -> Wire:
     return q.numerator if q.denominator == 1 else format_scalar(q)
 
 
-def scalar_from_wire(value: Any) -> Fraction:
-    try:
-        return as_scalar(value)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad scalar {value!r}: {exc}") from None
-
-
 def element_to_wire(x: LatticeElement) -> list[Wire]:
     return [scalar_to_wire(c) for c in x.coords]
 
 
 def element_from_wire(data: Any) -> LatticeElement:
-    return _element(data, scalar_from_wire)
+    return _element(data, as_scalar)
 
 
 def _element(data: Any, scalar: Callable[[Any], Fraction]) -> LatticeElement:
@@ -78,7 +73,7 @@ def norm_to_wire(spec: NormSpec) -> dict[str, Any]:
 
 
 def norm_from_wire(data: Any) -> NormSpec:
-    return _norm(data, scalar_from_wire)
+    return _norm(data, as_scalar)
 
 
 def _norm(data: Any, scalar: Callable[[Any], Fraction]) -> NormSpec:
@@ -130,17 +125,17 @@ def algebra_from_dict(data: Any, default_name: str = "") -> AlgebraSpec:
 
     Each distinct JSON int or str scalar is parsed once: scalars maps it to
     its Fraction for this load only.  Other values (bools, floats, lists,
-    null) are passed to scalar_from_wire at each occurrence, which refuses
+    null) are passed to as_scalar at each occurrence, which refuses
     them as it always has.
     """
     scalars: dict[Wire, Fraction] = {}
 
     def scalar(value: Any) -> Fraction:
         if type(value) is not str and type(value) is not int:
-            return scalar_from_wire(value)
+            return as_scalar(value)
         q = scalars.get(value)
         if q is None:
-            q = scalars[value] = scalar_from_wire(value)
+            q = scalars[value] = as_scalar(value)
         return q
 
     if not isinstance(data, dict):

@@ -256,14 +256,6 @@ def mult_op(algebra: AlgebraSpec, a: LatticeElement, b: LatticeElement) -> Opera
     return left_mult(algebra, a).compose(right_mult(algebra, b))
 
 
-def diagonal_mask_operator(x: LatticeElement) -> Optional[OperatorMatrix]:
-    """A 0/1 coordinate vector as the diagonal band projection onto its support,
-    or None when the vector has other values."""
-    if not all(c.denominator == 1 and c.numerator in (0, 1) for c in x.coords):
-        return None
-    return OperatorMatrix.diagonal(x.coords)
-
-
 def invert_element(algebra: AlgebraSpec, a: LatticeElement) -> Optional[LatticeElement]:
     """The two-sided inverse of a, or None if a is not invertible.
 

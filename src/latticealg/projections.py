@@ -299,8 +299,10 @@ def check_equivalences(algebra: AlgebraSpec, p: LatticeElement) -> EquivalenceCh
         cond_iv = positive_inverse_at(lambda_used)
     else:
         bound = norm(p, algebra.norm)
-        if not isinstance(bound, Fraction):  # inexact norm: use a safe coordinate bound
-            bound = sum((abs(c) for c in p.coords), Fraction(0))
+        if not isinstance(bound, Fraction):
+            # p kind: ‖p‖ ≤ Σ_i w_i^(1/p)·|p_i| ≤ Σ_i max(1, w_i)·|p_i|, exactly
+            weights = algebra.norm.weight_vector(p.dim)
+            bound = sum((max(w, 1) * abs(c) for w, c in zip(weights, p.coords)), Fraction(0))
         sampled = tuple(bound + k for k in (Fraction(1), Fraction(2), Fraction(7, 2), Fraction(5)))
         cond_iv = any(positive_inverse_at(lam) for lam in sampled)
     return EquivalenceCheck(

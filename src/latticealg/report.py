@@ -13,10 +13,6 @@ from .lattice import ApproxReal, LatticeElement, format_real, format_scalar
 from .spectra import SpectrumResult
 
 
-def fmt_element(x: LatticeElement) -> str:
-    return "(" + ", ".join(format_scalar(c) for c in x.coords) + ")"
-
-
 def fmt_combo(x: LatticeElement, labels: Sequence[str]) -> str:
     """Render an element as a signed combination of basis labels."""
     terms = []

@@ -786,7 +786,12 @@ def test_wrong_declared_identity_is_named():
 def test_wrong_declared_identity_fails_verify(tmp_path, capsys):
     # b0∗b0 = b0 and b1∗b1 = b1: (1, 1) is the identity, the declared (1, 0) is not
     data = {"dim": 2, "tensor": [[0, 0, 0, 1], [1, 1, 1, 1]], "identity": [1, 0]}
-    report = la.algebra_from_dict(data).verify_axioms()
+    alg = la.algebra_from_dict(data)
+    assert alg.has_identity() is False and la.find_identity(alg) is None
+    with pytest.raises(NoIdentityError) as excinfo:
+        alg.solve_identity()
+    assert str(excinfo.value) == "candidate identity fails e∗b = b∗e = b on the basis"
+    report = alg.verify_axioms()
     assert not report.has_identity and not report.ok
     assert report.identity == vec([1, 0])
     assert (report.identity_laws_ok, report.identity_positive, report.identity_norm_one) == (

@@ -40,9 +40,7 @@ def test_identity_ideal_support_and_projection(unital_algebra):
     e = unital_algebra.require_identity()
     assert basis.support == e.support()
     # the band projection is the diagonal 0/1 mask of the support
-    mask = la.diagonal_mask_operator(
-        vec([1 if i in basis.support else 0 for i in range(unital_algebra.dim)])
-    )
+    mask = OperatorMatrix.diagonal([int(i in basis.support) for i in range(unital_algebra.dim)])
     x = vec(range(1, unital_algebra.dim + 1))
     assert basis.project(x) == mask.apply(x)
     assert basis.project(e) == e

@@ -527,8 +527,9 @@ def test_only_the_asked_format_is_rendered(capsys, monkeypatch, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and out
     with monkeypatch.context() as m:
-        for name in ("fmt_element", "fmt_mask", "fmt_poly"):
+        for name in ("fmt_mask", "fmt_poly"):
             m.setattr(f"latticealg.cli.{name}", _refuse)
+        m.setattr(la.LatticeElement, "__repr__", _refuse)
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "") and json.loads(out)
 

@@ -29,7 +29,7 @@ from latticealg import (
 from latticealg import inner as inner_module
 from latticealg import projections as projections_module
 from latticealg.cli import main
-from latticealg.inner import _maximal_cliques
+from latticealg.inner import _maximal_cliques, inner_witness
 from latticealg.operators import is_band_projection_op, mult_op
 from latticealg.projections import integer_form, mask_support
 from test_projections import reference_side_masks
@@ -322,7 +322,7 @@ def _check_against_reference(alg, family):
     for bits in itertools.product((0, 1), repeat=alg.dim):
         support = frozenset(i for i, b in enumerate(bits) if b)
         gamma = la.is_inner(alg, family, OperatorMatrix.diagonal(bits))
-        assert gamma == witness.get(support)
+        assert gamma == witness.get(support) == inner_witness(family, support)
         if gamma is not None:
             _assert_sorted(gamma)
 
@@ -498,6 +498,29 @@ def test_is_inner_takes_no_cap(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: family of size 5 has |Λ|² = 25 pairs; cap is |Λ|² ≤ 16\n"
     )
+
+
+def test_inner_reads_only_nonzero_0_1_named_elements_as_masks(tmp_path, capsys):
+    """cmd_inner gives a verdict line for a named element only when it is a
+    nonzero 0/1 vector: upper2's a23 = (2, 0, 3) and a zero element get none."""
+    argv = ["inner", "builtin:upper2", "--element", "a23", "--element", "E11", "--element", "mixed"]
+    assert main(argv) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " as mask " in line]
+    assert lines == [
+        "E11 as mask diag(1, 0, 0): inner via Γ = {(0,0)}",
+        "mixed as mask diag(1, 1, 0): inner via Γ = {(0,0), (0,1)}",
+    ]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_inner"] == {
+        "E11": [[0, 0]], "mixed": [[0, 0], [0, 1]]
+    }
+    data = la.algebra_to_dict(la.builtin("upper2"))
+    data["elements"] = {"zero": [0, 0, 0], "e22": [0, 0, 1]}
+    path = tmp_path / "upper2-zero.json"
+    path.write_text(json.dumps(data))
+    assert main(["inner", str(path), "--element", "zero", "--element", "e22"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " as mask " in line]
+    assert lines == ["e22 as mask diag(0, 0, 1): inner via Γ = {(1,1)}"]
 
 
 # -- references: membership, orthogonality and summands through the kernel --

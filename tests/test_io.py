@@ -16,7 +16,6 @@ from latticealg.io import (
     dump_json,
     norm_from_wire,
     norm_to_wire,
-    scalar_from_wire,
     scalar_to_wire,
 )
 from latticealg.lattice import as_scalar, int_digit_limit
@@ -25,10 +24,10 @@ from latticealg.lattice import as_scalar, int_digit_limit
 def test_scalar_wire():
     assert scalar_to_wire(Fraction(3)) == 3
     assert scalar_to_wire(Fraction(-2, 3)) == "-2/3"
-    assert scalar_from_wire(5) == Fraction(5)
-    assert scalar_from_wire("7/2") == Fraction(7, 2)
+    assert as_scalar(5) == Fraction(5)
+    assert as_scalar("7/2") == Fraction(7, 2)
     with pytest.raises(InputError):
-        scalar_from_wire(0.25)
+        as_scalar(0.25)
 
 
 def test_element_wire_round_trip():
@@ -201,8 +200,8 @@ def test_exponents_past_the_digit_limit_are_refused(tmp_path, capsys):
 
 def reference_algebra_from_dict(data):
     """algebra_from_dict on well-formed files, with every occurrence of a
-    scalar parsed by scalar_from_wire: no scalar is shared."""
-    tensor = {(i, j, k): scalar_from_wire(c) for i, j, k, c in data["tensor"]}
+    scalar parsed by as_scalar: no scalar is shared."""
+    tensor = {(i, j, k): as_scalar(c) for i, j, k, c in data["tensor"]}
     identity = None
     if data.get("identity") is not None:
         identity = la.element_from_wire(data["identity"])

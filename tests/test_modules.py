@@ -161,6 +161,7 @@ def test_the_report_renders_what_the_commands_compute():
         "validate_family": {"cmd_inner"},
         "enumerate_inner": {"cmd_inner"},
         "is_inner": {"cmd_inner"},
+        "inner_witness": {"cmd_inner"},
     }
     package = Path(la.__file__).parent
     assert [
@@ -206,3 +207,30 @@ def test_gamma_set_pairs_are_sorted_once():
             if names & {"sorted_pairs", "_sorted_pairs"} or sorts_pairs:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_verify_reads_the_identity_once():
+    """verify_axioms copies the one identity result that _identity read: it
+    calls neither integer_form nor _norm_is_one itself."""
+    tree = ast.parse((Path(la.__file__).parent / "algebra.py").read_text())
+    verify = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms"
+    )
+    assert [
+        node.lineno for node in ast.walk(verify)
+        if isinstance(node, ast.Call) and _spelling(node.func) in ("integer_form", "_norm_is_one")
+    ] == []
+
+
+def test_the_command_line_builds_no_operator_matrix():
+    """The command line's named masks are supports (inner_witness): cli.py
+    imports nothing from operators and names no OperatorMatrix."""
+    tree = ast.parse((Path(la.__file__).parent / "cli.py").read_text())
+    assert [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("operators"))
+        or (isinstance(node, ast.Import) and any(a.name.endswith("operators") for a in node.names))
+        or _spelling(node) == "OperatorMatrix"
+    ] == []

@@ -303,11 +303,6 @@ def test_as_mask_agrees_with_the_entrywise_rule(m):
         assert support == {i for i in range(m.dim) if m.entries[i][i] == 1}
 
 
-def test_diagonal_mask_operator():
-    assert la.diagonal_mask_operator(vec([1, 0, 1])) == OperatorMatrix.diagonal([1, 0, 1])
-    assert la.diagonal_mask_operator(vec([1, "1/2", 0])) is None
-
-
 def test_invert_element():
     u = la.builtin("upper2")
     assert la.invert_element(u, vec([2, 0, 3])) == vec(["1/2", 0, "1/3"])

@@ -1,5 +1,6 @@
 """Order idempotents, band projections, the four equivalences, grid search."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -17,6 +18,7 @@ from latticealg import (
     LatticeElement,
     NoIdentityError,
     NotBandProjectionError,
+    NormSpec,
     NotOrderIdempotentError,
     OperatorMatrix,
     vec,
@@ -24,8 +26,8 @@ from latticealg import (
 from latticealg import projections
 from latticealg.algebra import IntegerTensor
 from latticealg.cli import build_report, main
+from latticealg.lattice import norm
 from latticealg.operators import is_band_projection_op, left_mult, mult_op, right_mult
-from latticealg.report import fmt_element
 
 
 def test_upper2_order_idempotents_complete():
@@ -168,7 +170,7 @@ def test_report_oi_tag_equals_the_predicate(alg):
     hits = la.search_band_projections(alg, GridSpec.from_resolution(2))
     assert len(rows) == len(hits)
     for row, (p, _left, _right) in zip(rows, hits):
-        assert row.split(" — ")[0] == f"- {fmt_element(p)}"
+        assert row.split(" — ")[0] == f"- {p!r}"
         assert ("order idempotent" in row) == la.is_order_idempotent(alg, p)
 
 
@@ -302,6 +304,21 @@ def test_equivalences_on_oi_and_on_the_ray():
     assert check.lambdas_sampled  # finite λ sample was used
     with pytest.raises(NotBandProjectionError):
         la.check_equivalences(alg, vec([1, 1, 0]))
+
+
+def test_sampled_lambdas_exceed_an_inexact_weighted_norm():
+    """Condition (iv) is sampled at λ > ‖p‖ also when the p-norm is inexact
+    and its weights exceed 1: here ‖(0, 1, 0)‖ = √100 = 10, above the
+    unweighted Σ|p_i| = 1."""
+    weights = (Fraction(100),) * 3
+    alg = dataclasses.replace(
+        la.builtin("upper2"), norm=NormSpec(kind="p", p=Fraction(2), weights=weights)
+    )
+    check = la.check_equivalences(alg, vec([0, 1, 0]))
+    assert check.verdicts == (False, False, False, False)
+    enclosure = norm(check.element, alg.norm)
+    assert check.lambdas_sampled
+    assert all(lam > enclosure.value + enclosure.error for lam in check.lambdas_sampled)
 
 
 def test_grid_spec():
