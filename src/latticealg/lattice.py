@@ -261,11 +261,16 @@ def format_real(x: Fraction, spec: str = "") -> str:
     return format(value.normalize(context), spec)
 
 
-def float_above(x: Fraction) -> float:
-    """The least double ≥ x for x ≥ 0 (float() rounds to nearest, so at most
-    one step up), or inf outside the range of doubles."""
-    f = to_float(x)
-    return f if f == math.inf or Fraction(f) >= x else math.nextafter(f, math.inf)
+def float_above(num: int, den: int) -> float:
+    """The least double ≥ num/den for integers num ≥ 0 and den > 0, or inf
+    outside the range of doubles: num/den rounds to nearest, so at most one
+    step up, decided on integers from the double's as_integer_ratio()."""
+    try:
+        f = num / den
+    except OverflowError:
+        return math.inf
+    m, e = f.as_integer_ratio()
+    return f if m * den >= num * e else math.nextafter(f, math.inf)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -356,4 +361,4 @@ def norm(x: LatticeElement, spec: NormSpec) -> Union[Fraction, ApproxReal]:
     if value == math.inf:
         return ApproxReal(value, value)
     exact = Fraction(value)
-    return ApproxReal(value, float_above(max(hi - exact, exact - lo)))
+    return ApproxReal(value, float_above(*max(hi - exact, exact - lo).as_integer_ratio()))

@@ -86,11 +86,11 @@ def char_poly_blocks(b: Sequence[Sequence[int]]) -> list[list[int]]:
     return [_faddeev_leverrier([[b[i][j] for j in block] for i in block]) for block in _blocks(b)]
 
 
-def monic_product(blocks: Sequence[Sequence[int]], d: int) -> list[Fraction]:
-    """det(λI − A), ascending, for A = B/d from B's char_poly_blocks(b):
-    their product P = det(μI − B) at μ = d·λ, divided by d^n, so that
-    coefficient k is P_k/d^(n−k)."""
-    product = functools.reduce(_poly_mul, blocks, [1])
+def monic_product(blocks: Sequence[Sequence[int]], d: int, sign: int = 1) -> list[Fraction]:
+    """sign·det(λI − A), ascending, for A = B/d from B's char_poly_blocks(b)
+    and sign ±1: their product P, started at sign, is sign·det(μI − B) at
+    μ = d·λ, divided by d^n, so that coefficient k is P_k/d^(n−k)."""
+    product = functools.reduce(_poly_mul, blocks, [sign])
     n = len(product) - 1
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(product)]
 

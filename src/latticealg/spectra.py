@@ -19,7 +19,8 @@ with roots μ = d·λ; their product is kept only for char_poly.  A 1×1
 block's root is read off.  Equal block polynomials, such as the equal
 blocks of L_a on the copies of a direct sum, are factored once, with their
 multiplicities scaled by the count.  Every other block polynomial is split
-by one pass of Yun's square-free factorization, and its factors are refined
+by one pass of Yun's square-free factorization, which stops at its first
+gcd when the polynomial is square-free, and its factors are refined
 against those of the earlier blocks by gcds, so that each distinct factor,
 with its multiplicities summed, is isolated once.  A linear factor's root
 is read off.  Every other factor is made monic over ℤ (_isolate), so that
@@ -94,7 +95,7 @@ class NumericRoot:
 
     @property
     def radius(self) -> float:
-        return float_above(self.bound)
+        return float_above(self.bound.numerator, self.bound.denominator)
 
     def certified_real(self) -> bool:
         return self.im == 0
@@ -109,13 +110,19 @@ class NumericRoot:
         return self.re + self.bound < 0
 
     def modulus_bounds(self) -> tuple[Fraction, Fraction]:
-        """Rationals lo ≤ |λ| ≤ hi for the root λ in the disk: |centre| ∓ the
-        bound, with |centre| = √(num/den) bracketed by root/scale and
-        (root + 1)/scale for root = ⌊√(num·scale²/den)⌋ at a scale of at least
+        """modulus_bracket as rationals lo ≤ |λ| ≤ hi."""
+        low, high, den = self.modulus_bracket()
+        return Fraction(low, den), Fraction(high, den)
+
+    def modulus_bracket(self) -> tuple[int, int, int]:
+        """Integers (low, high, den) with low/den ≤ |λ| ≤ high/den for the
+        root λ in the disk: |centre| ∓ the bound, clamped at 0, with
+        |centre| = √(num/den) bracketed by root/scale and (root + 1)/scale
+        for root = ⌊√(num·scale²/den)⌋ at a scale of at least
         2^CERTIFY_BITS, so the bracket adds a negligible term even when the
         centre's denominator is small.  For re = a/b and im = c/f in lowest
         terms, |centre|² = ((a·f)² + (c·b)²)/(b·f)², brought to lowest terms
-        num/den by one gcd."""
+        num/den by one gcd; the bound r/s puts the bracket over scale·s."""
         a, b = self.re.numerator, self.re.denominator
         c, f = self.im.numerator, self.im.denominator
         num, den = (a * f) ** 2 + (c * b) ** 2, (b * f) ** 2
@@ -123,8 +130,8 @@ class NumericRoot:
         num, den = num // g, den // g
         scale = max(den, 1 << CERTIFY_BITS)
         root = math.isqrt(num * scale * scale // den)
-        low = max(Fraction(root, scale) - self.bound, Fraction(0))
-        return low, Fraction(root + 1, scale) + self.bound
+        r, s = self.bound.numerator, self.bound.denominator
+        return max(root * s - r * scale, 0), (root + 1) * s + r * scale, scale * s
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,9 @@ class SpectrumResult:
 
     def spectral_radius(self):
         """max |λ| over σ(a): a Fraction when exact, else an ApproxReal whose
-        error bounds the distance from its value to the true radius."""
+        error bounds the distance from its value to the true radius.  Its
+        bracket [lower, upper], from the rational maximum and each disk's
+        modulus_bracket, and the error are compared as integer pairs (n, d)."""
         rational_max = max(
             (abs(root) for root, _ in self.rational_roots), default=None
         )
@@ -188,16 +197,24 @@ class SpectrumResult:
                 raise MathViolationError("characteristic polynomial with no roots")
             return rational_max
         floor = rational_max if rational_max is not None else Fraction(0)
-        lows, highs = zip(*(root.modulus_bounds() for root in self.other_roots))
-        lower, upper = max(floor, *lows), max(floor, *highs)
-        if rational_max is not None and rational_max >= upper:
+        lower = upper = floor_pair = floor.as_integer_ratio()
+        for root in self.other_roots:
+            low, high, den = root.modulus_bracket()
+            if low * lower[1] > lower[0] * den:
+                lower = low, den
+            if high * upper[1] > upper[0] * den:
+                upper = high, den
+        if rational_max is not None and upper == floor_pair:
             return rational_max
-        moduli = [math.hypot(root.value.real, root.value.imag) for root in self.other_roots]
+        moduli = [math.hypot(to_float(root.re), to_float(root.im)) for root in self.other_roots]
         value = max(*moduli, to_float(floor))
         if value == math.inf:
             return ApproxReal(value=value, error=value)
-        exact = Fraction(value)
-        return ApproxReal(value=value, error=float_above(max(upper - exact, exact - lower)))
+        m, e = value.as_integer_ratio()
+        above = upper[0] * e - m * upper[1], upper[1] * e
+        below = m * lower[1] - lower[0] * e, lower[1] * e
+        error = above if above[0] * below[1] >= below[0] * above[1] else below
+        return ApproxReal(value=value, error=float_above(*error))
 
     def multiplicity_total(self) -> int:
         return sum(m for _, m in self.rational_roots) + sum(
@@ -269,14 +286,16 @@ def _refine(factors: list[tuple[list[int], int]], new: list[tuple[list[int], int
 
 
 def square_free_factors(coeffs: Sequence[Fraction]) -> list[tuple[list[int], int]]:
-    """Yun's square-free factorization of the primitive integer form of
+    """Yun's square-free factorization of the primitive integer form f of
     coeffs: [(factor, multiplicity)], each factor primitive with a positive
-    leading coefficient."""
+    leading coefficient; [(f, 1)] at once when gcd(f, f′) is constant."""
     poly = linalg.poly_trim(coeffs)
     if len(poly) <= 1:
         return []
     f = linalg.integer_poly(poly)
     g = linalg.poly_gcd(f, linalg.poly_derivative(f))
+    if len(g) == 1:
+        return [(f, 1)]
     w = linalg.poly_div_exact(f, g)
     out: list[tuple[list[int], int]] = []
     i = 1
@@ -501,9 +520,9 @@ def spectrum(algebra: AlgebraSpec, a: LatticeElement) -> SpectrumResult:
     kernel = algebra.integer_tensor
     d = scale * kernel.den
     blocks = linalg.char_poly_blocks(kernel.left_matrix(v))  # det(μI − B_C) per block
-    monic = linalg.monic_product(blocks, d)  # det(λI − L_a)
     n = algebra.dim
-    char = tuple(monic) if n % 2 == 0 else tuple(-c for c in monic)  # det(L_a − λI)
+    # det(L_a − λI) = (−1)^n·det(λI − L_a)
+    char = tuple(linalg.monic_product(blocks, d, (-1) ** n))
     exact, disks = rational_roots(*blocks, scale=d)  # the roots λ = μ/d
     result = SpectrumResult(
         element=a, char_poly=char, rational_roots=tuple(exact), other_roots=tuple(disks)

@@ -1,5 +1,6 @@
 """Scalars, lattice elements, and norms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from latticealg import (
     vec,
     zero,
 )
-from latticealg.lattice import format_real, norm
+from latticealg import lattice
+from latticealg.lattice import float_above, format_real, norm, to_float
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -180,3 +182,70 @@ def test_format_real_past_the_doubles_rounds_the_exact_value():
     assert format_real(Fraction(1234567890135 * big), ".12g") == "1.23456789014e+412"
     assert format_real(Fraction(12345678901234567891 * big)) == "1.2345678901234568e+419"
     assert format_real(Fraction(17, 10**400)) == "0.0"  # underflow is no overflow
+
+
+def reference_float_above(x):
+    """float_above in Fractions: the double nearest x, one step up when
+    Fraction(f) < x, or inf outside the range of doubles."""
+    f = to_float(x)
+    return f if f == math.inf or Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def near_a_double(f, side, divisor):
+    """f ± ulp(f)/divisor, at or past a double: a half ulp is a tie."""
+    return max(Fraction(f) + side * Fraction(math.ulp(f)) / divisor, Fraction(0))
+
+
+doubles = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+nonnegative = st.one_of(
+    doubles.map(Fraction),  # exact dyadics
+    st.builds(near_a_double, doubles, st.sampled_from([-1, 1]), st.sampled_from([1, 2, 3, 2**60])),
+    st.builds(Fraction, st.integers(0, 10**400), st.integers(1, 10**400)),  # 10^±400
+    st.fractions(min_value=0, max_value=10, max_denominator=10**20),
+)
+
+
+@settings(max_examples=300)
+@given(nonnegative)
+def test_float_above_matches_the_fraction_formula(x):
+    # m·den ≥ num·e on integers, against Fraction(f) ≥ x: the least double
+    # ≥ x, or inf past the doubles
+    above = float_above(x.numerator, x.denominator)
+    assert above == reference_float_above(x)
+    # the pair need not be in lowest terms
+    assert float_above(3 * x.numerator, 3 * x.denominator) == above
+    if above < math.inf:
+        assert Fraction(above) >= x
+        assert above == 0 or Fraction(math.nextafter(above, 0)) < x
+
+
+def test_float_above_at_the_edges():
+    # 0, below the least subnormal, past the largest double, just above a
+    # double, and the largest double and just past it
+    tiny = Fraction(math.ulp(0.0))
+    assert float_above(0, 1) == 0.0
+    assert float_above(1, 10**400) == math.ulp(0.0)
+    assert float_above(10**400, 1) == math.inf
+    assert float_above(*(Fraction(1.5) + tiny).as_integer_ratio()) == math.nextafter(1.5, 2)
+    top = Fraction(math.nextafter(math.inf, 0))
+    assert float_above(*top.as_integer_ratio()) == float(top)
+    assert float_above(*(top + 1).as_integer_ratio()) == math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(5, 3)]),
+    x=st.lists(
+        st.one_of(rationals, st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400))),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_p_norm_error_matches_the_fraction_formula(p, x):
+    # the p-norm's error is rounded up by float_above; with the Fraction
+    # formula in its place the norm is the same
+    spec = NormSpec(kind="p", p=p)
+    value = norm(vec(x), spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "float_above", lambda num, den: reference_float_above(Fraction(num, den)))
+        assert norm(vec(x), spec) == value

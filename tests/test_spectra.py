@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import latticealg as la
 from latticealg import ApproxReal, GridSpec, InputError, linalg, spectra, vec
 from latticealg.algebra import integer_form
+from latticealg.lattice import to_float
 from latticealg.spectra import rational_roots, square_free_factors
+from test_lattice import reference_float_above
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 UNITAL_NAMES = [n for n in la.BUILTIN_NAMES if la.builtin(n).has_identity()]
@@ -260,26 +262,76 @@ disks = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(disks, min_size=1, max_size=4), st.lists(rationals, max_size=3))
-def test_modulus_bounds_match_the_fraction_formula(others, exact):
-    # |centre|² from the centre's integers with one gcd, against re² + im²;
-    # spectral_radius, which reads the bounds, is the same with either, and
-    # a centre past the doubles still gives an infinite value and error
-    for disk in others:
-        assert disk.modulus_bounds() == reference_modulus_bounds(disk)
-    result = spectra.SpectrumResult(
+def reference_spectral_radius(result):
+    """spectral_radius in Fractions: the largest of the rational maximum and
+    the disks' reference_modulus_bounds at either end, and the error from
+    Fraction(value) and a Fraction float_above."""
+    rational_max = max((abs(root) for root, _ in result.rational_roots), default=None)
+    if not result.other_roots:
+        return rational_max
+    floor = rational_max if rational_max is not None else F(0)
+    lows, highs = zip(*(reference_modulus_bounds(disk) for disk in result.other_roots))
+    lower, upper = max(floor, *lows), max(floor, *highs)
+    if rational_max is not None and rational_max >= upper:
+        return rational_max
+    value = max(*(math.hypot(d.value.real, d.value.imag) for d in result.other_roots), to_float(floor))
+    if value == math.inf:
+        return ApproxReal(value, value)
+    exact = Fraction(value)
+    return ApproxReal(value, reference_float_above(max(upper - exact, exact - lower)))
+
+
+def spectrum_of(others, exact):
+    """A SpectrumResult holding the disks others and the rational roots exact."""
+    return spectra.SpectrumResult(
         element=vec([0]),
         char_poly=(F(0), F(1)),
         rational_roots=tuple((root, 1) for root in sorted(set(exact))),
         other_roots=tuple(others),
     )
-    radius = result.spectral_radius()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra.NumericRoot, "modulus_bounds", reference_modulus_bounds)
-        assert radius == result.spectral_radius()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(disks, min_size=1, max_size=4), st.lists(rationals, max_size=3))
+def test_modulus_bounds_match_the_fraction_formula(others, exact):
+    # |centre|² from the centre's integers with one gcd, against re² + im²;
+    # spectral_radius, which compares the brackets as integer pairs, against
+    # the whole radius in Fractions; a centre past the doubles still gives an
+    # infinite value and error
+    for disk in others:
+        assert disk.modulus_bounds() == reference_modulus_bounds(disk)
+    result = spectrum_of(others, exact)
+    radius, reference = result.spectral_radius(), reference_spectral_radius(result)
+    assert radius == reference and type(radius) is type(reference)
     if any(math.isinf(abs(disk.value)) for disk in others):
         assert radius == ApproxReal(math.inf, math.inf)
+
+
+def test_spectral_radius_fixed_cases():
+    golden = spectra.NumericRoot(F(1618033988749895, 10**15), F(0), F(1, 10**15), 1)
+    # a rational root that dominates: the radius is exact
+    dominated = spectrum_of([golden], [F(-2), F(1)])
+    assert dominated.spectral_radius() == 2 == reference_spectral_radius(dominated)
+    # the rational maximum equal to a disk's upper end: still exact.  The
+    # centre 3 is bracketed by 3 + 2^-CERTIFY_BITS, and the bound adds 1/4
+    three = spectra.NumericRoot(F(3), F(0), F(1, 4), 1)
+    top = 3 + F(1, 2**spectra.CERTIFY_BITS) + F(1, 4)
+    assert three.modulus_bounds()[1] == top
+    touching = spectrum_of([three], [top])
+    assert touching.spectral_radius() == top == reference_spectral_radius(touching)
+    assert isinstance(touching.spectral_radius(), Fraction)
+    # a disk that dominates: value ± error holds the bracket [lower, upper]
+    for others, exact in (([golden], [F(1)]), ([golden, three], []), ([three, golden], [F(-1, 3)])):
+        result = spectrum_of(others, exact)
+        radius = result.spectral_radius()
+        assert isinstance(radius, ApproxReal) and radius == reference_spectral_radius(result)
+        lower = max(reference_modulus_bounds(d)[0] for d in others)
+        upper = max(reference_modulus_bounds(d)[1] for d in others)
+        value, error = Fraction(radius.value), Fraction(radius.error)
+        assert value - error <= lower < upper <= value + error
+    # centres past the range of doubles
+    far = spectra.NumericRoot(F(10**400, 3), F(-(10**401), 7), F(1, 2**256), 1)
+    assert spectrum_of([far], [F(5)]).spectral_radius() == ApproxReal(math.inf, math.inf)
 
 
 @settings(max_examples=100, deadline=None)
@@ -628,6 +680,50 @@ def test_square_free_factorization():
         ((F(-2), F(0), F(1)), 2),
         ((F(-1), F(1)), 1),
     ]
+
+
+def reference_yun(coeffs):
+    """Yun's square-free factorization run to the end, with no exit when
+    gcd(f, f′) is constant."""
+    f = linalg.integer_poly(linalg.poly_trim(coeffs))
+    g = linalg.poly_gcd(f, linalg.poly_derivative(f))
+    w = linalg.poly_div_exact(f, g)
+    out, i = [], 1
+    while len(w) > 1:
+        y = linalg.poly_gcd(w, g)
+        factor = linalg.poly_div_exact(w, y)
+        if len(factor) > 1:
+            out.append((factor, i))
+        w, g, i = y, linalg.poly_div_exact(g, y), i + 1
+    return out
+
+
+def test_square_free_input_stops_after_one_gcd(monkeypatch):
+    # λ² − λ − 1 and 2λ³ − 3λ + 5/2: gcd(f, f′) = 1, so f is the answer
+    calls = counting(monkeypatch, "poly_gcd", "poly_div_exact")
+    for coeffs, f in (([F(-1), F(-1), F(1)], [-1, -1, 1]), ([F(5, 2), F(-3), F(0), F(2)], [5, -6, 0, 4])):
+        calls.update(poly_gcd=0, poly_div_exact=0)
+        assert square_free_factors(coeffs) == [(f, 1)]
+        assert calls == {"poly_gcd": 1, "poly_div_exact": 0}
+        assert reference_yun(coeffs) == [(f, 1)]
+    # (λ² − 2)²(λ − 1) is not square-free: the loop runs
+    calls.update(poly_gcd=0, poly_div_exact=0)
+    square_free_factors(expand([F(-2), F(0), F(1)], [F(-2), F(0), F(1)], [F(-1), F(1)]))
+    assert calls["poly_gcd"] > 1 and calls["poly_div_exact"] > 0
+
+
+primitive_factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0).map(
+    lambda c: linalg.integer_poly([F(x) for x in c])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(primitive_factors, st.integers(1, 3)), min_size=1, max_size=4), st.integers(1, 6))
+def test_square_free_factors_match_the_full_loop(factors, lead):
+    # products of primitive factors of multiplicities 1–3, which may share
+    # roots, times a rational lead: the same factors as Yun's whole loop
+    coeffs = [c / lead for c in expand(*(list(map(F, f)) for f, m in factors for _ in range(m)))]
+    assert square_free_factors(coeffs) == reference_yun(coeffs)
 
 
 def evaluate_char_poly_at_element(alg, result, a):
